@@ -51,10 +51,14 @@ def parse_complex(text: str) -> complex:
     try:
         if "@" in s:
             rpart, thpart = s.split("@", 1)
-            return float(rpart) * cmath.exp(1j * float(thpart))
-        return complex(s.replace("i", "j"))
+            val = float(rpart) * cmath.exp(1j * float(thpart))
+        else:
+            val = complex(s.replace("i", "j"))
     except ValueError as exc:
         raise UsageError(f"malformed complex literal {text!r}: {exc}") from exc
+    if not cmath.isfinite(val):
+        raise UsageError(f"non-finite complex literal {text!r}")
+    return val
 
 
 def parse_keyvals(text: str) -> dict:
@@ -70,6 +74,8 @@ def parse_keyvals(text: str) -> dict:
             out[key.strip()] = float(val)
         except ValueError as exc:
             raise UsageError(f"bad numeric value in {part!r}") from exc
+        if not math.isfinite(out[key.strip()]):
+            raise UsageError(f"non-finite value in {part!r}")
     return out
 
 
@@ -106,6 +112,8 @@ def cmd_moments(args) -> int:
                         corr=vals.get("corr", 0.0))
         except KeyError as exc:
             raise UsageError(f"--from-moments needs dq and dp ({exc} missing)")
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         try:
             lab = moments_to_labels(m, c, rel_tol=args.saturation_tol)
         except NotSaturated as exc:
@@ -116,7 +124,10 @@ def cmd_moments(args) -> int:
         emit([row], args.format, sys.stdout)
         return EXIT_OK
     lab = Labels.from_z(parse_complex(args.u0), parse_complex(args.z))
-    m = labels_to_moments(lab, c)
+    try:
+        m = labels_to_moments(lab, c)
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(f"labels outside the supported domain: {exc}") from exc
     ang = derived_angles(lab, m, c)
     row = {"q0": m.q0, "p0": m.p0, "dq": m.dq, "dp": m.dp, "corr": m.corr,
            "phi": ang.phi, "theta_bar_plus": ang.thetabar_plus,

@@ -4,7 +4,9 @@ Everything here is a brute-force check on the closed forms elsewhere in the
 package: ladder matrices for the reference mode, displacement and squeeze
 operators built both by matrix exponential (slow, generic) and by their
 normal-ordered factorizations (fast, exact triangular/diagonal entries), and
-the saturating state |state(u0, z)> = D(u0) S(z) |0>.
+the saturating state |state(u0, z)> = D(u0) S(z) |0>, whose amplitudes come
+from the two-photon recurrence in O(N) (the dense product D(u0) S(z)|0> is
+kept only as its oracle in verify).
 
 All identities on a truncated space hold only on an upper-left block; the
 callers assert on blocks whose columns have converged well inside the box,
@@ -355,21 +357,47 @@ def squeezed_annihilator(z: complex, dim: int) -> FockOperator:
         dim, math.cosh(r) * a.entries - phase * math.sinh(r) * adag.entries)
 
 
+def _state_amplitudes(us, z: complex, dim: int) -> np.ndarray:
+    """<m|D(u) S(z)|0> for m < dim, one column per u, by the two-photon recurrence.
+
+    With zeta = e^{i theta} tanh r and beta = u - zeta conj(u) (Yuen 1976):
+        c_0     = (cosh r)^{-1/2} exp(-|u|^2/2 + zeta conj(u)^2/2)
+        c_{m+1} = (beta c_m + sqrt(m) zeta c_{m-1}) / sqrt(m+1).
+    The amplitudes are exact for every m < dim (no truncation enters), and
+    the forward sweep is stable: the wanted solution is the dominant one.
+    |c_0| <= 1, so far nodes underflow to zeros, never to NaN.
+    """
+    us = np.asarray(us, dtype=complex).ravel()
+    z = complex(z)
+    r = abs(z)
+    zeta = (z / r) * math.tanh(r) if r else 0j
+    ubar = np.conj(us)
+    beta = us - zeta * ubar
+    out = np.empty((dim, us.size), dtype=complex)
+    out[0] = np.exp(-0.5 * (us * ubar).real + 0.5 * zeta * ubar * ubar
+                    - 0.5 * math.log(math.cosh(r)))
+    if dim > 1:
+        out[1] = beta * out[0]
+    for m in range(1, dim - 1):
+        out[m + 1] = (beta * out[m] + math.sqrt(m) * zeta * out[m - 1]) \
+            / math.sqrt(m + 1)
+    return out
+
+
 def saturating_state(
     labels: Labels,
     c: Constants = Constants(),
     dim: int = 128,
     tail_bound: float = DEFAULT_TAIL_BOUND,
 ) -> FockVector:
-    """|state> = D(u0) S(z) |0> on the truncated basis.
+    """|state> = D(u0) S(z) |0>, its first dim amplitudes.
 
     Warns with TruncationWarning when the top-level weight exceeds
     tail_bound; identities checked against this state are then unreliable.
     """
     _check_dim(dim)
-    v = _squeezed_vacuum_column(labels.z, dim)
-    amps = displacement(labels.u0, dim).entries @ v
-    state = FockVector.from_amps(amps)
+    state = FockVector.from_amps(
+        _state_amplitudes(labels.u0, labels.z, dim)[:, 0])
     if state.tail_mass > tail_bound:
         warnings.warn(
             f"tail mass {state.tail_mass:.3e} exceeds {tail_bound:.3e} "
@@ -385,62 +413,16 @@ def saturating_state_batch(
     z: complex,
     c: Constants = Constants(),
     dim: int = 128,
-    out_dim: int | None = None,
-    chunk: int = 512,
 ) -> np.ndarray:
-    """Amplitudes <m|D(u0) S(z)|0> for many u0 at fixed z.
+    """Amplitudes <m|D(u0) S(z)|0>, m < dim, for many u0 at fixed z.
 
-    Returns an (out_dim, len(u0s)) array.  Same construction as
-    saturating_state, reorganized into per-chunk matrix products so that
-    quadratures over the u0 plane stay cheap.  All intermediates are scaled
-    (coherent-amplitude columns, sqrt-factorial balancing) so no entry
-    overflows even at far-tail quadrature nodes.
+    Returns a (dim, len(u0s)) array from the same recurrence as
+    saturating_state, O(dim) per node, so that quadratures over the u0
+    plane stay cheap.
     """
-    _check_dim(dim)
-    u0s = np.asarray(u0s, dtype=complex).ravel()
-    if out_dim is None:
-        out_dim = dim
-    if not 1 <= out_dim <= dim:
-        raise BadDim(f"out_dim must lie in [1, {dim}], got {out_dim}")
-    v = _squeezed_vacuum_column(z, dim)
-
-    lg = _lgfact(dim - 1)
-    n_idx = np.arange(dim)[:, None]
-    k_idx = np.arange(dim)[None, :]
-    s_idx = n_idx + k_idx
-    valid = s_idx < dim
-    s_clip = np.minimum(s_idx, dim - 1)
-    # A[n, k] = sqrt((n+k)! / (n! k!)) v[n+k]   (binomial-balanced, no overflow)
-    amat = np.where(
-        valid,
-        np.exp(0.5 * (lg[s_clip] - lg[n_idx] - lg[k_idx])) * v[s_clip],
-        0.0,
-    ).astype(complex)
-
-    sqrt_fact = np.exp(0.5 * lg[:out_dim])
-
-    out = np.empty((out_dim, u0s.size), dtype=complex)
-    for lo in range(0, u0s.size, chunk):
-        ub = u0s[lo:lo + chunk]
-        nb = ub.size
-        # P[k, b] = e^{-|u|^2/2} (-conj(u))^k / sqrt(k!)  via cumulative product
-        steps = np.empty((dim, nb), dtype=complex)
-        steps[0] = np.exp(-0.5 * np.abs(ub) ** 2)
-        steps[1:] = (-np.conj(ub))[None, :] / np.sqrt(
-            np.arange(1, dim, dtype=float))[:, None]
-        pmat = np.cumprod(steps, axis=0)
-        w = amat @ pmat  # e^{-|u|^2/2} (e^{-conj(u) a} v)_n
-        w *= np.exp(-0.5 * lg[:dim])[:, None]
-        # g[j, b] = u^j / j!
-        gsteps = np.empty((out_dim, nb), dtype=complex)
-        gsteps[0] = 1.0
-        if out_dim > 1:
-            gsteps[1:] = ub[None, :] / np.arange(1, out_dim, dtype=float)[:, None]
-        g = np.cumprod(gsteps, axis=0)
-        for m in range(out_dim):
-            out[m, lo:lo + nb] = sqrt_fact[m] * np.einsum(
-                "jb,jb->b", g[m::-1], w[:m + 1])
-    return out
+    if dim < 1:
+        raise BadDim(f"row count must be >= 1, got {dim}")
+    return _state_amplitudes(u0s, z, dim)
 
 
 def expectations(state: FockVector, c: Constants = Constants()) -> Moments:

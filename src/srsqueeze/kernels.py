@@ -236,9 +236,12 @@ class PolySymbol:
     def __mul__(self, other):
         if np.isscalar(other):
             return PolySymbol(self.coeffs * other)
-        from scipy.signal import convolve2d
-
-        return PolySymbol(convolve2d(self.coeffs, other.coeffs))
+        a, b = self.coeffs, other.coeffs
+        out = np.zeros((a.shape[0] + b.shape[0] - 1,
+                        a.shape[1] + b.shape[1] - 1), dtype=complex)
+        for (j, k), val in np.ndenumerate(b):
+            out[j:j + a.shape[0], k:k + a.shape[1]] += val * a
+        return PolySymbol(out)
 
     __rmul__ = __mul__
 

@@ -63,6 +63,7 @@ DEFAULT_BOUNDS = {
     "fock.squeeze_truncation_decay": 0.0,
     "fock.annihilation": 1e-9,
     "fock.displaced_coherence": 1e-8,
+    "fock.state_recurrence_vs_dense": 1e-13,
     "fock.operator_shift": 1e-10,
     "fock.invariant_combination": 1e-10,
     "verify.defining_residual": 1e-7,
@@ -539,6 +540,30 @@ def _check_displaced_coherence(cfg):
     return [_result(cfg, "fock.displaced_coherence", worst)]
 
 
+@register("fock.state_recurrence_vs_dense")
+def _check_state_recurrence(cfg):
+    """Recurrence amplitudes against the dense product D(u0) S(z)|0>.
+
+    The dense product is truncated at N, so only the upper half block is
+    compared.  Corner labels only: u0 = 0 and the largest |u0| (2j), each
+    at r = 0 and at the largest r with every theta.
+    """
+    n = 128
+    worst, wpt = 0.0, None
+    for lab in standard_labels():
+        if lab.u0 not in (0j, 2j) or lab.r not in (0.0, 1.2):
+            continue
+        dense = fock.displacement(lab.u0, n).entries \
+            @ fock._squeezed_vacuum_column(lab.z, n)
+        amps = fock.saturating_state(lab, cfg.constants, n,
+                                     tail_bound=math.inf).amps
+        d = float(np.max(np.abs(amps[:n // 2] - dense[:n // 2])))
+        if d > worst:
+            worst, wpt = d, lab
+    return [_result(cfg, "fock.state_recurrence_vs_dense", worst,
+                    {"worst_at": repr(wpt), "fock_dim": n})]
+
+
 @register("fock.operator_shift")
 def _check_operator_shift(cfg):
     c, n = cfg.constants, cfg.fock_dim
@@ -662,7 +687,7 @@ def _state_projector_batch(z, cfg, dim_check):
 
     def fb(vs):
         psi = fock.saturating_state_batch(rot * vs, z, cfg.constants,
-                                          cfg.fock_dim, out_dim=dim_check)
+                                          dim_check)
         return np.einsum("mi,ni->imn", psi, np.conj(psi))
 
     return fb
@@ -711,7 +736,7 @@ def mu_weighted_identity(cfg: VerifyConfig) -> CheckResult:
             spec = _roi_spec(z, order)
             u, tw = quadmod._plane_nodes(order, spec)
             psi = fock.saturating_state_batch(rot * u, z, cfg.constants,
-                                              cfg.fock_dim, out_dim=dim_check)
+                                              dim_check)
             out[i] = (psi * tw) @ psi.conj().T
         return out
 
@@ -808,6 +833,20 @@ def _check_three_forms(cfg):
     return [_result(cfg, "wavefn.three_forms", worst)]
 
 
+def synthesis_ratio(lab: Labels, c: Constants, n: int, qs: np.ndarray) -> float:
+    """Worst Hermite-synthesis defect of the N-level state over its budget.
+
+    The budget is 8 sqrt(dropped mass) + 1e-11, where the dropped mass is
+    sum_{m >= N} |c_m|^2, read from the same state built at 2N.  (1 - norm^2
+    of the truncated state cancels to rounding noise and cannot be used.)
+    """
+    amps = fock.saturating_state(lab, c, 2 * n, tail_bound=math.inf).amps
+    p = wavefn.WavefnParams.from_labels(lab, c)
+    diff = wavefn.synthesize(qs, amps[:n], c) - wavefn.psi(qs, p)
+    missing = float(np.sum(np.abs(amps[n:]) ** 2))
+    return float(np.max(np.abs(diff))) / (8.0 * math.sqrt(missing) + 1e-11)
+
+
 @register("wavefn.fock_synthesis")
 def _check_synthesis(cfg):
     """Hermite synthesis against a per-state truncation budget.
@@ -815,20 +854,12 @@ def _check_synthesis(cfg):
     The pointwise defect is bounded by the amplitude mass the truncation
     discarded; measured is the worst ratio of defect to that budget.
     """
-    c, n = cfg.constants, cfg.fock_dim
     qs = np.linspace(-6.0, 6.0, 129)
     worst, wpt = 0.0, None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", fock.TruncationWarning)
-        for lab in standard_labels(rmax=1.2):
-            st = fock.saturating_state(lab, c, n)
-            p = wavefn.WavefnParams.from_labels(lab, c)
-            diff = wavefn.synthesize(qs, st.amps, c) - wavefn.psi(qs, p)
-            missing = max(0.0, 1.0 - st.norm**2)
-            budget = 8.0 * math.sqrt(missing) + 1e-11
-            ratio = float(np.max(np.abs(diff))) / budget
-            if ratio > worst:
-                worst, wpt = ratio, lab
+    for lab in standard_labels(rmax=1.2):
+        ratio = synthesis_ratio(lab, cfg.constants, cfg.fock_dim, qs)
+        if ratio > worst:
+            worst, wpt = ratio, lab
     return [_result(cfg, "wavefn.fock_synthesis", worst,
                     {"worst_at": repr(wpt)}, bound=1.0)]
 
@@ -1026,7 +1057,7 @@ def _check_diag_kernel(cfg):
         spec = _roi_spec(z, order=96)
         u, tw = quadmod._plane_nodes(spec.order_or_nodes, spec)
         us = rot * u
-        psi = fock.saturating_state_batch(us, z, c, dim, out_dim=dim)
+        psi = fock.saturating_state_batch(us, z, c, dim)
         wz = np.array([squeezed_frame_label(uu, z) for uu in us])
         for name in ("I", "N", "Q", "P", "Q2", "P2", "QP"):
             op = kernels.quadrature_observable(name, z, c)

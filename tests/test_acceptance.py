@@ -196,17 +196,8 @@ def test_criterion_8_wavefunctions():
                 worst = max(worst, float(np.max(np.abs(
                     wavefn.psi_form(qs, p, form) - base))))
         crit.require("three-form equivalence", worst, 1e-12)
-        worst_ratio = 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", fock.TruncationWarning)
-            for lab in verify.standard_labels(rmax=1.2):
-                st = fock.saturating_state(lab, C, 128)
-                p = wavefn.WavefnParams.from_labels(lab, C)
-                diff = wavefn.synthesize(qs, st.amps, C) - wavefn.psi(qs, p)
-                budget = 8.0 * math.sqrt(max(0.0, 1 - st.norm**2)) + 1e-11
-                worst_ratio = max(worst_ratio,
-                                  float(np.max(np.abs(diff))) / budget)
-        crit.require("synthesis within truncation budget", worst_ratio, 1.0)
+        synth = verify.run_suite(CFG, only=["wavefn.fock_synthesis"])[0]
+        crit.require("synthesis within truncation budget", synth.measured, 1.0)
 
 
 def test_criterion_9_sr_ur_checker():

@@ -73,6 +73,20 @@ def test_usage_error_on_bad_literal(capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--u0", "nan", "--z", "0.5"),
+    ("--u0", "1", "--z", "40"),
+    ("--u0", "1", "--z", "400"),
+    ("--from-moments", "dq=-1,dp=1"),
+    ("--from-moments", "dq=inf,dp=1"),
+])
+def test_moments_bad_input_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "moments", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
 def test_overlap_identical_states(capsys):
     code, out, _ = run_cli(capsys, "overlap", "--z2", "0.5@0.7", "--u2", "1+1i",
                            "--z1", "0.5@0.7", "--u1", "1+1i")

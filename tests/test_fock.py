@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -153,15 +154,58 @@ def test_truncation_warning():
 def test_batch_matches_single():
     z = 0.8 * cmath.exp(1j * 1.1)
     us = np.array([0.0, 0.3 - 0.2j, 1 + 1j, 2.0])
-    batch = fock.saturating_state_batch(us, z, C, 128, out_dim=32)
+    batch = fock.saturating_state_batch(us, z, C, 32)
+    assert batch.shape == (32, us.size)
     for i, u in enumerate(us):
-        st = fock.saturating_state(Labels.from_z(u, z), C, 128)
-        assert np.max(np.abs(batch[:, i] - st.amps[:32])) < 1e-11
+        dense = fock.displacement(u, 128).entries \
+            @ fock._squeezed_vacuum_column(z, 128)
+        assert np.max(np.abs(batch[:, i] - dense[:32])) < 1e-11
 
 
-def test_batch_out_dim_validation():
+def test_batch_dim_validation():
     with pytest.raises(fock.BadDim):
-        fock.saturating_state_batch(np.array([0j]), 0.0, C, 16, out_dim=17)
+        fock.saturating_state_batch(np.array([0j]), 0.0, C, 0)
+
+
+def _mp_amplitudes(u, z, dim):
+    """c_m = c_0 (i sqrt(zeta/2))^m H_m(-i beta/sqrt(2 zeta)) / sqrt(m!)."""
+    with mpmath.workdps(60):
+        u, z = mpmath.mpc(u), mpmath.mpc(z)
+        r = abs(z)
+        zeta = (z / r) * mpmath.tanh(r)
+        beta = u - zeta * mpmath.conj(u)
+        c0 = mpmath.exp(-abs(u) ** 2 / 2 + zeta * mpmath.conj(u) ** 2 / 2) \
+            / mpmath.sqrt(mpmath.cosh(r))
+        s = 1j * mpmath.sqrt(zeta / 2)
+        x = -1j * beta / mpmath.sqrt(2 * zeta)
+        return [complex(c0 * s**m * mpmath.hermite(m, x)
+                        / mpmath.sqrt(mpmath.factorial(m)))
+                for m in range(dim)]
+
+
+@pytest.mark.parametrize("radius", [6.0, 12.0, 30.0])
+def test_recurrence_far_nodes_vs_mpmath(radius):
+    # far quadrature nodes of the rotated frame, where |beta| is large and
+    # the forward recurrence runs far from its turning point
+    z = 1.2 * cmath.exp(1j * 1.1)
+    rot = cmath.exp(0.55j)
+    us = rot * radius * np.exp(1j * np.array([0.0, 0.3, -0.6, math.pi / 4]))
+    got = fock.saturating_state_batch(us, z, C, 16)
+    for i, u in enumerate(us):
+        want = np.array(_mp_amplitudes(u, z, 16))
+        assert np.all(np.abs(want) > 1e-290)
+        rel = np.abs(got[:, i] - want) / np.abs(want)
+        assert np.max(rel) <= 1e-13
+
+
+def test_recurrence_underflow_gives_zeros():
+    # c_0 underflows far out: first along the squeezed axis, where
+    # c_0 = exp(-|u|^2 (1 + tanh r)/2), and at 1e5 even along the other one
+    z = 1.2 * cmath.exp(1j * 1.1)
+    us = cmath.exp(0.55j) * np.array([30j, 40j, -1e3j, 1e5])
+    got = fock.saturating_state_batch(us, z, C, 16)
+    assert np.all(np.isfinite(got))
+    assert np.all(got == 0)
 
 
 def test_expectations_vacuum_and_coherent():

@@ -255,7 +255,7 @@ def test_diagonal_kernel_reconstructs_matrix_elements():
     spec = quad.QuadratureSpec(quad.QuadKind.TENSOR_GAUSS_HERMITE_2D, 56,
                                scale=(1.3, 1.3), rel_tol=1e-6)
     u, tw = quad._plane_nodes(56, spec)
-    psi = fock.saturating_state_batch(u, z, C, dim, out_dim=dim)
+    psi = fock.saturating_state_batch(u, z, C, dim)
     wz = np.array([squeezed_frame_label(uu, z) for uu in u])
     rec = (psi * (kern.evaluate(wz) * tw)) @ psi.conj().T
     a, _ = fock.ladder(dim)

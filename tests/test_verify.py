@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from srsqueeze import verify
+from srsqueeze.params import Constants, Labels
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +72,14 @@ def test_truncation_sensitivity_of_scan():
     assert res_small[key].measured > res_big[key].measured
     assert not res_small[key].passed
     assert res_big[key].passed
+
+
+def test_synthesis_budget_counts_mass_past_truncation():
+    # 1 - |psi|^2 of the truncated state cancels to ~0 here, which made the
+    # budget 1e-11 against a 2.5e-11 synthesis defect (ratio 2.48)
+    lab = Labels(u0=2j, r=0.7, theta=math.pi)
+    qs = np.linspace(-6.0, 6.0, 129)
+    assert verify.synthesis_ratio(lab, Constants(), 128, qs) <= 1.0
 
 
 def test_bound_overrides():
