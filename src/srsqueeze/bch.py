@@ -119,6 +119,10 @@ def disentangle_squeeze(z: complex) -> DisentangledSqueeze:
     if r == 0.0:
         return DisentangledSqueeze(alpha=0j, gamma=0.0)
     alpha = (z / r) * math.tanh(r)
-    # gamma = ln(1 - tanh^2 r) = -2 ln cosh r, stable for large r
-    gamma = -2.0 * (r + math.log1p(math.exp(-2.0 * r)) - math.log(2.0))
+    # gamma = ln(1 - tanh^2 r) = -2 ln cosh r, with cosh r = 1 + 2 sinh^2(r/2)
+    # free of cancellation for small r, and the e^{-2r} form for large r
+    if r <= 1.0:
+        gamma = -2.0 * math.log1p(2.0 * math.sinh(0.5 * r) ** 2)
+    else:
+        gamma = -2.0 * (r + math.log1p(math.exp(-2.0 * r)) - math.log(2.0))
     return DisentangledSqueeze(alpha=alpha, gamma=gamma)

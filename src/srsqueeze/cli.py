@@ -102,6 +102,15 @@ def _constants(args) -> Constants:
     return Constants(hbar=args.hbar, ell0=args.ell0)
 
 
+def _in_domain(fn, *args):
+    """fn(*args), with the errors of labels its closed forms cannot handle
+    (moments that cancel to 0, cosh r overflowing) as a usage error."""
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(f"labels outside the supported domain: {exc}") from exc
+
+
 def cmd_moments(args) -> int:
     c = _constants(args)
     if args.from_moments:
@@ -124,10 +133,7 @@ def cmd_moments(args) -> int:
         emit([row], args.format, sys.stdout)
         return EXIT_OK
     lab = Labels.from_z(parse_complex(args.u0), parse_complex(args.z))
-    try:
-        m = labels_to_moments(lab, c)
-    except (ValueError, OverflowError) as exc:
-        raise UsageError(f"labels outside the supported domain: {exc}") from exc
+    m = _in_domain(labels_to_moments, lab, c)
     ang = derived_angles(lab, m, c)
     row = {"q0": m.q0, "p0": m.p0, "dq": m.dq, "dp": m.dp, "corr": m.corr,
            "phi": ang.phi, "theta_bar_plus": ang.thetabar_plus,
@@ -140,7 +146,7 @@ def cmd_overlap(args) -> int:
     c = _constants(args)
     z2, u2 = parse_complex(args.z2), parse_complex(args.u2)
     z1, u1 = parse_complex(args.z1), parse_complex(args.u1)
-    res = kernels.squeezed_overlap(z2, u2, z1, u1)
+    res = _in_domain(kernels.squeezed_overlap, z2, u2, z1, u1)
     row = {"value_re": res.value.real, "value_im": res.value.imag,
            "modulus": res.modulus, "phase": res.phase}
     if args.oracle == "fock":
@@ -153,8 +159,9 @@ def cmd_overlap(args) -> int:
         row.update(oracle_re=oracle.real, oracle_im=oracle.imag,
                    abs_diff=abs(res.value - oracle))
     elif args.oracle == "quad":
-        p2 = wavefn.WavefnParams.from_labels(Labels.from_z(u2, z2), c)
-        p1 = wavefn.WavefnParams.from_labels(Labels.from_z(u1, z1), c)
+        params = wavefn.WavefnParams.from_labels
+        p2 = _in_domain(params, Labels.from_z(u2, z2), c)
+        p1 = _in_domain(params, Labels.from_z(u1, z1), c)
         w2, w1 = 1.0 / p2.moments.dq**2, 1.0 / p1.moments.dq**2
         center = (w2 * p2.moments.q0 + w1 * p1.moments.q0) / (w2 + w1)
         width = math.sqrt(2.0 / (w2 + w1))
@@ -173,7 +180,7 @@ def cmd_overlap(args) -> int:
 def cmd_wavefn(args) -> int:
     c = _constants(args)
     lab = Labels.from_z(parse_complex(args.u0), parse_complex(args.z))
-    p = wavefn.WavefnParams.from_labels(lab, c)
+    p = _in_domain(wavefn.WavefnParams.from_labels, lab, c)
     qs = np.linspace(args.qmin, args.qmax, args.samples)
     vals = wavefn.psi(qs, p)
     out = io.StringIO()
@@ -370,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, kernels.DegreeTooHigh) as exc:
+    except (UsageError, kernels.DegreeTooHigh, quadmod.BadSpec) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (quadmod.QuadratureNotConverged, quadmod.BadMeasure) as exc:

@@ -22,8 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .params import Constants, Labels, Moments, lambda0
 
@@ -110,6 +108,8 @@ def _check_dim(dim: int) -> None:
 
 def _lgfact(n: int) -> np.ndarray:
     """ln(k!) for k = 0..n."""
+    from scipy.special import gammaln
+
     return gammaln(np.arange(n + 1, dtype=float) + 1.0)
 
 
@@ -184,6 +184,8 @@ def _exp_neg_i_tridiag(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     A diagonal gauge makes the off-diagonal real, then the real symmetric
     tridiagonal eigenproblem gives a machine-accurate unitary.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     n = diag.shape[0]
     gauge = np.ones(n, dtype=complex)
     absoff = np.abs(offdiag)
@@ -294,7 +296,7 @@ def _squeezed_vacuum_column(z: complex, dim: int) -> np.ndarray:
     lg = _lgfact(dim - 1)
     kmax = (dim - 1) // 2
     k = np.arange(kmax + 1)
-    logs = k * np.log(zeta / 2.0) + 0.5 * lg[2 * k] - gammaln(k + 1.0)
+    logs = k * np.log(zeta / 2.0) + 0.5 * lg[2 * k] - lg[k]
     v[2 * k] = np.exp(logs - 0.5 * math.log(math.cosh(r)))
     return v
 

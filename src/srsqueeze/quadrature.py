@@ -21,7 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-_MAX_ORDER = 512
+# numpy's hermgauss returns all-zero weights at order 371 and NaN weights
+# from 372 on, which would turn every rule silently into 0 or NaN
+_MAX_ORDER = 370
 
 
 class QuadratureNotConverged(RuntimeError):
@@ -33,6 +35,10 @@ class QuadratureNotConverged(RuntimeError):
 
 
 NotConverged = QuadratureNotConverged
+
+
+class BadSpec(ValueError):
+    """Rule order or tolerance outside the range the rules support."""
 
 
 class BadMeasure(ValueError):
@@ -52,7 +58,8 @@ class QuadratureSpec:
 
     center/scale recenter the rule on the integrand's Gaussian peak; for 1D
     rules only the first component of each pair is used.  seed matters only
-    for MONTE_CARLO.
+    for MONTE_CARLO.  The Gauss-Hermite kinds also evaluate the rule at
+    twice the order, so their order is at most _MAX_ORDER // 2 = 185.
     """
 
     kind: QuadKind
@@ -64,9 +71,14 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if self.order_or_nodes < 2:
-            raise ValueError(f"order_or_nodes must be >= 2, got {self.order_or_nodes}")
+            raise BadSpec(f"order_or_nodes must be >= 2, got {self.order_or_nodes}")
+        if self.kind in (QuadKind.GAUSS_HERMITE, QuadKind.TENSOR_GAUSS_HERMITE_2D) \
+                and 2 * self.order_or_nodes > _MAX_ORDER:
+            raise BadSpec(f"Gauss-Hermite order must be <= {_MAX_ORDER // 2} "
+                          f"(doubled for the error estimate), "
+                          f"got {self.order_or_nodes}")
         if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+            raise BadSpec(f"rel_tol must be positive, got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +93,7 @@ class QuadratureReport:
 def _gh_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and total weights w_i e^{x_i^2} for plain integrals."""
     if order > _MAX_ORDER:
-        raise ValueError(f"Gauss-Hermite order {order} exceeds limit {_MAX_ORDER}")
+        raise BadSpec(f"Gauss-Hermite order {order} exceeds limit {_MAX_ORDER}")
     x, w = np.polynomial.hermite.hermgauss(order)
     return x, w * np.exp(x * x)
 

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from . import bch, fock, kernels, wavefn
 from . import quadrature as quadmod
@@ -293,6 +292,8 @@ def _check_f_symmetry(cfg):
 @register("bch.f_matrix_log")
 def _check_f_matrix_log(cfg):
     """log(e^A e^B) = A + B + f(u,v) [A,B] for small 2x2 / 3x3 pairs."""
+    from scipy.linalg import expm, logm
+
     k0 = np.diag([0.5, -0.5]).astype(complex)
     kp = np.array([[0, 1], [0, 0]], dtype=complex)
     km = np.array([[0, 0], [-1, 0]], dtype=complex)
@@ -345,6 +346,8 @@ def _check_gamma(cfg):
 @register("bch.su11_defining_rep")
 def _check_su11_rep(cfg):
     """Both factor orders against exp(z K+ - conj(z) K-) in the 2x2 rep."""
+    from scipy.linalg import expm
+
     k0 = np.diag([0.5, -0.5]).astype(complex)
     kp = np.array([[0, 1], [0, 0]], dtype=complex)
     km = np.array([[0, 0], [-1, 0]], dtype=complex)
@@ -492,6 +495,8 @@ def _check_squeeze_decay(cfg):
     truncation error of exponentiating the cut generator; on a fixed
     24x24 block it must fall as N grows.
     """
+    from scipy.linalg import expm
+
     worst = 0.0
     meas = {}
     block = 24
@@ -975,7 +980,7 @@ def _quad_overlap(z2, u2, z1, u1, c):
     center = (w2 * p2.moments.q0 + w1 * p1.moments.q0) / (w2 + w1)
     width = math.sqrt(2.0 / (w2 + w1))
     dp = abs(p2.moments.p0 - p1.moments.p0) / c.hbar
-    order = min(220, 96 + int((2.0 * width * dp) ** 2))
+    order = min(quadmod._MAX_ORDER // 2, 96 + int((2.0 * width * dp) ** 2))
     spec = quadmod.QuadratureSpec(
         quadmod.QuadKind.GAUSS_HERMITE, order, center=(center, 0.0),
         scale=(2.2 * width, 1.0), rel_tol=1e-7)

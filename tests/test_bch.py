@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm, logm
@@ -114,6 +115,16 @@ def test_disentangle_real(r):
     d = bch.disentangle_squeeze(r)
     assert d.alpha == pytest.approx(math.tanh(r), rel=1e-15)
     assert d.gamma == pytest.approx(-2 * math.log(math.cosh(r)), rel=1e-14)
+
+
+@pytest.mark.parametrize("r", [1.6e-8, 1e-4, 1e-2, 0.7, 1.0, 1.5])
+def test_disentangle_gamma_small_r_vs_mpmath(r):
+    # gamma = -2 ln cosh r ~ -r^2 has condition number about 2 in r, so a
+    # stable evaluation is good to a few ulp relative, also at tiny r
+    with mpmath.workdps(40):
+        exact = float(-2 * mpmath.log(mpmath.cosh(mpmath.mpf(r))))
+    gamma = bch.disentangle_squeeze(r).gamma
+    assert abs(gamma - exact) <= 4 * np.finfo(float).eps * abs(exact)
 
 
 @pytest.mark.parametrize("z", [0.4j, 1.0 * cmath.exp(1j * math.pi / 4),

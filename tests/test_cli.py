@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -82,6 +85,20 @@ def test_usage_error_on_bad_literal(capsys):
 ])
 def test_moments_bad_input_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "moments", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("wavefn", "--u0", "0", "--z", "40"),
+    ("overlap", "--z2", "0", "--u2", "0", "--z1", "40", "--u1", "0",
+     "--oracle", "quad"),
+    ("resolve-identity", "--z", "0.5", "--dim-check", "4", "--order", "1"),
+    ("resolve-identity", "--z", "0.5", "--dim-check", "4", "--order", "200"),
+])
+def test_out_of_range_input_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("usage error:")
@@ -272,3 +289,46 @@ def test_argparse_usage_exit():
     with pytest.raises(SystemExit) as info:
         cli.main(["overlap", "--badflag"])
     assert info.value.code == 2
+
+
+_NO_SCIPY_PROBE = textwrap.dedent("""
+    import contextlib, io, sys
+    from srsqueeze import cli, verify
+
+    def scipy_loaded():
+        return sorted(m for m in sys.modules
+                      if m == "scipy" or m.startswith("scipy."))
+
+    commands = [
+        ["moments", "--u0=1+0.5i", "--z=0.3@0.4"],
+        ["moments", "--from-moments=dq=1,dp=0.5"],
+        ["overlap", "--z2=0.5@0.785", "--u2=1", "--z1=0.3@-1.047",
+         "--u1=-1i", "--oracle=fock"],
+        ["overlap", "--z2=0.5@0.785", "--u2=1", "--z1=0.3@-1.047",
+         "--u1=-1i", "--oracle=quad"],
+        ["wavefn", "--u0=1", "--z=0.4", "--samples=9"],
+        ["kernel", "--op=Q2", "--z=0.4"],
+        ["resolve-identity", "--z=0.5", "--dim-check=4"],
+        ["verify", "--only=params.*"],
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        assert code == 0, (argv, code)
+    assert scipy_loaded() == [], scipy_loaded()
+    # positive control: the probe does see scipy once an oracle loads it
+    results = verify.run_suite(
+        only=["bch.f_matrix_log", "fock.squeeze_factored_vs_exp"])
+    assert sorted(r.check_id for r in results) == [
+        "bch.f_matrix_log", "fock.squeeze_factored_vs_exp"], results
+    assert all(r.passed for r in results), results
+    assert "scipy.linalg" in scipy_loaded(), scipy_loaded()
+""")
+
+
+def test_oneshot_commands_do_not_import_scipy():
+    # scipy serves only the oracles; the closed forms and every one-shot
+    # command below run on numpy alone, so a process saves scipy's import
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

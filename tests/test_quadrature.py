@@ -20,10 +20,28 @@ def plane_spec(order, **kw):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(quad.BadSpec):
         quad.QuadratureSpec(quad.QuadKind.GAUSS_HERMITE, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(quad.BadSpec):
         quad.QuadratureSpec(quad.QuadKind.GAUSS_HERMITE, 8, rel_tol=0.0)
+    # the Gauss-Hermite kinds also run the rule at twice the order
+    for kind in (quad.QuadKind.GAUSS_HERMITE,
+                 quad.QuadKind.TENSOR_GAUSS_HERMITE_2D):
+        with pytest.raises(quad.BadSpec):
+            quad.QuadratureSpec(kind, 186)
+    quad.QuadratureSpec(quad.QuadKind.MONTE_CARLO, 200_000)
+    with pytest.raises(quad.BadSpec):
+        quad._gh_rule(371)
+
+
+def test_highest_order_stays_finite():
+    # the doubled rule runs at order 370, one below where numpy's hermgauss
+    # weights break down
+    rep = quad.integrate_line(
+        lambda q: np.exp(-q * q) / math.sqrt(math.pi), gh_spec(185),
+        check=False)
+    assert rep.value == pytest.approx(1.0, abs=1e-13)
+    assert rep.est_error < 1e-13
 
 
 def test_normalized_gaussian_line():
