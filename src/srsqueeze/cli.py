@@ -102,11 +102,11 @@ def _constants(args) -> Constants:
     return Constants(hbar=args.hbar, ell0=args.ell0)
 
 
-def _in_domain(fn, *args):
-    """fn(*args), with the errors of labels its closed forms cannot handle
-    (moments that cancel to 0, cosh r overflowing) as a usage error."""
+def _in_domain(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with the errors of labels its closed forms cannot
+    handle (moments that cancel to 0, cosh r overflowing) as a usage error."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except (ValueError, OverflowError) as exc:
         raise UsageError(f"labels outside the supported domain: {exc}") from exc
 
@@ -151,26 +151,15 @@ def cmd_overlap(args) -> int:
            "modulus": res.modulus, "phase": res.phase}
     if args.oracle == "fock":
         dim = args.fock_dim
-        s2 = fock.saturating_state(Labels.from_z(u2, z2), c, dim,
+        s2 = fock.saturating_state(Labels.from_z(u2, z2), dim,
                                    tail_bound=math.inf)
-        s1 = fock.saturating_state(Labels.from_z(u1, z1), c, dim,
+        s1 = fock.saturating_state(Labels.from_z(u1, z1), dim,
                                    tail_bound=math.inf)
         oracle = complex(np.vdot(s2.amps, s1.amps))
-        row.update(oracle_re=oracle.real, oracle_im=oracle.imag,
-                   abs_diff=abs(res.value - oracle))
     elif args.oracle == "quad":
-        params = wavefn.WavefnParams.from_labels
-        p2 = _in_domain(params, Labels.from_z(u2, z2), c)
-        p1 = _in_domain(params, Labels.from_z(u1, z1), c)
-        w2, w1 = 1.0 / p2.moments.dq**2, 1.0 / p1.moments.dq**2
-        center = (w2 * p2.moments.q0 + w1 * p1.moments.q0) / (w2 + w1)
-        width = math.sqrt(2.0 / (w2 + w1))
-        spec = quadmod.QuadratureSpec(
-            quadmod.QuadKind.GAUSS_HERMITE, 160, center=(center, 0.0),
-            scale=(2.2 * width, 1.0), rel_tol=1e-6)
-        rep = quadmod.integrate_line(
-            lambda q: np.conj(wavefn.psi(q, p2)) * wavefn.psi(q, p1), spec)
-        oracle = rep.value
+        oracle = _in_domain(verify.quad_overlap, z2, u2, z1, u1, c,
+                            rel_tol=1e-6, check=True).value
+    if args.oracle != "none":
         row.update(oracle_re=oracle.real, oracle_im=oracle.imag,
                    abs_diff=abs(res.value - oracle))
     emit([row], args.format, sys.stdout)

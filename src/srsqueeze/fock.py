@@ -1,12 +1,15 @@
 """Truncated Fock-space oracle: dense operator matrices and state vectors.
 
 Everything here is a brute-force check on the closed forms elsewhere in the
-package: ladder matrices for the reference mode, displacement and squeeze
-operators built both by matrix exponential (slow, generic) and by their
-normal-ordered factorizations (fast, exact triangular/diagonal entries), and
-the saturating state |state(u0, z)> = D(u0) S(z) |0>, whose amplitudes come
-from the two-photon recurrence in O(N) (the dense product D(u0) S(z)|0> is
-kept only as its oracle in verify).
+package.  Operators are plain complex N x N arrays on the basis
+{|0>, ..., |N-1>} (rows index the bra <m|, columns the ket |n>): ladder
+matrices for the reference mode, displacement and squeeze operators built
+both by matrix exponential (slow, generic) and by their normal-ordered
+factorizations (fast, exact triangular/diagonal entries).  States are
+FockVector amplitudes carrying their top-level tail mass; the saturating
+state |state(u0, z)> = D(u0) S(z) |0> comes from the two-photon recurrence
+in O(N) (the dense product D(u0) S(z)|0> is kept only as its oracle in
+verify).
 
 All identities on a truncated space hold only on an upper-left block; the
 callers assert on blocks whose columns have converged well inside the box,
@@ -16,14 +19,13 @@ Gaussian-type states used here.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Constants, Labels, Moments, lambda0
+from .params import Constants, Labels, Moments, lambda0, squeeze_frame
 
 DEFAULT_TAIL_BOUND = 1e-10
 
@@ -40,42 +42,6 @@ class NotHermitian(ValueError):
 
 class TruncationWarning(UserWarning):
     """State has non-negligible weight in the top Fock levels."""
-
-
-class OpTag(enum.Enum):
-    A = "a"
-    ADAG = "adag"
-    Q = "Q"
-    P = "P"
-    K0 = "K0"
-    KPLUS = "K+"
-    KMINUS = "K-"
-    DISPLACEMENT = "D"
-    SQUEEZE = "S"
-    GENERIC = "generic"
-
-
-@dataclass(frozen=True, eq=False)
-class FockOperator:
-    """Dense complex matrix on the truncated basis {|0>, ..., |N-1>}.
-
-    Rows index the bra <m|, columns the ket |n>.
-    """
-
-    dim: int
-    entries: np.ndarray
-    tag: OpTag = OpTag.GENERIC
-
-    def dagger(self) -> "FockOperator":
-        swap = {OpTag.A: OpTag.ADAG, OpTag.ADAG: OpTag.A,
-                OpTag.KPLUS: OpTag.KMINUS, OpTag.KMINUS: OpTag.KPLUS}
-        return FockOperator(self.dim, self.entries.conj().T.copy(),
-                            swap.get(self.tag, self.tag))
-
-    def __matmul__(self, other):
-        if isinstance(other, FockOperator):
-            return FockOperator(self.dim, self.entries @ other.entries)
-        return self.entries @ np.asarray(other)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,40 +79,30 @@ def _lgfact(n: int) -> np.ndarray:
     return gammaln(np.arange(n + 1, dtype=float) + 1.0)
 
 
-def ladder(dim: int) -> tuple[FockOperator, FockOperator]:
+def ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Annihilation and creation matrices: a[n-1, n] = sqrt(n)."""
     _check_dim(dim)
     a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-    return (FockOperator(dim, a, OpTag.A),
-            FockOperator(dim, a.conj().T.copy(), OpTag.ADAG))
+    return a, a.conj().T.copy()
 
 
-def number(dim: int) -> FockOperator:
-    _check_dim(dim)
-    return FockOperator(dim, np.diag(np.arange(dim, dtype=complex)))
-
-
-def position(dim: int, c: Constants = Constants()) -> FockOperator:
+def position(dim: int, c: Constants = Constants()) -> np.ndarray:
     """Q = ell0 (a + a^dag)/sqrt(2)."""
     a, adag = ladder(dim)
-    q = c.ell0 * (a.entries + adag.entries) / math.sqrt(2.0)
-    return FockOperator(dim, q, OpTag.Q)
+    return c.ell0 * (a + adag) / math.sqrt(2.0)
 
 
-def momentum(dim: int, c: Constants = Constants()) -> FockOperator:
+def momentum(dim: int, c: Constants = Constants()) -> np.ndarray:
     """P = -i hbar (a - a^dag)/(ell0 sqrt(2))."""
     a, adag = ladder(dim)
-    p = -1j * c.hbar * (a.entries - adag.entries) / (c.ell0 * math.sqrt(2.0))
-    return FockOperator(dim, p, OpTag.P)
+    return -1j * c.hbar * (a - adag) / (c.ell0 * math.sqrt(2.0))
 
 
-def su11_generators(dim: int) -> tuple[FockOperator, FockOperator, FockOperator]:
+def su11_generators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K0 = (a^dag a + 1/2)/2, K+ = a^dag^2/2, K- = a^2/2."""
     a, adag = ladder(dim)
     k0 = np.diag((np.arange(dim) + 0.5) / 2.0).astype(complex)
-    return (FockOperator(dim, k0, OpTag.K0),
-            FockOperator(dim, adag.entries @ adag.entries / 2.0, OpTag.KPLUS),
-            FockOperator(dim, a.entries @ a.entries / 2.0, OpTag.KMINUS))
+    return k0, adag @ adag / 2.0, a @ a / 2.0
 
 
 def basis_state(dim: int, n: int) -> FockVector:
@@ -207,7 +163,7 @@ def _squeeze_inner_dim(z: complex, dim: int) -> int:
     return math.ceil(dim * (math.cosh(2 * r) + 1.5 * math.sinh(2 * r))) + 32
 
 
-def displacement(u0: complex, dim: int) -> FockOperator:
+def displacement(u0: complex, dim: int) -> np.ndarray:
     """D(u0) = e^{-|u0|^2/2} e^{u0 a^dag} e^{-conj(u0) a} in closed form.
 
     The normal-ordered product collapses, entry by entry, to a single finite
@@ -221,7 +177,7 @@ def displacement(u0: complex, dim: int) -> FockOperator:
     _check_dim(dim)
     u0 = complex(u0)
     if u0 == 0:
-        return FockOperator(dim, np.eye(dim, dtype=complex), OpTag.DISPLACEMENT)
+        return np.eye(dim, dtype=complex)
     x = abs(u0) ** 2
     # laguerre[k, n] = L_n^{(k)}(x) for all diagonals k at once
     lag = np.zeros((dim, dim))
@@ -242,10 +198,10 @@ def displacement(u0: complex, dim: int) -> FockOperator:
         out[n + k, n] = phase**k * mag
         if k:
             out[n, n + k] = (-np.conj(phase))**k * mag
-    return FockOperator(dim, out, OpTag.DISPLACEMENT)
+    return out
 
 
-def displacement_exp(u0: complex, dim: int, inner_dim: int | None = None) -> FockOperator:
+def displacement_exp(u0: complex, dim: int, inner_dim: int | None = None) -> np.ndarray:
     """Oracle path: matrix exponential of u0 a^dag - conj(u0) a.
 
     Evaluated by eigendecomposition of the (tridiagonal, anti-Hermitian)
@@ -258,10 +214,10 @@ def displacement_exp(u0: complex, dim: int, inner_dim: int | None = None) -> Foc
     # i (u0 a^dag - conj(u0) a) is Hermitian tridiagonal
     off = 1j * u0 * np.sqrt(np.arange(1, inner, dtype=float))
     full = _exp_neg_i_tridiag(np.zeros(inner), off)
-    return FockOperator(dim, full[:dim, :dim].copy(), OpTag.DISPLACEMENT)
+    return full[:dim, :dim].copy()
 
 
-def squeeze_exp(z: complex, dim: int, inner_dim: int | None = None) -> FockOperator:
+def squeeze_exp(z: complex, dim: int, inner_dim: int | None = None) -> np.ndarray:
     """Oracle path: matrix exponential of (z a^dag^2 - conj(z) a^2)/2.
 
     The generator splits over even/odd parity into Hermitian tridiagonal
@@ -271,7 +227,7 @@ def squeeze_exp(z: complex, dim: int, inner_dim: int | None = None) -> FockOpera
     _check_dim(dim)
     z = complex(z)
     if z == 0:
-        return FockOperator(dim, np.eye(dim, dtype=complex), OpTag.SQUEEZE)
+        return np.eye(dim, dtype=complex)
     inner = inner_dim or _squeeze_inner_dim(z, dim)
     full = np.zeros((inner, inner), dtype=complex)
     n = np.arange(inner, dtype=float)
@@ -281,27 +237,51 @@ def squeeze_exp(z: complex, dim: int, inner_dim: int | None = None) -> FockOpera
         off = coupling[levels[:-1]]
         block = _exp_neg_i_tridiag(np.zeros(levels.size), off)
         full[np.ix_(levels, levels)] = block
-    return FockOperator(dim, full[:dim, :dim].copy(), OpTag.SQUEEZE)
+    return full[:dim, :dim].copy()
 
 
 def _squeezed_vacuum_column(z: complex, dim: int) -> np.ndarray:
     """S(z)|0> amplitudes: (cosh r)^{-1/2} (zeta/2)^k sqrt((2k)!)/k! at level 2k."""
-    z = complex(z)
-    r = abs(z)
+    ch, _, zeta = squeeze_frame(z)
     v = np.zeros(dim, dtype=complex)
-    if r == 0:
+    if zeta == 0:
         v[0] = 1.0
         return v
-    zeta = (z / r) * math.tanh(r)
     lg = _lgfact(dim - 1)
     kmax = (dim - 1) // 2
     k = np.arange(kmax + 1)
     logs = k * np.log(zeta / 2.0) + 0.5 * lg[2 * k] - lg[k]
-    v[2 * k] = np.exp(logs - 0.5 * math.log(math.cosh(r)))
+    v[2 * k] = np.exp(logs - 0.5 * math.log(ch))
     return v
 
 
-def squeeze_factored(z: complex, dim: int) -> FockOperator:
+def _squeeze_product(z: complex, dim: int, reverse: bool) -> np.ndarray:
+    """exp(zeta a^dag^2/2), e^{+-gamma K0} and exp(-conj(zeta) a^2/2), multiplied.
+
+    gamma = ln(1 - |zeta|^2); the normal order (lower @ mid @ upper) uses
+    +gamma, the reversed order (upper @ mid @ lower) -gamma.  Factors and
+    products run in extended precision.
+    """
+    _check_dim(dim)
+    z = complex(z)
+    r = abs(z)
+    if r == 0:
+        return np.eye(dim, dtype=complex)
+    zeta = squeeze_frame(z)[2]
+    ld = np.clongdouble
+    lower = _exp_adag2_lower(ld(zeta / 2.0), dim, dtype=ld)
+    # exp(-conj(zeta) a^2/2) = exp(-zeta a^dag^2/2)^dagger
+    upper = _exp_adag2_lower(ld(-zeta / 2.0), dim, dtype=ld).conj().T
+    gamma = ld(math.log1p(-math.tanh(r) ** 2))
+    if reverse:
+        gamma = -gamma
+    mid = np.exp(gamma * (np.arange(dim) + 0.5) / 2.0)
+    prod = (upper * mid[None, :]) @ lower if reverse \
+        else (lower * mid[None, :]) @ upper
+    return np.asarray(prod, dtype=complex)
+
+
+def squeeze_factored(z: complex, dim: int) -> np.ndarray:
     """S(z) as exp(zeta a^dag^2/2) exp(ln(1-|zeta|^2)(a^dag a + 1/2)/2) exp(-conj(zeta) a^2/2).
 
     zeta = e^{i theta} tanh r.  The product entries are truncation-exact for
@@ -309,54 +289,24 @@ def squeeze_factored(z: complex, dim: int) -> FockOperator:
     the two matrix products run in extended precision because the factors
     have large entries that cancel at large (m, n).
     """
-    _check_dim(dim)
-    z = complex(z)
-    r = abs(z)
-    if r == 0:
-        return FockOperator(dim, np.eye(dim, dtype=complex), OpTag.SQUEEZE)
-    zeta = (z / r) * math.tanh(r)
-    ld = np.clongdouble
-    lower = _exp_adag2_lower(np.clongdouble(zeta / 2.0), dim, dtype=ld)
-    # exp(-conj(zeta) a^2/2) = exp(-zeta a^dag^2/2)^dagger
-    upper = _exp_adag2_lower(np.clongdouble(-zeta / 2.0), dim, dtype=ld).conj().T
-    mid = np.exp(np.clongdouble(math.log1p(-math.tanh(r) ** 2))
-                 * (np.arange(dim) + 0.5) / 2.0)
-    prod = (lower * mid[None, :]) @ upper
-    return FockOperator(dim, np.asarray(prod, dtype=complex), OpTag.SQUEEZE)
+    return _squeeze_product(z, dim, reverse=False)
 
 
-def squeeze_factored_reversed(z: complex, dim: int) -> FockOperator:
+def squeeze_factored_reversed(z: complex, dim: int) -> np.ndarray:
     """Dual-order factorization exp(-conj(zeta) a^2/2) e^{-gamma K0} exp(zeta a^dag^2/2).
 
-    Equal to squeeze_factored(z, dim) as an operator identity; evaluated
-    independently for the dual-factorization check.
+    Equal to squeeze_factored(z, dim) as an operator identity; on the number
+    basis it converges only at small r and low levels (see verify's
+    fock.squeeze_dual_order check).
     """
-    _check_dim(dim)
-    z = complex(z)
-    r = abs(z)
-    if r == 0:
-        return FockOperator(dim, np.eye(dim, dtype=complex), OpTag.SQUEEZE)
-    zeta = (z / r) * math.tanh(r)
-    ld = np.clongdouble
-    lower = _exp_adag2_lower(np.clongdouble(zeta / 2.0), dim, dtype=ld)
-    upper = _exp_adag2_lower(np.clongdouble(-zeta / 2.0), dim, dtype=ld).conj().T
-    mid = np.exp(-np.clongdouble(math.log1p(-math.tanh(r) ** 2))
-                 * (np.arange(dim) + 0.5) / 2.0)
-    prod = (upper * mid[None, :]) @ lower
-    return FockOperator(dim, np.asarray(prod, dtype=complex), OpTag.SQUEEZE)
+    return _squeeze_product(z, dim, reverse=True)
 
 
-def squeezed_annihilator(z: complex, dim: int) -> FockOperator:
+def squeezed_annihilator(z: complex, dim: int) -> np.ndarray:
     """a(z) = cosh(r) a - e^{i theta} sinh(r) a^dag (Bogoliubov transform)."""
-    _check_dim(dim)
-    z = complex(z)
-    r = abs(z)
     a, adag = ladder(dim)
-    if r == 0:
-        return FockOperator(dim, a.entries.copy(), OpTag.GENERIC)
-    phase = z / r
-    return FockOperator(
-        dim, math.cosh(r) * a.entries - phase * math.sinh(r) * adag.entries)
+    ch, s, _ = squeeze_frame(z)
+    return ch * a - s * adag
 
 
 def _state_amplitudes(us, z: complex, dim: int) -> np.ndarray:
@@ -370,14 +320,12 @@ def _state_amplitudes(us, z: complex, dim: int) -> np.ndarray:
     |c_0| <= 1, so far nodes underflow to zeros, never to NaN.
     """
     us = np.asarray(us, dtype=complex).ravel()
-    z = complex(z)
-    r = abs(z)
-    zeta = (z / r) * math.tanh(r) if r else 0j
+    ch, _, zeta = squeeze_frame(z)
     ubar = np.conj(us)
     beta = us - zeta * ubar
     out = np.empty((dim, us.size), dtype=complex)
     out[0] = np.exp(-0.5 * (us * ubar).real + 0.5 * zeta * ubar * ubar
-                    - 0.5 * math.log(math.cosh(r)))
+                    - 0.5 * math.log(ch))
     if dim > 1:
         out[1] = beta * out[0]
     for m in range(1, dim - 1):
@@ -388,7 +336,6 @@ def _state_amplitudes(us, z: complex, dim: int) -> np.ndarray:
 
 def saturating_state(
     labels: Labels,
-    c: Constants = Constants(),
     dim: int = 128,
     tail_bound: float = DEFAULT_TAIL_BOUND,
 ) -> FockVector:
@@ -413,7 +360,6 @@ def saturating_state(
 def saturating_state_batch(
     u0s: np.ndarray,
     z: complex,
-    c: Constants = Constants(),
     dim: int = 128,
 ) -> np.ndarray:
     """Amplitudes <m|D(u0) S(z)|0>, m < dim, for many u0 at fixed z.
@@ -437,8 +383,8 @@ def expectations(state: FockVector, c: Constants = Constants()) -> Moments:
         )
     psi = state.amps
     nrm2 = float(np.vdot(psi, psi).real)
-    qpsi = position(state.dim, c).entries @ psi
-    ppsi = momentum(state.dim, c).entries @ psi
+    qpsi = position(state.dim, c) @ psi
+    ppsi = momentum(state.dim, c) @ psi
     q0 = float(np.vdot(psi, qpsi).real) / nrm2
     p0 = float(np.vdot(psi, ppsi).real) / nrm2
     qbar = qpsi - q0 * psi
@@ -461,8 +407,8 @@ def defining_residual(
     """
     lam = lambda0(m, c)
     psi = state.amps
-    qpsi = position(state.dim, c).entries @ psi - m.q0 * psi
-    ppsi = momentum(state.dim, c).entries @ psi - m.p0 * psi
+    qpsi = position(state.dim, c) @ psi - m.q0 * psi
+    ppsi = momentum(state.dim, c) @ psi - m.p0 * psi
     return float(np.linalg.norm(qpsi - lam * ppsi))
 
 
@@ -478,8 +424,8 @@ class SrUrResult:
 
 
 def sr_ur_check(
-    A: FockOperator,
-    B: FockOperator,
+    A: np.ndarray,
+    B: np.ndarray,
     state: FockVector,
     herm_tol: float = 1e-12,
 ) -> SrUrResult:
@@ -490,13 +436,13 @@ def sr_ur_check(
     vanishing exactly on saturating states.
     """
     for name, op in (("A", A), ("B", B)):
-        dev = np.max(np.abs(op.entries - op.entries.conj().T))
-        if dev > herm_tol * max(1.0, float(np.max(np.abs(op.entries)))):
+        dev = np.max(np.abs(op - op.conj().T))
+        if dev > herm_tol * max(1.0, float(np.max(np.abs(op)))):
             raise NotHermitian(f"operator {name} deviates from Hermitian by {dev:.3e}")
     psi = state.amps
     nrm2 = float(np.vdot(psi, psi).real)
-    apsi = A.entries @ psi
-    bpsi = B.entries @ psi
+    apsi = A @ psi
+    bpsi = B @ psi
     a0 = float(np.vdot(psi, apsi).real) / nrm2
     b0 = float(np.vdot(psi, bpsi).real) / nrm2
     abar = apsi - a0 * psi

@@ -3,10 +3,19 @@
 The overlap of two saturating states factors into a prefactor
 (cosh r2 cosh r1)^{-1/2} (1 - conj(zeta2) zeta1)^{-1/2}, a symplectic phase
 e^{-(u2 conj(u1) - conj(u2) u1)/2}, and a Gaussian in the label difference.
-All three are assembled in log space and exponentiated once, so moduli
-never overflow and phases stay coherent.  Since |zeta| < 1 forces
-Re(1 - conj(zeta2) zeta1) > 0, the principal square-root branch is
-continuous on the whole domain.
+One private core, _overlap_exponent, gives the logarithms of all three; the
+scalar squeezed_overlap (math/cmath), squeezed_overlap_qp and the vectorized
+overlap_values all exponentiate its sum, so moduli never overflow and phases
+stay coherent.  The prefactor is written free of cancellation:
+
+    cosh r2 cosh r1 (1 - conj(zeta2) zeta1)
+        = cosh(r2 - r1) - 2i sin(D/2) e^{iD/2} sinh r2 sinh r1,
+    D = theta1 - theta2,
+
+whose real part is a sum of non-negative terms, so the principal
+square-root branch is continuous on the whole domain and the self-overlap
+is exactly 1 however large r is.  The Gaussian is evaluated in each
+state's squeeze axes, where it has no cancellation either.
 
 Diagonal kernels: a normal-ordered polynomial in the squeezed-frame mode
 has diagonal expectation sum c[j,k] wbar^j w^k with w = u0(z); applying
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bch import DomainError
-from .params import Constants
+from .params import SQRT2, TWO_PI, Constants, squeeze_frame
 from . import quadrature as quadmod
 
 
@@ -31,14 +40,14 @@ class DegreeTooHigh(ValueError):
     """Polynomial degree above the configured kernel limit."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OverlapParts:
     prefactor: complex
     symplectic_phase: complex
     gaussian: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OverlapResult:
     """Overlap value with its factorization; value = product of parts."""
 
@@ -48,14 +57,53 @@ class OverlapResult:
     parts: OverlapParts
 
 
-def _zeta(z: complex) -> complex:
-    z = complex(z)
-    r = abs(z)
-    return 0j if r == 0 else (z / r) * math.tanh(r)
+def _squeeze_axes(r: float, theta: float) -> tuple[float, float, float, float]:
+    """e^{-r} and e^{r} times (cos, sin)(theta/2): the state's squeeze axes."""
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    em, ep = math.exp(-r), math.exp(r)
+    return em * c, em * s, ep * c, ep * s
+
+
+def _overlap_exponent(z2: complex, u2, z1: complex, u1):
+    """log <state(u2, z2)|state(u1, z1)> as (log prefactor, Im sym, Re gauss, Im gauss).
+
+    The symplectic phase is i Im sym = i (Re u2 Im u1 - Im u2 Re u1); the
+    Gaussian is -G/4 with G/2 = conj(ch2 d - s2 conj(d)) (ch1 d - s1 conj(d)) / P,
+    d = u2 - u1, ch = cosh r, s = e^{i theta} sinh r and P the prefactor form
+    of the module docstring.  Each factor is taken in its state's squeeze
+    axes, ch d - s conj(d) = e^{i theta/2} (e^{-r} Re w + i e^{r} Im w) with
+    w = e^{-i theta/2} d, which has no cancellation.  u2, u1 may be scalars
+    or numpy arrays; what depends on them is real arithmetic, so both give
+    the same bits (numpy rounds complex products differently from Python),
+    and swapping the two states conjugates the result exactly.
+    """
+    z2, z1 = complex(z2), complex(z1)
+    r2, r1 = abs(z2), abs(z1)
+    t2, t1 = cmath.phase(z2), cmath.phase(z1)
+    # D/2, with D reduced to [-pi, pi]: theta = pi and -pi label one state
+    half = 0.5 * math.remainder(t1 - t2, TWO_PI)
+    sn = math.sin(half)
+    # 2 sin(D/2) sinh r2 sinh r1, symmetric in the two states
+    cross = 2.0 * sn * (math.sinh(r2) * math.sinh(r1)) if sn else 0.0
+    den = complex(math.cosh(r2 - r1) + sn * cross, -math.cos(half) * cross)
+    # -conj(e^{i t2/2}) e^{i t1/2} / (2P)
+    kappa = -0.5 * (cmath.exp(0.5j * (t1 - t2)) / den)
+    a2, b2, c2, e2 = _squeeze_axes(r2, t2)
+    a1, b1, c1, e1 = _squeeze_axes(r1, t1)
+    x2, y2, x1, y1 = u2.real, u2.imag, u1.real, u1.imag
+    dx, dy = x2 - x1, y2 - y1
+    # (e^{-r} Re w, e^{r} Im w) of each state, then conj(.)_2 (.)_1
+    p2, q2 = a2 * dx + b2 * dy, c2 * dy - e2 * dx
+    p1, q1 = a1 * dx + b1 * dy, c1 * dy - e1 * dx
+    nr, ni = p2 * p1 + q2 * q1, p2 * q1 - q2 * p1
+    return (-0.5 * cmath.log(den), x2 * y1 - y2 * x1,
+            kappa.real * nr - kappa.imag * ni, kappa.real * ni + kappa.imag * nr)
 
 
 def _result(logpre: complex, sym: complex, gauss: complex) -> OverlapResult:
     value = cmath.exp(logpre + sym + gauss)
+    if cmath.isnan(value):
+        raise ValueError("the overlap exponent overflows at these labels")
     return OverlapResult(
         value=value,
         modulus=abs(value),
@@ -68,9 +116,7 @@ def _result(logpre: complex, sym: complex, gauss: complex) -> OverlapResult:
 
 def coherent_overlap(u2: complex, u1: complex) -> OverlapResult:
     """<state(u2, 0)|state(u1, 0)> = e^{-(u2 conj(u1) - conj(u2) u1)/2} e^{-|u2-u1|^2/2}."""
-    u2, u1 = complex(u2), complex(u1)
-    sym = -0.5 * (u2 * u1.conjugate() - u2.conjugate() * u1)
-    return _result(0j, sym, -0.5 * abs(u2 - u1) ** 2)
+    return squeezed_overlap(0j, u2, 0j, u1)
 
 
 def squeezed_overlap(z2: complex, u2: complex,
@@ -81,19 +127,10 @@ def squeezed_overlap(z2: complex, u2: complex,
             e^{-(u2 conj(u1) - conj(u2) u1)/2} e^{-G/4}
     with the quadratic form
         G/2 = conj(d - zeta2 conj(d)) (d - zeta1 conj(d)) / (1 - conj(zeta2) zeta1),
-        d = u2 - u1.
+        d = u2 - u1.  Raises ValueError where the exponent overflows.
     """
-    u2, u1 = complex(u2), complex(u1)
-    zeta2, zeta1 = _zeta(z2), _zeta(z1)
-    logpre = (-0.5 * (math.log(math.cosh(abs(complex(z2))))
-                      + math.log(math.cosh(abs(complex(z1)))))
-              - 0.5 * cmath.log(1.0 - zeta2.conjugate() * zeta1))
-    sym = -0.5 * (u2 * u1.conjugate() - u2.conjugate() * u1)
-    d = u2 - u1
-    ghalf = ((d - zeta2 * d.conjugate()).conjugate()
-             * (d - zeta1 * d.conjugate())
-             / (1.0 - zeta2.conjugate() * zeta1))
-    return _result(logpre, sym, -0.5 * ghalf)
+    logpre, sym, gre, gim = _overlap_exponent(z2, complex(u2), z1, complex(u1))
+    return _result(logpre, complex(0.0, sym), complex(gre, gim))
 
 
 def squeezed_overlap_qp(z2: complex, qp2: tuple[float, float],
@@ -101,38 +138,25 @@ def squeezed_overlap_qp(z2: complex, qp2: tuple[float, float],
                         c: Constants = Constants()) -> OverlapResult:
     """Same overlap from physical centers (q, p) instead of labels u.
 
-    The symplectic phase becomes e^{i(q2 p1 - q1 p2)/(2 hbar)} and the
-    Gaussian quadratic form is expressed in (q2-q1, p2-p1).
+    u = (q/ell0 + i ell0 p/hbar)/sqrt(2); the symplectic phase is then
+    e^{i(q2 p1 - q1 p2)/(2 hbar)}.
     """
-    q2, p2 = qp2
-    q1, p1 = qp1
-    zeta2, zeta1 = _zeta(z2), _zeta(z1)
-    den = 1.0 - zeta2.conjugate() * zeta1
-    logpre = (-0.5 * (math.log(math.cosh(abs(complex(z2))))
-                      + math.log(math.cosh(abs(complex(z1)))))
-              - 0.5 * cmath.log(den))
-    sym = 0.5j * (q2 * p1 - q1 * p2) / c.hbar
-    dq = (q2 - q1) / c.ell0
-    dp = c.ell0 * (p2 - p1) / c.hbar
-    g = ((1 - zeta2.conjugate()) * (1 - zeta1) * dq * dq
-         - 2j * (zeta2.conjugate() - zeta1) * dq * dp
-         + (1 + zeta2.conjugate()) * (1 + zeta1) * dp * dp) / den
-    return _result(logpre, sym, -0.25 * g)
+    def label(q, p):
+        return complex(q / c.ell0, c.ell0 * p / c.hbar) / SQRT2
+
+    return squeezed_overlap(z2, label(*qp2), z1, label(*qp1))
 
 
 def overlap_values(z2: complex, u2, z1: complex, u1) -> np.ndarray:
     """Vectorized squeezed_overlap values over arrays of labels u2, u1."""
     u2 = np.asarray(u2, dtype=complex)
     u1 = np.asarray(u1, dtype=complex)
-    zeta2, zeta1 = _zeta(z2), _zeta(z1)
-    logpre = (-0.5 * (math.log(math.cosh(abs(complex(z2))))
-                      + math.log(math.cosh(abs(complex(z1)))))
-              - 0.5 * cmath.log(1.0 - zeta2.conjugate() * zeta1))
-    sym = -0.5 * (u2 * np.conj(u1) - np.conj(u2) * u1)
-    d = u2 - u1
-    ghalf = (np.conj(d - zeta2 * np.conj(d)) * (d - zeta1 * np.conj(d))
-             / (1.0 - zeta2.conjugate() * zeta1))
-    return np.exp(logpre + sym - 0.5 * ghalf)
+    logpre, sym, gre, gim = _overlap_exponent(z2, u2, z1, u1)
+    # summed in the order cmath.exp(logpre + sym + gauss) sums them
+    out = np.empty(np.shape(gre), dtype=complex)
+    out.real = logpre.real + gre
+    out.imag = (logpre.imag + sym) + gim
+    return np.exp(out, out=out)
 
 
 def general_matrix_element(zeta2: complex, u: complex, zeta1: complex) -> complex:
@@ -393,10 +417,7 @@ def quadrature_observable(name: str, z: complex,
         ell0 P/hbar = i[(ch - s) a(z)^dag - (ch - conj(s)) a(z)]/sqrt(2),
     with ch = cosh r, s = e^{i theta} sinh r.
     """
-    z = complex(z)
-    r = abs(z)
-    ch = math.cosh(r)
-    s = (z / r) * math.sinh(r) if r else 0j
+    ch, s, _ = squeeze_frame(z)
     sq2 = math.sqrt(2.0)
     q_op = NormalOrderedOp.linear((ch + s) * c.ell0 / sq2,
                                   (ch + s.conjugate()) * c.ell0 / sq2)

@@ -88,7 +88,7 @@ class Labels:
     @property
     def zeta(self) -> complex:
         """zeta = e^{i theta} tanh r, always inside the unit disk."""
-        return cmath.exp(1j * self.theta) * math.tanh(self.r)
+        return squeeze_frame(self.z)[2]
 
 
 @dataclass(frozen=True)
@@ -207,15 +207,7 @@ def derived_angles(
         theta_minus = math.atan2(-sphi * sx, sy - cphi * sx)
     else:
         theta_minus = 0.0
-    r, theta = labels.r, labels.theta
-    chr_, shr = math.cosh(r), math.sinh(r)
-    ch2, sh2 = math.cosh(2 * r), math.sinh(2 * r)
-    den_p = math.sqrt(ch2 + math.cos(theta) * sh2)
-    den_m = math.sqrt(ch2 - math.cos(theta) * sh2)
-    thetabar_plus = math.atan2(math.sin(theta) * shr / den_p,
-                               (chr_ + math.cos(theta) * shr) / den_p)
-    thetabar_minus = math.atan2(-math.sin(theta) * shr / den_m,
-                                (chr_ - math.cos(theta) * shr) / den_m)
+    tb_plus, tb_minus = thetabar(labels.r, labels.theta)
     return DerivedAngles(
         phi=phi,
         rho_plus=rho_plus,
@@ -223,8 +215,8 @@ def derived_angles(
         theta_plus=wrap_angle(theta_plus),
         theta_minus=wrap_angle(theta_minus),
         zeta=labels.zeta,
-        thetabar_plus=wrap_angle(thetabar_plus),
-        thetabar_minus=wrap_angle(thetabar_minus),
+        thetabar_plus=wrap_angle(tb_plus),
+        thetabar_minus=wrap_angle(tb_minus),
     )
 
 
@@ -237,14 +229,42 @@ def lambda0(m: Moments, c: Constants = Constants()) -> complex:
     return (0.5 * m.corr - 0.5j * c.hbar) / m.dp**2
 
 
+def squeeze_frame(z: complex) -> tuple[float, complex, complex]:
+    """(cosh r, e^{i theta} sinh r, zeta = e^{i theta} tanh r) of z = r e^{i theta}.
+
+    The Bogoliubov coefficients of the squeezed mode a(z) = cosh(r) a -
+    e^{i theta} sinh(r) a^dag and their ratio zeta, which every closed form
+    of the package is written in.
+    """
+    z = complex(z)
+    r = abs(z)
+    if r == 0:
+        return 1.0, 0j, 0j
+    ph = z / r
+    return math.cosh(r), ph * math.sinh(r), ph * math.tanh(r)
+
+
+def thetabar(r: float, theta: float) -> tuple[float, float]:
+    """(thetabar_plus, thetabar_minus): the phases of cosh r +- e^{i theta} sinh r.
+
+    Each is read on its continuous branch from the unit vector
+    (cosh r +- e^{i theta} sinh r)/(cosh 2r +- cos(theta) sinh 2r)^{1/2}.
+    """
+    chr_, shr = math.cosh(r), math.sinh(r)
+    ch2, sh2 = math.cosh(2 * r), math.sinh(2 * r)
+    den_p = math.sqrt(ch2 + math.cos(theta) * sh2)
+    den_m = math.sqrt(ch2 - math.cos(theta) * sh2)
+    return (math.atan2(math.sin(theta) * shr / den_p,
+                       (chr_ + math.cos(theta) * shr) / den_p),
+            math.atan2(-math.sin(theta) * shr / den_m,
+                       (chr_ - math.cos(theta) * shr) / den_m))
+
+
 def squeezed_frame_label(u0: complex, z: complex) -> complex:
     """Displacement label seen from the squeezed frame.
 
     u0(z) = cosh(r) (u0 - zeta conj(u0)) with zeta = e^{i theta} tanh r;
     it is the eigenvalue of the squeezed annihilator on the state (u0, z).
     """
-    r = abs(z)
-    if r == 0:
-        return complex(u0)
-    zeta = (z / r) * math.tanh(r)
-    return math.cosh(r) * (u0 - zeta * u0.conjugate())
+    ch, _, zeta = squeeze_frame(z)
+    return ch * (u0 - zeta * u0.conjugate())

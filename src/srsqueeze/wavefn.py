@@ -26,6 +26,7 @@ from .params import (
     Moments,
     derived_angles,
     labels_to_moments,
+    thetabar,
 )
 
 
@@ -79,10 +80,11 @@ def psi_form(q, p: WavefnParams, form: str):
 
     form = "angle":   modulus-phase prefactor, exponent (1 - i sin(theta)
                       sinh 2r)/(cosh 2r + cos(theta) sinh 2r);
-    form = "ratio":   same prefactor, exponent from the Bogoliubov
-                      coefficient ratio (the production path);
     form = "sqrt":    principal complex square root of
-                      (cosh r + e^{i theta} sinh r) as the prefactor.
+                      (cosh r + e^{i theta} sinh r) as the prefactor, the
+                      exponent from the Bogoliubov coefficient ratio.
+
+    psi itself is the modulus-phase prefactor with the ratio exponent.
     """
     q = np.asarray(q, dtype=float)
     c, lab, m, ang = p.constants, p.labels, p.moments, p.angles
@@ -95,9 +97,6 @@ def psi_form(q, p: WavefnParams, form: str):
     if form == "angle":
         pre = x2 ** -0.25 * cmath.exp(-0.5j * ang.thetabar_plus)
         expo = -0.5 * (1 - 1j * math.sin(lab.theta) * sh2) / x2 * dq2
-    elif form == "ratio":
-        pre = x2 ** -0.25 * cmath.exp(-0.5j * ang.thetabar_plus)
-        expo = -0.5 * _width_ratio(lab) * dq2
     elif form == "sqrt":
         pre = 1.0 / cmath.sqrt(ch + cmath.exp(1j * lab.theta) * sh)
         expo = -0.5 * _width_ratio(lab) * dq2
@@ -109,14 +108,7 @@ def psi_form(q, p: WavefnParams, form: str):
 def phase_factor(z: complex) -> complex:
     """Squeeze part of the wavefunction phase, e^{-i thetabar_plus(z)/2}."""
     z = complex(z)
-    r = abs(z)
-    if r == 0:
-        return 1.0 + 0j
-    theta = cmath.phase(z)
-    den = math.sqrt(math.cosh(2 * r) + math.cos(theta) * math.sinh(2 * r))
-    tb = math.atan2(math.sin(theta) * math.sinh(r) / den,
-                    (math.cosh(r) + math.cos(theta) * math.sinh(r)) / den)
-    return cmath.exp(-0.5j * tb)
+    return cmath.exp(-0.5j * thetabar(abs(z), cmath.phase(z))[0])
 
 
 def hermite_functions(nmax: int, x: np.ndarray) -> np.ndarray:

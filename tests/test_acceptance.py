@@ -13,12 +13,7 @@ import numpy as np
 
 from srsqueeze import bch, fock, kernels, verify, wavefn
 from srsqueeze import quadrature as quad
-from srsqueeze.params import (
-    Constants,
-    Labels,
-    labels_to_moments,
-    moments_to_labels,
-)
+from srsqueeze.params import Constants, Labels, labels_to_moments
 
 C = Constants()
 CFG = verify.VerifyConfig()
@@ -61,20 +56,11 @@ class Criterion:
 def test_criterion_1_parametrization_roundtrip():
     with Criterion(1, "parametrization round-trip and saturation identity",
                    1.0) as crit:
-        worst_rt, worst_sat = 0.0, 0.0
-        for lab in verify.standard_labels():
-            m = labels_to_moments(lab, C)
-            back = moments_to_labels(m, C)
-            err = max(abs(back.u0 - lab.u0), abs(back.r - lab.r),
-                      abs(cmath.exp(1j * back.theta)
-                          - cmath.exp(1j * lab.theta)) if lab.r else 0.0)
-            worst_rt = max(worst_rt, err)
-            target = 0.25 * (1 + math.sin(lab.theta) ** 2
-                             * math.sinh(2 * lab.r) ** 2)
-            worst_sat = max(worst_sat,
-                            abs(m.dq**2 * m.dp**2 - target) / target)
-        crit.require("roundtrip", worst_rt, 1e-12)
-        crit.require("saturation identity", worst_sat, 1e-12)
+        results = verify.run_suite(CFG, only=["params.roundtrip",
+                                               "params.saturation_identity"])
+        assert len(results) == 2
+        for res in results:
+            crit.require(res.check_id, res.measured, 1e-12)
 
 
 def test_criterion_2_defining_residual():
@@ -85,7 +71,7 @@ def test_criterion_2_defining_residual():
             warnings.simplefilter("ignore", fock.TruncationWarning)
             labs = verify.standard_labels() + [Labels(u0=2.0, r=1.2, theta=2.5)]
             for lab in labs:
-                st = fock.saturating_state(lab, C, n)
+                st = fock.saturating_state(lab, n)
                 m = labels_to_moments(lab, C)
                 worst = max(worst, fock.defining_residual(st, m, C))
         crit.require("saturating residual", worst, 1e-7)
@@ -134,8 +120,8 @@ def test_criterion_5_bch_disentangling():
         for r in (0.25, 0.7, 1.0):
             for th in (0.0, math.pi / 3, math.pi):
                 z = r * cmath.exp(1j * th)
-                diff = fock.squeeze_factored(z, n).entries \
-                    - fock.squeeze_exp(z, n).entries
+                diff = fock.squeeze_factored(z, n) \
+                    - fock.squeeze_exp(z, n)
                 worst = max(worst, fock.top_block_norm(diff, n // 2))
         crit.require("factored vs exponential (top 64)", worst, 1e-9)
         # dual factor order: exact in the defining representation for all r;
@@ -157,8 +143,8 @@ def test_criterion_5_bch_disentangling():
                 worst_dual = max(worst_dual, float(np.max(np.abs(rev - target))))
         for r in (0.2, 0.3, 0.4):
             z = r * cmath.exp(1j * math.pi / 3)
-            diff = fock.squeeze_factored_reversed(z, n).entries \
-                - fock.squeeze_exp(z, n).entries
+            diff = fock.squeeze_factored_reversed(z, n) \
+                - fock.squeeze_exp(z, n)
             worst_dual = max(worst_dual, fock.top_block_norm(diff, 16))
         crit.require("dual-order factorization", worst_dual, 1e-9)
         assert bch.f_uv(0, 0) == 0.5
@@ -187,17 +173,12 @@ def test_criterion_7_diagonal_kernel():
 def test_criterion_8_wavefunctions():
     with Criterion(8, "wavefunction forms and Fock-Hermite synthesis",
                    30.0) as crit:
-        qs = np.linspace(-6.0, 6.0, 129)
-        worst = 0.0
-        for lab in verify.standard_labels():
-            p = wavefn.WavefnParams.from_labels(lab, C)
-            base = wavefn.psi(qs, p)
-            for form in ("angle", "ratio", "sqrt"):
-                worst = max(worst, float(np.max(np.abs(
-                    wavefn.psi_form(qs, p, form) - base))))
-        crit.require("three-form equivalence", worst, 1e-12)
-        synth = verify.run_suite(CFG, only=["wavefn.fock_synthesis"])[0]
-        crit.require("synthesis within truncation budget", synth.measured, 1.0)
+        res = {r.check_id: r for r in verify.run_suite(
+            CFG, only=["wavefn.three_forms", "wavefn.fock_synthesis"])}
+        crit.require("three-form equivalence",
+                     res["wavefn.three_forms"].measured, 1e-12)
+        crit.require("synthesis within truncation budget",
+                     res["wavefn.fock_synthesis"].measured, 1.0)
 
 
 def test_criterion_9_sr_ur_checker():
@@ -217,7 +198,7 @@ def test_criterion_9_sr_ur_checker():
             warnings.simplefilter("ignore", fock.TruncationWarning)
             qn, pn = fock.position(192, C), fock.momentum(192, C)
             for lab in verify.standard_labels(rmax=1.0):
-                st = fock.saturating_state(lab, C, 192)
+                st = fock.saturating_state(lab, 192)
                 rec = fock.sr_ur_check(qn, pn, st)
                 worst_sat = max(worst_sat, abs(rec.slack))
         crit.require("slack on saturating states", worst_sat, 1e-8)

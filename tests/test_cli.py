@@ -96,6 +96,7 @@ def test_moments_bad_input_is_usage_error(capsys, argv):
      "--oracle", "quad"),
     ("resolve-identity", "--z", "0.5", "--dim-check", "4", "--order", "1"),
     ("resolve-identity", "--z", "0.5", "--dim-check", "4", "--order", "200"),
+    ("overlap", "--z2", "400", "--u2", "2", "--z1", "400@1.5708", "--u1", "1"),
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -128,6 +129,27 @@ def test_overlap_oracle_agreement(capsys, oracle):
     assert code == 0
     row = json.loads(out)
     assert row["abs_diff"] <= 1e-8
+
+
+def test_overlap_quad_oracle_chirped_pair(capsys):
+    # theta near pi/2 and a momentum offset: the fixed 160-node rule scaled
+    # to the position spreads alone stopped short of rel_tol here (exit 3)
+    code, out, err = run_cli(
+        capsys, "overlap", "--z2=5.788354512206021e-17+0.9453100299998496i",
+        "--u2=-1.663218999432103+1.7300964515910233i",
+        "--z1=-0.8116188163818729-0.6289971026626632i",
+        "--u1=-0.011912317889045659-0.011929218822101033i", "--oracle=quad")
+    assert code == 0, err
+    assert json.loads(out)["abs_diff"] <= 1e-8
+
+
+@pytest.mark.parametrize("r", ["19", "20", "40"])
+def test_overlap_large_squeezing_self_overlap(capsys, r):
+    code, out, err = run_cli(capsys, "overlap", "--z2", r, "--u2", "0.5",
+                             "--z1", r, "--u1", "0.5")
+    assert code == 0, err
+    row = json.loads(out)
+    assert (row["value_re"], row["value_im"], row["modulus"]) == (1.0, 0.0, 1.0)
 
 
 def test_wavefn_vacuum_csv(capsys, tmp_path):
@@ -235,6 +257,14 @@ def test_verify_bound_override(capsys):
                            "--bound", "params.roundtrip=1e-30")
     assert code == 1
     assert "params.roundtrip" in err
+
+
+def test_verify_bound_override_reaches_synthesis(capsys):
+    code, out, err = run_cli(capsys, "verify", "--only", "wavefn.fock_synthesis",
+                             "--bound", "wavefn.fock_synthesis=0.01")
+    assert code == 1
+    assert "wavefn.fock_synthesis" in err
+    assert "1.0e-02" in out
 
 
 def test_verify_bad_filter(capsys):

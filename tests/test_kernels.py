@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srsqueeze import fock, kernels, wavefn
 from srsqueeze import quadrature as quad
@@ -13,8 +14,8 @@ C = Constants()
 
 
 def fock_overlap(z2, u2, z1, u1, dim=160):
-    s2 = fock.saturating_state(Labels.from_z(u2, z2), C, dim)
-    s1 = fock.saturating_state(Labels.from_z(u1, z1), C, dim)
+    s2 = fock.saturating_state(Labels.from_z(u2, z2), dim)
+    s1 = fock.saturating_state(Labels.from_z(u1, z1), dim)
     return complex(np.vdot(s2.amps, s1.amps))
 
 
@@ -109,6 +110,109 @@ def test_overlap_values_vectorized():
             kernels.squeezed_overlap(0.5, 1.0, 0.2j, u).value, rel=1e-14)
 
 
+def test_qp_form_with_constants():
+    from srsqueeze.params import labels_to_moments
+
+    c = Constants(hbar=1.3, ell0=0.6)
+    z2, u2 = 0.7 * cmath.exp(2.0j), -0.4 + 1.1j
+    z1, u1 = 0.3, 1.5 - 0.2j
+    m2 = labels_to_moments(Labels.from_z(u2, z2), c)
+    m1 = labels_to_moments(Labels.from_z(u1, z1), c)
+    a = kernels.squeezed_overlap(z2, u2, z1, u1).value
+    b = kernels.squeezed_overlap_qp(z2, (m2.q0, m2.p0), z1, (m1.q0, m1.p0), c)
+    assert b.value == pytest.approx(a, abs=1e-14)
+    assert b.parts.symplectic_phase == pytest.approx(
+        cmath.exp(0.5j * (m2.q0 * m1.p0 - m1.q0 * m2.p0) / c.hbar), abs=1e-14)
+
+
+def _mp_overlap(z2, u2, z1, u1):
+    """The overlap at 60 digits, from the float labels as given."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        def frame(z):
+            z = mp.mpc(z)
+            r = abs(z)
+            return mp.cosh(r), (z / r if r else 0) * mp.sinh(r)
+
+        (ch2, s2), (ch1, s1) = frame(z2), frame(z1)
+        u2, u1 = mp.mpc(u2), mp.mpc(u1)
+        pre = ch2 * ch1 - mp.conj(s2) * s1
+        d = u2 - u1
+        ghalf = mp.conj(ch2 * d - s2 * mp.conj(d)) * (ch1 * d - s1 * mp.conj(d)) / pre
+        sym = -(u2 * mp.conj(u1) - mp.conj(u2) * u1) / 2
+        return complex(mp.exp(-mp.log(pre) / 2 + sym - ghalf / 2))
+
+
+@pytest.mark.parametrize("r", [2.0, 8.0, 19.0, 40.0])
+def test_overlap_large_squeezing_vs_mpmath(r):
+    """The prefactor form holds its precision where 1 - conj(zeta2) zeta1 cancels."""
+    pairs = [
+        (cmath.rect(r, 1.0), 0.5 + 0.5j, cmath.rect(r, 1.0), 0.5 + 0.5j),
+        (r, 0j, cmath.rect(r, 0.3), 0j),            # squeeze phases apart
+        (r, 0.3j, cmath.rect(r, 2.5), 0.2 + 0j),
+        (cmath.rect(r, 1.0), 0.5 + 0j, cmath.rect(r / 2, -2.0), 1j),
+        (cmath.rect(r, 2.0), 0j, 0j, 0j),           # against the vacuum
+        (r, 0j, r, 0.3 + 0j),                       # along the squeezed axis
+        (complex(-r, 0.0), 0j, complex(-r, -0.0), 0j),  # theta = pi and -pi
+    ]
+    eps = np.finfo(float).eps
+    for z2, u2, z1, u1 in pairs:
+        got = kernels.squeezed_overlap(z2, u2, z1, u1).value
+        want = _mp_overlap(z2, u2, z1, u1)
+        assert abs(got - want) <= 16 * eps * abs(want), (z2, u2, z1, u1)
+    z = cmath.rect(r, 1.0)
+    assert kernels.squeezed_overlap(z, 0.5 + 0.5j, z, 0.5 + 0.5j).value == 1.0
+
+
+@pytest.mark.parametrize("r", [2.0, 8.0, 19.0])
+def test_overlap_long_axis_vs_mpmath(r):
+    """Displacements along the anti-squeezed axis e^{i theta/2}.
+
+    ch d - s conj(d) is e^{-r} |d| there; formed from ch d and s conj(d) it
+    lost 6% of the overlap at r = 19.  (At r = 40 the rounding of d itself
+    moves the state off the axis by more than its squeezed width.)
+    """
+    eps = np.finfo(float).eps
+    for theta in (0.0, 0.3, 2.0):
+        z = cmath.rect(r, theta)
+        for mag in (0.1, 1.0):
+            u1 = mag * cmath.exp(0.5j * theta)
+            got = kernels.squeezed_overlap(z, 0j, z, u1).value
+            want = _mp_overlap(z, 0j, z, u1)
+            assert abs(got - want) <= 64 * eps * abs(want), (z, u1)
+
+
+def test_overlap_overflow_is_an_error():
+    # cosh r2 cosh r1 overflows past r of about 355: an error, never a NaN
+    with pytest.raises(ValueError):
+        kernels.squeezed_overlap(400.0, 2.0, 400j, 1.0)
+
+
+_EPS = np.finfo(float).eps
+_STATE = st.tuples(st.floats(0.0, 40.0), st.floats(-math.pi, math.pi),
+                   st.complex_numbers(max_magnitude=5.0)).map(
+    lambda t: (cmath.rect(t[0], t[1]), t[2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_STATE, b=_STATE)
+def test_overlap_core_properties(a, b):
+    """Hermitian symmetry, |K| <= 1 and K(a, a) = 1 for r <= 40."""
+    k = kernels.squeezed_overlap(*a, *b).value
+    assert k == kernels.squeezed_overlap(*b, *a).value.conjugate()
+    assert abs(k) <= 1.0 + 4 * _EPS
+    assert kernels.squeezed_overlap(*a, *a).value == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_STATE, b=_STATE)
+def test_overlap_values_match_scalar_path(a, b):
+    want = kernels.squeezed_overlap(*a, *b).value
+    got = complex(kernels.overlap_values(a[0], [a[1]], b[0], [b[1]])[0])
+    assert abs(got - want) <= 2 * math.ulp(abs(want))
+
+
 def test_general_matrix_element_trivials():
     assert kernels.general_matrix_element(0, 0, 0) == 1.0
     with pytest.raises(DomainError):
@@ -133,7 +237,7 @@ def test_general_matrix_element_vs_fock():
     dim = 192
     left = fock._exp_adag2_lower(zeta2 / 2.0, dim).conj().T
     right = fock._exp_adag2_lower(zeta1 / 2.0, dim)
-    oracle = (left @ fock.displacement(u, dim).entries @ right)[0, 0]
+    oracle = (left @ fock.displacement(u, dim) @ right)[0, 0]
     assert kernels.general_matrix_element(zeta2, u, zeta1) == \
         pytest.approx(oracle, abs=1e-12)
 
@@ -146,9 +250,9 @@ def test_displacement_composition():
     res = kernels.displacement_composition(1.0, 1j)
     assert abs(res.phase) == pytest.approx(1.0, rel=1e-14)
     n = 128
-    lhs = fock.displacement(1.0, n).entries.conj().T \
-        @ fock.displacement(1j, n).entries
-    rhs = res.phase * fock.displacement(res.shifted, n).entries
+    lhs = fock.displacement(1.0, n).conj().T \
+        @ fock.displacement(1j, n)
+    rhs = res.phase * fock.displacement(res.shifted, n)
     assert fock.top_block_norm(lhs - rhs, 64) < 1e-12
 
 
@@ -203,20 +307,20 @@ def test_normal_ordered_product():
     assert prod.coeffs[0, 0] == pytest.approx(1.0)
     assert prod.coeffs[1, 1] == pytest.approx(1.0)
     a, _ = fock.ladder(24)
-    lhs = prod.to_matrix(a.entries)
-    rhs = a.entries @ a.entries.conj().T
+    lhs = prod.to_matrix(a)
+    rhs = a @ a.conj().T
     assert np.max(np.abs((lhs - rhs)[:22, :22])) < 1e-13
 
 
 def test_quadrature_observable_matches_plain_frame():
     a, _ = fock.ladder(32)
-    qm = fock.position(32, C).entries
-    pm = fock.momentum(32, C).entries
+    qm = fock.position(32, C)
+    pm = fock.momentum(32, C)
     refs = {"Q": qm, "P": pm, "Q2": qm @ qm, "P2": pm @ pm,
-            "QP": qm @ pm + pm @ qm, "N": a.entries.conj().T @ a.entries,
+            "QP": qm @ pm + pm @ qm, "N": a.conj().T @ a,
             "I": np.eye(32)}
     for name, ref in refs.items():
-        got = kernels.quadrature_observable(name, 0.0, C).to_matrix(a.entries)
+        got = kernels.quadrature_observable(name, 0.0, C).to_matrix(a)
         assert np.max(np.abs((got - ref)[:30, :30])) < 1e-12
     with pytest.raises(ValueError):
         kernels.quadrature_observable("X", 0.0, C)
@@ -225,9 +329,9 @@ def test_quadrature_observable_matches_plain_frame():
 def test_quadrature_observable_squeezed_frame():
     # the frame decomposition reassembles the same Q matrix
     z = 0.7 * cmath.exp(1j * 1.3)
-    az = fock.squeezed_annihilator(z, 48).entries
+    az = fock.squeezed_annihilator(z, 48)
     got = kernels.quadrature_observable("Q", z, C).to_matrix(az)
-    ref = fock.position(48, C).entries
+    ref = fock.position(48, C)
     assert np.max(np.abs((got - ref)[:46, :46])) < 1e-12
 
 
@@ -255,9 +359,9 @@ def test_diagonal_kernel_reconstructs_matrix_elements():
     spec = quad.QuadratureSpec(quad.QuadKind.TENSOR_GAUSS_HERMITE_2D, 56,
                                scale=(1.3, 1.3), rel_tol=1e-6)
     u, tw = quad._plane_nodes(56, spec)
-    psi = fock.saturating_state_batch(u, z, C, dim)
+    psi = fock.saturating_state_batch(u, z, dim)
     wz = np.array([squeezed_frame_label(uu, z) for uu in u])
     rec = (psi * (kern.evaluate(wz) * tw)) @ psi.conj().T
     a, _ = fock.ladder(dim)
-    direct = op.to_matrix(a.entries)
+    direct = op.to_matrix(a)
     assert np.max(np.abs((rec - direct)[:block, :block])) < 1e-8

@@ -85,7 +85,7 @@ def test_correlated_point_against_fock_expectations():
     m = labels_to_moments(lab, C)
     assert m.corr == pytest.approx(math.sinh(1.0), rel=1e-14)
     assert m.dq == pytest.approx(m.dp, rel=1e-14)
-    st = fock.saturating_state(lab, C, 128)
+    st = fock.saturating_state(lab, 128)
     me = fock.expectations(st, C)
     assert me.corr == pytest.approx(m.corr, abs=1e-12)
     assert me.dq == pytest.approx(m.dq, abs=1e-13)

@@ -46,7 +46,7 @@ def test_coherent_wavefunction_closed_form():
 
 def test_fock_synthesis_pointwise():
     lab = Labels(u0=0.5 - 0.3j, r=1.0, theta=2.0)
-    st = fock.saturating_state(lab, C, 160)
+    st = fock.saturating_state(lab, 160)
     p = wavefn.WavefnParams.from_labels(lab, C)
     qs = np.linspace(-6, 6, 121)
     diff = wavefn.synthesize(qs, st.amps, C) - wavefn.psi(qs, p)
@@ -58,14 +58,15 @@ def test_three_forms_agree(lab):
     p = wavefn.WavefnParams.from_labels(lab, C)
     qs = np.linspace(-6, 6, 129)
     base = wavefn.psi(qs, p)
-    for form in ("angle", "ratio", "sqrt"):
+    for form in ("angle", "sqrt"):
         assert np.max(np.abs(wavefn.psi_form(qs, p, form) - base)) < 1e-12
 
 
 def test_unknown_form_rejected():
     p = wavefn.WavefnParams.from_labels(Labels(), C)
-    with pytest.raises(ValueError):
-        wavefn.psi_form(0.0, p, "bogus")
+    for form in ("bogus", "ratio"):  # "ratio" was psi's own code path
+        with pytest.raises(ValueError):
+            wavefn.psi_form(0.0, p, form)
 
 
 def test_log_psi_trivials():
