@@ -22,7 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .params import squeeze_frame
+from .params import squeeze_zeta
 
 _DIAG_SWITCH = 3e-3
 _SERIES_SWITCH = 1e-4
@@ -120,7 +120,7 @@ def disentangle_squeeze(z: complex) -> DisentangledSqueeze:
     r = abs(z)
     if r == 0.0:
         return DisentangledSqueeze(alpha=0j, gamma=0.0)
-    alpha = squeeze_frame(z)[2]
+    alpha = squeeze_zeta(r, z / r)
     # gamma = ln(1 - tanh^2 r) = -2 ln cosh r, with cosh r = 1 + 2 sinh^2(r/2)
     # free of cancellation for small r, and the e^{-2r} form for large r
     if r <= 1.0:

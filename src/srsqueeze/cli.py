@@ -158,7 +158,7 @@ def cmd_overlap(args) -> int:
         oracle = complex(np.vdot(s2.amps, s1.amps))
     elif args.oracle == "quad":
         oracle = _in_domain(verify.quad_overlap, z2, u2, z1, u1, c,
-                            rel_tol=1e-6, check=True).value
+                            check=True).value
     if args.oracle != "none":
         row.update(oracle_re=oracle.real, oracle_im=oracle.imag,
                    abs_diff=abs(res.value - oracle))

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Constants, Labels, Moments, lambda0, squeeze_frame
+from .params import (Constants, Labels, Moments, lambda0, squeeze_frame,
+                     squeeze_zeta)
 
 DEFAULT_TAIL_BOUND = 1e-10
 
@@ -267,7 +268,7 @@ def _squeeze_product(z: complex, dim: int, reverse: bool) -> np.ndarray:
     r = abs(z)
     if r == 0:
         return np.eye(dim, dtype=complex)
-    zeta = squeeze_frame(z)[2]
+    zeta = squeeze_zeta(r, z / r)
     ld = np.clongdouble
     lower = _exp_adag2_lower(ld(zeta / 2.0), dim, dtype=ld)
     # exp(-conj(zeta) a^2/2) = exp(-zeta a^dag^2/2)^dagger

@@ -40,14 +40,14 @@ class DegreeTooHigh(ValueError):
     """Polynomial degree above the configured kernel limit."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class OverlapParts:
     prefactor: complex
     symplectic_phase: complex
     gaussian: complex
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class OverlapResult:
     """Overlap value with its factorization; value = product of parts."""
 
@@ -90,13 +90,13 @@ def _overlap_exponent(z2: complex, u2, z1: complex, u1):
     kappa = -0.5 * (cmath.exp(0.5j * (t1 - t2)) / den)
     a2, b2, c2, e2 = _squeeze_axes(r2, t2)
     a1, b1, c1, e1 = _squeeze_axes(r1, t1)
-    x2, y2, x1, y1 = u2.real, u2.imag, u1.real, u1.imag
-    dx, dy = x2 - x1, y2 - y1
+    d = u2 - u1
+    dx, dy = d.real, d.imag
     # (e^{-r} Re w, e^{r} Im w) of each state, then conj(.)_2 (.)_1
     p2, q2 = a2 * dx + b2 * dy, c2 * dy - e2 * dx
     p1, q1 = a1 * dx + b1 * dy, c1 * dy - e1 * dx
     nr, ni = p2 * p1 + q2 * q1, p2 * q1 - q2 * p1
-    return (-0.5 * cmath.log(den), x2 * y1 - y2 * x1,
+    return (-0.5 * cmath.log(den), u2.real * u1.imag - u2.imag * u1.real,
             kappa.real * nr - kappa.imag * ni, kappa.real * ni + kappa.imag * nr)
 
 

@@ -88,7 +88,7 @@ class Labels:
     @property
     def zeta(self) -> complex:
         """zeta = e^{i theta} tanh r, always inside the unit disk."""
-        return squeeze_frame(self.z)[2]
+        return squeeze_zeta(self.r, cmath.exp(1j * self.theta))
 
 
 @dataclass(frozen=True)
@@ -229,6 +229,15 @@ def lambda0(m: Moments, c: Constants = Constants()) -> complex:
     return (0.5 * m.corr - 0.5j * c.hbar) / m.dp**2
 
 
+def squeeze_zeta(r: float, ph: complex) -> complex:
+    """zeta = e^{i theta} tanh r from r and the unit phase ph = e^{i theta}.
+
+    For callers that read zeta alone; squeeze_frame gives it with the
+    Bogoliubov coefficients.
+    """
+    return ph * math.tanh(r)
+
+
 def squeeze_frame(z: complex) -> tuple[float, complex, complex]:
     """(cosh r, e^{i theta} sinh r, zeta = e^{i theta} tanh r) of z = r e^{i theta}.
 
@@ -241,7 +250,7 @@ def squeeze_frame(z: complex) -> tuple[float, complex, complex]:
     if r == 0:
         return 1.0, 0j, 0j
     ph = z / r
-    return math.cosh(r), ph * math.sinh(r), ph * math.tanh(r)
+    return math.cosh(r), ph * math.sinh(r), squeeze_zeta(r, ph)
 
 
 def thetabar(r: float, theta: float) -> tuple[float, float]:

@@ -967,7 +967,6 @@ def _fock_overlap(z2, u2, z1, u1, dim):
 
 
 def quad_overlap(z2, u2, z1, u1, c: Constants = Constants(),
-                 rel_tol: float = 1e-7,
                  check: bool = False) -> quadmod.QuadratureReport:
     """<state(u2, z2)|state(u1, z1)> as the line integral of conj(psi2) psi1.
 
@@ -976,6 +975,8 @@ def quad_overlap(z2, u2, z1, u1, c: Constants = Constants(),
     Gauss-Hermite rule of scale sqrt(2) width carries it exactly as its
     weight; the order grows with the e^{i q (p1 - p2)/hbar} oscillation the
     rule must resolve, and stays within the finite Gauss-Hermite orders.
+    With check, an error estimate above 1e-6 |value| raises
+    QuadratureNotConverged.
     """
     p2 = wavefn.WavefnParams.from_labels(Labels.from_z(u2, z2), c)
     p1 = wavefn.WavefnParams.from_labels(Labels.from_z(u1, z1), c)
@@ -986,7 +987,7 @@ def quad_overlap(z2, u2, z1, u1, c: Constants = Constants(),
     order = min(quadmod._MAX_ORDER // 2, 96 + int((2.0 * width * dp) ** 2))
     spec = quadmod.QuadratureSpec(
         quadmod.QuadKind.GAUSS_HERMITE, order, center=(center, 0.0),
-        scale=(math.sqrt(2.0) * width, 1.0), rel_tol=rel_tol)
+        scale=(math.sqrt(2.0) * width, 1.0), rel_tol=1e-6)
     return quadmod.integrate_line(
         lambda q: np.conj(wavefn.psi(q, p2)) * wavefn.psi(q, p1),
         spec, check=check)

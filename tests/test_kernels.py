@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from srsqueeze import fock, kernels, wavefn
 from srsqueeze import quadrature as quad
@@ -187,30 +186,6 @@ def test_overlap_overflow_is_an_error():
     # cosh r2 cosh r1 overflows past r of about 355: an error, never a NaN
     with pytest.raises(ValueError):
         kernels.squeezed_overlap(400.0, 2.0, 400j, 1.0)
-
-
-_EPS = np.finfo(float).eps
-_STATE = st.tuples(st.floats(0.0, 40.0), st.floats(-math.pi, math.pi),
-                   st.complex_numbers(max_magnitude=5.0)).map(
-    lambda t: (cmath.rect(t[0], t[1]), t[2]))
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=_STATE, b=_STATE)
-def test_overlap_core_properties(a, b):
-    """Hermitian symmetry, |K| <= 1 and K(a, a) = 1 for r <= 40."""
-    k = kernels.squeezed_overlap(*a, *b).value
-    assert k == kernels.squeezed_overlap(*b, *a).value.conjugate()
-    assert abs(k) <= 1.0 + 4 * _EPS
-    assert kernels.squeezed_overlap(*a, *a).value == 1.0
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=_STATE, b=_STATE)
-def test_overlap_values_match_scalar_path(a, b):
-    want = kernels.squeezed_overlap(*a, *b).value
-    got = complex(kernels.overlap_values(a[0], [a[1]], b[0], [b[1]])[0])
-    assert abs(got - want) <= 2 * math.ulp(abs(want))
 
 
 def test_general_matrix_element_trivials():
