@@ -242,11 +242,8 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_resolve_identity(args) -> int:
-    cfg = verify.VerifyConfig(constants=_constants(args),
-                              fock_dim=args.fock_dim,
-                              dim_check=args.dim_check)
     res = verify.resolution_of_identity(parse_complex(args.z),
-                                        args.dim_check, cfg,
+                                        args.dim_check, verify.VerifyConfig(),
                                         order=args.order)
     row = {"z": args.z, "dim_check": args.dim_check,
            "order": res.params["order"], "measured": res.measured,
@@ -366,7 +363,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, kernels.DegreeTooHigh, quadmod.BadSpec) as exc:
+    except (UsageError, kernels.DegreeTooHigh, quadmod.BadSpec,
+            fock.BadDim) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (quadmod.QuadratureNotConverged, quadmod.BadMeasure) as exc:

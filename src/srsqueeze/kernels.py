@@ -210,7 +210,7 @@ def reproducing_compose(z2: complex, u2: complex, z1: complex, u1: complex,
     def kernel_product(u3):
         return overlap_values(z2, u2, z3, u3) * overlap_values(z3, u3, z1, u1)
 
-    report = quadmod.integrate_plane(spec=spec, f_batch=kernel_product)
+    report = quadmod.integrate_plane(kernel_product, spec)
     return report.value
 
 

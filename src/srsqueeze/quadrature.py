@@ -1,9 +1,10 @@
 """Deterministic numerical-integration oracles.
 
 Three geometries: 1D line integrals over q (Gauss-Hermite with affine
-recentering, or adaptive), 2D integrals over the complex u0-plane with
-measure du0 dubar0 / pi = dx dy / pi (tensor Gauss-Hermite or Monte Carlo),
-and Gaussian-weighted integrals over the z-plane.
+recentering), 2D integrals over the complex u0-plane with measure
+du0 dubar0 / pi = dx dy / pi (tensor Gauss-Hermite or Monte Carlo), and
+Gaussian-weighted integrals over the z-plane.  Integrands are called once
+per rule with the flat array of its nodes.
 
 Error estimates come from order doubling: the rule is evaluated at the
 requested order and at twice that order, and the difference is the quoted
@@ -34,9 +35,6 @@ class QuadratureNotConverged(RuntimeError):
         self.report = report
 
 
-NotConverged = QuadratureNotConverged
-
-
 class BadSpec(ValueError):
     """Rule order or tolerance outside the range the rules support."""
 
@@ -48,7 +46,6 @@ class BadMeasure(ValueError):
 class QuadKind(enum.Enum):
     GAUSS_HERMITE = "gauss-hermite"
     TENSOR_GAUSS_HERMITE_2D = "tensor-gauss-hermite-2d"
-    ADAPTIVE_1D = "adaptive-1d"
     MONTE_CARLO = "monte-carlo"
 
 
@@ -134,18 +131,9 @@ def _line_gh(f, order: int, center: float, scale: float) -> complex:
 def integrate_line(f, spec: QuadratureSpec, check: bool = True) -> QuadratureReport:
     """Integral of f over the real line; f must accept an array of q values.
 
-    Gauss-Hermite with affine recentering, or scipy adaptive quadrature for
-    the ADAPTIVE_1D kind.  The caller asserts that f has Gaussian tails.
+    Gauss-Hermite with affine recentering.  The caller asserts that f has
+    Gaussian tails.
     """
-    if spec.kind == QuadKind.ADAPTIVE_1D:
-        from scipy.integrate import quad
-
-        re, re_err = quad(lambda q: f(np.array([q]))[0].real, -np.inf, np.inf,
-                          limit=200)
-        im, im_err = quad(lambda q: f(np.array([q]))[0].imag, -np.inf, np.inf,
-                          limit=200)
-        return _finish(complex(re, im), re_err + im_err, 0, spec.rel_tol,
-                       check, "adaptive line integral")
     if spec.kind != QuadKind.GAUSS_HERMITE:
         raise ValueError(f"unsupported line-integral kind {spec.kind}")
     n = spec.order_or_nodes
@@ -165,17 +153,14 @@ def _plane_nodes(order: int, spec: QuadratureSpec):
     return u, tw
 
 
-def _plane_gh(f, f_batch, order: int, spec: QuadratureSpec):
+def _plane_gh(f, order: int, spec: QuadratureSpec):
     u, tw = _plane_nodes(order, spec)
-    if f_batch is not None:
-        vals = np.asarray(f_batch(u), dtype=complex)
-    else:
-        vals = np.asarray([f(ui) for ui in u], dtype=complex)
+    vals = np.asarray(f(u), dtype=complex)
     shape = (tw.size,) + (1,) * (vals.ndim - 1)
     return _sum_nodes(vals * tw.reshape(shape))
 
 
-def _plane_mc(f, f_batch, spec: QuadratureSpec):
+def _plane_mc(f, spec: QuadratureSpec):
     """Counter-based (Philox) importance-sampled cross-check of the 2D rule."""
     rng = np.random.Generator(np.random.Philox(spec.seed))
     n = spec.order_or_nodes
@@ -183,11 +168,7 @@ def _plane_mc(f, f_batch, spec: QuadratureSpec):
     cx, cy = spec.center
     xs = rng.normal(cx, sx / math.sqrt(2.0), size=n)
     ys = rng.normal(cy, sy / math.sqrt(2.0), size=n)
-    u = xs + 1j * ys
-    if f_batch is not None:
-        vals = np.asarray(f_batch(u), dtype=complex)
-    else:
-        vals = np.asarray([f(ui) for ui in u], dtype=complex)
+    vals = np.asarray(f(xs + 1j * ys), dtype=complex)
     # 1/(pi * sampling density) = sx sy e^{g}
     g = (xs - cx) ** 2 / sx**2 + (ys - cy) ** 2 / sy**2
     w = sx * sy * np.exp(g)
@@ -198,25 +179,21 @@ def _plane_mc(f, f_batch, spec: QuadratureSpec):
     return mean, spread
 
 
-def integrate_plane(f=None, spec: QuadratureSpec | None = None,
-                    f_batch=None, check: bool = True) -> QuadratureReport:
+def integrate_plane(f, spec: QuadratureSpec, check: bool = True) -> QuadratureReport:
     """Integral of f(u0) with measure du0 dubar0 / pi over the complex plane.
 
-    f maps one complex point to a complex value or ndarray; f_batch, when
-    given, maps a flat array of points to the stacked values and is
-    preferred for speed.  Matrix-valued integrands converge elementwise.
+    f maps a flat array of points to their values, stacked along the first
+    axis.  Matrix-valued integrands converge elementwise.
     """
-    if spec is None:
-        raise ValueError("spec is required")
     if spec.kind == QuadKind.MONTE_CARLO:
-        mean, spread = _plane_mc(f, f_batch, spec)
+        mean, spread = _plane_mc(f, spec)
         return _finish(mean, spread, spec.order_or_nodes, spec.rel_tol,
                        check, "Monte Carlo plane integral")
     if spec.kind != QuadKind.TENSOR_GAUSS_HERMITE_2D:
         raise ValueError(f"unsupported plane-integral kind {spec.kind}")
     n = spec.order_or_nodes
-    coarse = _plane_gh(f, f_batch, n, spec)
-    fine = _plane_gh(f, f_batch, 2 * n, spec)
+    coarse = _plane_gh(f, n, spec)
+    fine = _plane_gh(f, 2 * n, spec)
     diff = fine - coarse
     est = abs(diff) if isinstance(diff, complex) else float(np.max(np.abs(diff)))
     return _finish(fine, est, n * n + 4 * n * n, spec.rel_tol,
@@ -228,34 +205,26 @@ def mu_gaussian(z: np.ndarray | complex, sigma: float) -> np.ndarray | complex:
     return np.exp(-np.abs(z) ** 2 / sigma**2) / sigma**2
 
 
-def integrate_z(f=None, sigma: float = 0.5, spec: QuadratureSpec | None = None,
-                f_batch=None, check: bool = True) -> QuadratureReport:
+def integrate_z(f, spec: QuadratureSpec, sigma: float = 0.5,
+                check: bool = True) -> QuadratureReport:
     """Integral of mu(z) f(z) with measure dz dzbar / pi.
 
-    mu is the Gaussian mu_gaussian(z, sigma), normalized so that f = 1
-    integrates to 1; that normalization is verified with the same rule
-    first and BadMeasure is raised if it fails.
+    f maps a flat array of z values as in integrate_plane.  mu is the
+    Gaussian mu_gaussian(z, sigma), normalized so that f = 1 integrates
+    to 1; that normalization is verified with the same rule first and
+    BadMeasure is raised if it fails.
     """
-    if spec is None:
-        raise ValueError("spec is required")
     if spec.kind != QuadKind.TENSOR_GAUSS_HERMITE_2D:
         raise ValueError(f"unsupported z-integral kind {spec.kind}")
-    norm = _plane_gh(lambda z: mu_gaussian(z, sigma), None,
-                     spec.order_or_nodes, spec)
+    norm = _plane_gh(lambda zs: mu_gaussian(zs, sigma), spec.order_or_nodes, spec)
     if abs(norm - 1.0) > max(1e-8, 10 * spec.rel_tol):
         raise BadMeasure(
             f"measure normalization integrates to {norm}, expected 1; "
             f"widen the rule (scale {spec.scale}, order {spec.order_or_nodes})")
 
-    def weighted(z):
-        return mu_gaussian(z, sigma) * f(z)
+    def weighted(zs):
+        vals = np.asarray(f(zs), dtype=complex)
+        mu = mu_gaussian(zs, sigma)
+        return vals * mu.reshape((zs.size,) + (1,) * (vals.ndim - 1))
 
-    weighted_batch = None
-    if f_batch is not None:
-        def weighted_batch(zs):
-            vals = np.asarray(f_batch(zs), dtype=complex)
-            mu = mu_gaussian(zs, sigma)
-            return vals * mu.reshape((zs.size,) + (1,) * (vals.ndim - 1))
-
-    return integrate_plane(weighted if f_batch is None else None, spec,
-                           f_batch=weighted_batch, check=check)
+    return integrate_plane(weighted, spec, check=check)

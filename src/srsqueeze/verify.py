@@ -672,9 +672,21 @@ def _check_srur_positivity(cfg):
 # --------------------------------------------------- overcompleteness
 
 
+# Every state amplitude needs |u0|^2 at its node (fock._state_amplitudes).
+# The nodes of a Gauss-Hermite rule of order m lie inside sqrt(2m + 1), so
+# up to this |z| (about 351.3) the squared modulus of every node of a plane
+# rule of scale 1.3 e^r stays a finite float, at any order the rules support.
+_ROI_MAX_R = (0.5 * math.log(np.finfo(float).max)
+              - math.log(1.3 * math.sqrt(2 * quadmod._MAX_ORDER + 1)))
+
+
 def _roi_spec(z: complex, order: int | None = None,
               rel_tol: float = 1e-3) -> quadmod.QuadratureSpec:
     r = abs(complex(z))
+    if r > _ROI_MAX_R:
+        raise quadmod.BadSpec(
+            f"|z| = {r:g} is past {_ROI_MAX_R:.1f}, where the squared modulus "
+            f"of the plane rule's outer nodes overflows")
     if order is None:
         order = min(72, 40 + math.ceil(16 * r))
     return quadmod.QuadratureSpec(
@@ -682,33 +694,44 @@ def _roi_spec(z: complex, order: int | None = None,
         scale=(1.3 * math.exp(r), 1.3 * math.exp(-r)), rel_tol=rel_tol)
 
 
-def _state_projector_batch(z, cfg, dim_check):
-    """f_batch over a rotated frame aligned with the squeeze axes."""
+def _plane_states(spec: quadmod.QuadratureSpec, order: int, z: complex,
+                  dim: int):
+    """The plane rule of spec at order, rotated into the squeeze axes of z.
+
+    Returns the nodes us, their total weights tw and the (dim, nodes)
+    amplitudes psi[:, i] = <m|D(us[i]) S(z)|0>.  A fixed-z projector sum
+    sum_i w_i |psi_i><psi_i| is then the one product (psi * w) @ psi^dagger.
+    """
     z = complex(z)
     rot = cmath.exp(0.5j * cmath.phase(z)) if z != 0 else 1.0
-
-    def fb(vs):
-        psi = fock.saturating_state_batch(rot * vs, z, dim_check)
-        return np.einsum("mi,ni->imn", psi, np.conj(psi))
-
-    return fb
+    u, tw = quadmod._plane_nodes(order, spec)
+    us = rot * u
+    return us, tw, fock.saturating_state_batch(us, z, dim)
 
 
 def resolution_of_identity(z: complex, dim_check: int, cfg: VerifyConfig,
                            order: int | None = None) -> CheckResult:
-    """Max deviation of the integrated projector from the identity block."""
+    """Max deviation of the integrated projector from the identity block.
+
+    The projector sum is taken at the rule's order n and at 2n; the fine
+    sum is measured against the identity, and the largest entry of
+    fine - coarse is the quadrature error estimate.
+    """
     t0 = time.perf_counter()
     spec = _roi_spec(z, order)
-    report = quadmod.integrate_plane(spec=spec,
-                                     f_batch=_state_projector_batch(z, cfg, dim_check),
-                                     check=False)
-    dev = float(np.max(np.abs(report.value - np.eye(dim_check))))
+    n = spec.order_or_nodes
+    sums = []
+    for m in (n, 2 * n):
+        _, tw, psi = _plane_states(spec, m, z, dim_check)
+        sums.append((psi * tw) @ psi.conj().T)
+    coarse, fine = sums
+    est = float(np.max(np.abs(fine - coarse)))
+    dev = float(np.max(np.abs(fine - np.eye(dim_check))))
     bound = cfg.bound("verify.resolution_identity")
     return CheckResult(
         check_id="verify.resolution_identity",
-        params={"z": repr(z), "dim_check": dim_check,
-                "order": spec.order_or_nodes,
-                "quad_est_error": report.est_error},
+        params={"z": repr(z), "dim_check": dim_check, "order": n,
+                "quad_est_error": est},
         measured=dev, bound=bound, passed=dev <= bound,
         runtime_ms=1e3 * (time.perf_counter() - t0))
 
@@ -731,20 +754,15 @@ def mu_weighted_identity(cfg: VerifyConfig) -> CheckResult:
     def inner(zs):
         out = np.empty((zs.size, dim_check, dim_check), dtype=complex)
         for i, z in enumerate(zs):
-            r = abs(z)
-            order = min(112, 2 * (24 + math.ceil(16 * r)))
-            rot = cmath.exp(0.5j * cmath.phase(z)) if z != 0 else 1.0
-            spec = _roi_spec(z, order)
-            u, tw = quadmod._plane_nodes(order, spec)
-            psi = fock.saturating_state_batch(rot * u, z, dim_check)
+            order = min(112, 2 * (24 + math.ceil(16 * abs(z))))
+            _, tw, psi = _plane_states(_roi_spec(z, order), order, z, dim_check)
             out[i] = (psi * tw) @ psi.conj().T
         return out
 
     spec = quadmod.QuadratureSpec(
         quadmod.QuadKind.TENSOR_GAUSS_HERMITE_2D, cfg.mu_outer_order,
         scale=(cfg.mu_sigma, cfg.mu_sigma), rel_tol=1e-2)
-    report = quadmod.integrate_z(sigma=cfg.mu_sigma, spec=spec,
-                                 f_batch=inner, check=False)
+    report = quadmod.integrate_z(inner, spec, sigma=cfg.mu_sigma, check=False)
     dev = float(np.max(np.abs(report.value - np.eye(dim_check))))
     return _result(cfg, "verify.mu_weighted_identity", dev,
                    {"sigma": cfg.mu_sigma, "outer_order": cfg.mu_outer_order,
@@ -1060,11 +1078,7 @@ def _check_diag_kernel(cfg):
     for z in (0.0, 0.4):
         z = complex(z)
         az = fock.squeezed_annihilator(z, dim)
-        rot = cmath.exp(0.5j * cmath.phase(z)) if z != 0 else 1.0
-        spec = _roi_spec(z, order=96)
-        u, tw = quadmod._plane_nodes(spec.order_or_nodes, spec)
-        us = rot * u
-        psi = fock.saturating_state_batch(us, z, dim)
+        us, tw, psi = _plane_states(_roi_spec(z, order=96), 96, z, dim)
         wz = np.array([squeezed_frame_label(uu, z) for uu in us])
         for name in ("I", "N", "Q", "P", "Q2", "P2", "QP"):
             op = kernels.quadrature_observable(name, z, c)
@@ -1136,12 +1150,12 @@ def _check_quad_determinism(cfg):
     def f(u):
         return np.exp(-np.abs(u) ** 2 + 0.3 * u)
 
-    r1 = quadmod.integrate_plane(spec=spec, f_batch=f, check=False)
-    r2 = quadmod.integrate_plane(spec=spec, f_batch=f, check=False)
+    r1 = quadmod.integrate_plane(f, spec, check=False)
+    r2 = quadmod.integrate_plane(f, spec, check=False)
     mspec = quadmod.QuadratureSpec(quadmod.QuadKind.MONTE_CARLO, 4096,
                                    rel_tol=1.0, seed=cfg.seed)
-    m1 = quadmod.integrate_plane(spec=mspec, f_batch=f, check=False)
-    m2 = quadmod.integrate_plane(spec=mspec, f_batch=f, check=False)
+    m1 = quadmod.integrate_plane(f, mspec, check=False)
+    m2 = quadmod.integrate_plane(f, mspec, check=False)
     identical = (r1.value == r2.value and r1.est_error == r2.est_error
                  and m1.value == m2.value)
     return [_result(cfg, "quadrature.determinism",
@@ -1172,8 +1186,8 @@ def _check_quad_mc(cfg):
     def f(u):
         return np.exp(-np.abs(u) ** 2) * (1.0 + u * np.conj(u))
 
-    gh = quadmod.integrate_plane(spec=spec, f_batch=f, check=False)
-    mc = quadmod.integrate_plane(spec=mspec, f_batch=f, check=False)
+    gh = quadmod.integrate_plane(f, spec, check=False)
+    mc = quadmod.integrate_plane(f, mspec, check=False)
     # agreement within 5 standard errors of the MC estimate
     return [_result(cfg, "quadrature.monte_carlo_agreement",
                     abs(mc.value - gh.value) / (5.0 * mc.est_error))]

@@ -96,6 +96,10 @@ def test_moments_bad_input_is_usage_error(capsys, argv):
      "--oracle", "quad"),
     ("resolve-identity", "--z", "0.5", "--dim-check", "4", "--order", "1"),
     ("resolve-identity", "--z", "0.5", "--dim-check", "4", "--order", "200"),
+    ("resolve-identity", "--z", "400", "--dim-check", "4"),
+    ("resolve-identity", "--z", "800", "--dim-check", "4"),
+    ("resolve-identity", "--z", "0.5", "--dim-check", "0"),
+    ("overlap", "--oracle", "fock", "--fock-dim", "0"),
     ("overlap", "--z2", "400", "--u2", "2", "--z1", "400@1.5708", "--u1", "1"),
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
@@ -293,6 +297,14 @@ def test_resolve_identity(capsys):
     row = json.loads(out)
     assert row["measured"] < 1e-8
     assert row["passed"] is True
+
+
+def test_resolve_identity_highest_order(capsys):
+    # the order-doubled rule runs at 370, the highest the rules support
+    code, out, _ = run_cli(capsys, "resolve-identity", "--z", "0.5",
+                           "--dim-check", "4", "--order", "185")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_resolve_identity_unconverged_exit(capsys):

@@ -78,20 +78,12 @@ def test_overlap_phase_resolution_matches_kernel():
     assert rep.value == pytest.approx(closed, abs=1e-11)
 
 
-def test_adaptive_line():
-    spec = quad.QuadratureSpec(quad.QuadKind.ADAPTIVE_1D, 16, rel_tol=1e-6)
-    rep = quad.integrate_line(
-        lambda q: (1 + 1j) * np.exp(-q * q), spec)
-    assert rep.value == pytest.approx((1 + 1j) * math.sqrt(math.pi), rel=1e-9)
-
-
 def test_plane_gaussian_moments():
-    rep = quad.integrate_plane(lambda u: math.e ** (-abs(u) ** 2),
+    rep = quad.integrate_plane(lambda u: np.exp(-np.abs(u) ** 2),
                                plane_spec(24))
     assert rep.value == pytest.approx(1.0, abs=1e-13)
     rep = quad.integrate_plane(
-        spec=plane_spec(24),
-        f_batch=lambda u: np.abs(u) ** 2 * np.exp(-np.abs(u) ** 2))
+        lambda u: np.abs(u) ** 2 * np.exp(-np.abs(u) ** 2), plane_spec(24))
     assert rep.value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -105,7 +97,7 @@ def test_plane_matrix_valued():
         out[:, 1, 1] = g * np.abs(us) ** 2
         return out
 
-    rep = quad.integrate_plane(spec=plane_spec(20), f_batch=fb)
+    rep = quad.integrate_plane(fb, plane_spec(20))
     assert rep.value[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert abs(rep.value[0, 1]) < 1e-13
     assert rep.value[1, 1] == pytest.approx(1.0, abs=1e-12)
@@ -134,8 +126,8 @@ def test_determinism_bit_identical():
     def f(u):
         return np.exp(-np.abs(u) ** 2 + 0.2j * u.real)
 
-    r1 = quad.integrate_plane(spec=spec, f_batch=f)
-    r2 = quad.integrate_plane(spec=spec, f_batch=f)
+    r1 = quad.integrate_plane(f, spec)
+    r2 = quad.integrate_plane(f, spec)
     assert r1.value == r2.value
     assert r1.est_error == r2.est_error
     assert r1.nodes_used == r2.nodes_used
@@ -148,21 +140,21 @@ def test_monte_carlo_deterministic_and_consistent():
     def f(u):
         return np.exp(-np.abs(u) ** 2) * (1.0 + np.abs(u) ** 2)
 
-    m1 = quad.integrate_plane(spec=mspec, f_batch=f, check=False)
-    m2 = quad.integrate_plane(spec=mspec, f_batch=f, check=False)
+    m1 = quad.integrate_plane(f, mspec, check=False)
+    m2 = quad.integrate_plane(f, mspec, check=False)
     assert m1.value == m2.value
     assert abs(m1.value - 2.0) < 5 * m1.est_error
     other = quad.QuadratureSpec(quad.QuadKind.MONTE_CARLO, 50_000,
                                 rel_tol=1.0, seed=8)
-    m3 = quad.integrate_plane(spec=other, f_batch=f, check=False)
+    m3 = quad.integrate_plane(f, other, check=False)
     assert m3.value != m1.value
 
 
 def test_z_measure_normalization_and_moment():
     spec = plane_spec(32, scale=(0.5, 0.5), rel_tol=1e-8)
-    rep = quad.integrate_z(lambda z: np.ones_like(z), sigma=0.5, spec=spec)
+    rep = quad.integrate_z(lambda z: np.ones_like(z), spec, sigma=0.5)
     assert rep.value == pytest.approx(1.0, abs=1e-12)
-    rep = quad.integrate_z(lambda z: np.abs(z) ** 2, sigma=0.5, spec=spec)
+    rep = quad.integrate_z(lambda z: np.abs(z) ** 2, spec, sigma=0.5)
     assert rep.value == pytest.approx(0.25, abs=1e-12)
 
 
@@ -170,4 +162,4 @@ def test_bad_measure():
     # a rule far too narrow for the measure fails its self-normalization
     spec = plane_spec(4, scale=(0.01, 0.01), rel_tol=1e-8)
     with pytest.raises(quad.BadMeasure):
-        quad.integrate_z(lambda z: np.ones_like(z), sigma=0.5, spec=spec)
+        quad.integrate_z(lambda z: np.ones_like(z), spec, sigma=0.5)

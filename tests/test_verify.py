@@ -1,5 +1,7 @@
+import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +102,19 @@ def test_resolution_of_identity_blocks(cfg):
     assert res0.measured <= 1e-6
     res = verify.resolution_of_identity(0.5, 16, cfg)
     assert res.measured <= 1e-5
+
+
+def test_resolution_of_identity_peak_memory(cfg):
+    # each projector sum is one (psi * w) @ psi^dagger product, so the peak
+    # is a few (levels x nodes) amplitude batches, about 9 MB here
+    z = 0.8 * cmath.exp(1j * math.pi / 3)
+    tracemalloc.start()
+    try:
+        verify.resolution_of_identity(z, 16, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_mu_weighted_identity_narrow_measure():
