@@ -263,11 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--config", help="JSON file with default option values")
     sub = top.add_subparsers(dest="command", required=True)
 
+    def output(p):
+        p.add_argument("--format", choices=("json", "csv", "table"),
+                       default="json")
+
     def common(p):
         p.add_argument("--hbar", type=float, default=1.0)
         p.add_argument("--ell0", type=float, default=1.0)
-        p.add_argument("--format", choices=("json", "csv", "table"),
-                       default="json")
+        output(p)
         p.add_argument("--seed", type=int, default=20240817)
         p.add_argument("--fock-dim", dest="fock_dim", type=int, default=128)
 
@@ -324,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve-identity",
                        help="overcompleteness check at fixed z")
-    common(p)
+    # no constant, seed or --fock-dim enters the Fock-amplitude identity
+    output(p)
     p.add_argument("--z", default="0")
     p.add_argument("--dim-check", dest="dim_check", type=int, default=16)
     p.add_argument("--order", type=int, default=None)

@@ -135,22 +135,24 @@ def _exp_adag2_lower(half: complex, dim: int, dtype=complex) -> np.ndarray:
     return out
 
 
-def _exp_neg_i_tridiag(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
-    """exp(-i H) for Hermitian tridiagonal H with complex off-diagonal.
+def _exp_neg_i_tridiag(diag: np.ndarray, offdiag: np.ndarray,
+                       keep: int) -> np.ndarray:
+    """Upper-left keep x keep block of exp(-i H), H Hermitian tridiagonal.
 
-    A diagonal gauge makes the off-diagonal real, then the real symmetric
-    tridiagonal eigenproblem gives a machine-accurate unitary.
+    A diagonal gauge makes the complex off-diagonal real, then the real
+    symmetric tridiagonal eigenproblem of the whole of H gives a
+    machine-accurate unitary; only its first keep rows are rebuilt, as two
+    real products because the eigenvectors are real.
     """
     from scipy.linalg import eigh_tridiagonal
 
-    n = diag.shape[0]
-    gauge = np.ones(n, dtype=complex)
     absoff = np.abs(offdiag)
-    for k in range(n - 1):
-        ph = offdiag[k] / absoff[k] if absoff[k] > 0 else 1.0
-        gauge[k + 1] = gauge[k] * ph
+    phase = np.divide(offdiag, absoff, out=np.ones(offdiag.shape, complex),
+                      where=absoff > 0)
+    gauge = np.concatenate(([1.0 + 0j], np.cumprod(phase[:keep - 1])))
     w, v = eigh_tridiagonal(diag.real, absoff)
-    core = (v * np.exp(-1j * w)) @ v.T
+    rows = v[:keep]
+    core = (rows * np.cos(w)) @ rows.T - 1j * ((rows * np.sin(w)) @ rows.T)
     return (gauge[:, None] * core) * gauge.conj()[None, :]
 
 
@@ -207,15 +209,14 @@ def displacement_exp(u0: complex, dim: int, inner_dim: int | None = None) -> np.
 
     Evaluated by eigendecomposition of the (tridiagonal, anti-Hermitian)
     generator on an enlarged space so that every returned entry has
-    converged, then restricted to dim x dim.
+    converged; only the returned dim x dim block is rebuilt.
     """
     _check_dim(dim)
     u0 = complex(u0)
     inner = inner_dim or _displacement_inner_dim(u0, dim)
     # i (u0 a^dag - conj(u0) a) is Hermitian tridiagonal
     off = 1j * u0 * np.sqrt(np.arange(1, inner, dtype=float))
-    full = _exp_neg_i_tridiag(np.zeros(inner), off)
-    return full[:dim, :dim].copy()
+    return _exp_neg_i_tridiag(np.zeros(inner), off, dim)
 
 
 def squeeze_exp(z: complex, dim: int, inner_dim: int | None = None) -> np.ndarray:
@@ -223,22 +224,23 @@ def squeeze_exp(z: complex, dim: int, inner_dim: int | None = None) -> np.ndarra
 
     The generator splits over even/odd parity into Hermitian tridiagonal
     blocks; each is diagonalized exactly on an enlarged space (so the
-    returned block is free of truncation backflow), then restricted.
+    returned block is free of truncation backflow), and only its levels
+    below dim are rebuilt, straight into the dim x dim result.
     """
     _check_dim(dim)
     z = complex(z)
     if z == 0:
         return np.eye(dim, dtype=complex)
     inner = inner_dim or _squeeze_inner_dim(z, dim)
-    full = np.zeros((inner, inner), dtype=complex)
+    out = np.zeros((dim, dim), dtype=complex)
     n = np.arange(inner, dtype=float)
     coupling = 0.5j * z * np.sqrt((n + 1) * (n + 2))  # i G at [n+2, n]
     for parity in (0, 1):
         levels = np.arange(parity, inner, 2)
-        off = coupling[levels[:-1]]
-        block = _exp_neg_i_tridiag(np.zeros(levels.size), off)
-        full[np.ix_(levels, levels)] = block
-    return full[:dim, :dim].copy()
+        out[parity::2, parity::2] = _exp_neg_i_tridiag(
+            np.zeros(levels.size), coupling[levels[:-1]],
+            (dim - parity + 1) // 2)
+    return out
 
 
 def _squeezed_vacuum_column(z: complex, dim: int) -> np.ndarray:
@@ -259,9 +261,11 @@ def _squeezed_vacuum_column(z: complex, dim: int) -> np.ndarray:
 def _squeeze_product(z: complex, dim: int, reverse: bool) -> np.ndarray:
     """exp(zeta a^dag^2/2), e^{+-gamma K0} and exp(-conj(zeta) a^2/2), multiplied.
 
-    gamma = ln(1 - |zeta|^2); the normal order (lower @ mid @ upper) uses
-    +gamma, the reversed order (upper @ mid @ lower) -gamma.  Factors and
-    products run in extended precision.
+    gamma = ln(1 - |zeta|^2) = -2 ln cosh r; the normal order
+    (lower @ mid @ upper) uses +gamma, the reversed order
+    (upper @ mid @ lower) -gamma.  Every factor couples only levels of equal
+    parity, so the product is formed as one even and one odd block.
+    Factors and products run in extended precision.
     """
     _check_dim(dim)
     z = complex(z)
@@ -273,13 +277,20 @@ def _squeeze_product(z: complex, dim: int, reverse: bool) -> np.ndarray:
     lower = _exp_adag2_lower(ld(zeta / 2.0), dim, dtype=ld)
     # exp(-conj(zeta) a^2/2) = exp(-zeta a^dag^2/2)^dagger
     upper = _exp_adag2_lower(ld(-zeta / 2.0), dim, dtype=ld).conj().T
-    gamma = ld(math.log1p(-math.tanh(r) ** 2))
+    # ln cosh r = r + ln(1 + e^{-2r}) - ln 2 does not cancel at large r,
+    # where 1 - tanh^2 r does
+    rl = np.longdouble(r)
+    gamma = -2 * (rl + np.log1p(np.exp(-2 * rl)) - np.log(np.longdouble(2)))
     if reverse:
         gamma = -gamma
     mid = np.exp(gamma * (np.arange(dim) + 0.5) / 2.0)
-    prod = (upper * mid[None, :]) @ lower if reverse \
-        else (lower * mid[None, :]) @ upper
-    return np.asarray(prod, dtype=complex)
+    out = np.zeros((dim, dim), dtype=complex)
+    for parity in (0, 1):
+        lo, md, up = (lower[parity::2, parity::2], mid[parity::2],
+                      upper[parity::2, parity::2])
+        out[parity::2, parity::2] = (up * md[None, :]) @ lo if reverse \
+            else (lo * md[None, :]) @ up
+    return out
 
 
 def squeeze_factored(z: complex, dim: int) -> np.ndarray:
@@ -374,8 +385,12 @@ def saturating_state_batch(
     return _state_amplitudes(u0s, z, dim)
 
 
-def expectations(state: FockVector, c: Constants = Constants()) -> Moments:
-    """Moments of a state from matrix quadratic forms of Q and P."""
+def expectations(q: np.ndarray, p: np.ndarray, state: FockVector) -> Moments:
+    """Moments of a state from the quadratic forms of the Q and P matrices.
+
+    q and p are position(state.dim, c) and momentum(state.dim, c), built
+    once by a caller that evaluates many states.
+    """
     if state.tail_mass > DEFAULT_TAIL_BOUND:
         warnings.warn(
             f"computing moments of a state with tail mass {state.tail_mass:.3e}",
@@ -384,8 +399,8 @@ def expectations(state: FockVector, c: Constants = Constants()) -> Moments:
         )
     psi = state.amps
     nrm2 = float(np.vdot(psi, psi).real)
-    qpsi = position(state.dim, c) @ psi
-    ppsi = momentum(state.dim, c) @ psi
+    qpsi = q @ psi
+    ppsi = p @ psi
     q0 = float(np.vdot(psi, qpsi).real) / nrm2
     p0 = float(np.vdot(psi, ppsi).real) / nrm2
     qbar = qpsi - q0 * psi
@@ -397,19 +412,22 @@ def expectations(state: FockVector, c: Constants = Constants()) -> Moments:
 
 
 def defining_residual(
+    q: np.ndarray,
+    p: np.ndarray,
     state: FockVector,
     m: Moments,
     c: Constants = Constants(),
 ) -> float:
     """Norm of [(Q - q0) - lambda0 (P - p0)] |state>.
 
+    q and p are the Q and P matrices at state.dim for the constants c.
     Zero (up to truncation) exactly when the state saturates the SR bound
     with the given moments.
     """
     lam = lambda0(m, c)
     psi = state.amps
-    qpsi = position(state.dim, c) @ psi - m.q0 * psi
-    ppsi = momentum(state.dim, c) @ psi - m.p0 * psi
+    qpsi = q @ psi - m.q0 * psi
+    ppsi = p @ psi - m.p0 * psi
     return float(np.linalg.norm(qpsi - lam * ppsi))
 
 

@@ -613,9 +613,9 @@ def saturation_scan(cfg: VerifyConfig):
         for lab in standard_labels():
             st = fock.saturating_state(lab, n)
             m = labels_to_moments(lab, c)
-            res = fock.defining_residual(st, m, c)
+            res = fock.defining_residual(q, p, st, m, c)
             rec = fock.sr_ur_check(q, p, st)
-            me = fock.expectations(st, c)
+            me = fock.expectations(q, p, st)
             dm = max(abs(me.q0 - m.q0), abs(me.p0 - m.p0),
                      abs(me.dq - m.dq), abs(me.dp - m.dp),
                      abs(me.corr - m.corr))
@@ -625,8 +625,8 @@ def saturation_scan(cfg: VerifyConfig):
                     worst[key] = (val, lab)
     one = fock.basis_state(n, 1)
     rec1 = fock.sr_ur_check(q, p, one)
-    m1 = fock.expectations(one, c)
-    probe_res = fock.defining_residual(one, m1, c)
+    m1 = fock.expectations(q, p, one)
+    probe_res = fock.defining_residual(q, p, one, m1, c)
     out = [
         _result(cfg, "verify.defining_residual", worst["residual"][0],
                 {"worst_at": repr(worst["residual"][1]), "fock_dim": n}),
@@ -780,6 +780,7 @@ def _check_convergence(cfg):
     c = cfg.constants
     labs = [Labels(u0=1 + 1j, r=0.7, theta=math.pi / 3),
             Labels(u0=2j, r=1.2, theta=math.pi)]
+    qp = {n: (fock.position(n, c), fock.momentum(n, c)) for n in (64, 128)}
     worst = 0.0
     detail = {}
     with warnings.catch_warnings():
@@ -787,9 +788,9 @@ def _check_convergence(cfg):
         for lab in labs:
             m = labels_to_moments(lab, c)
             pair = []
-            for n in (64, 128):
+            for n, (q, p) in qp.items():
                 st = fock.saturating_state(lab, n)
-                pair.append(fock.defining_residual(st, m, c))
+                pair.append(fock.defining_residual(q, p, st, m, c))
             detail[repr(lab)] = pair
             worst = max(worst, pair[1] - pair[0])
     return [_result(cfg, "verify.convergence_monotonic", worst,

@@ -66,6 +66,7 @@ def test_criterion_1_parametrization_roundtrip():
 def test_criterion_2_defining_residual():
     with Criterion(2, "defining-equation residual at N=256", 10.0) as crit:
         n = 256
+        q, p = fock.position(n, C), fock.momentum(n, C)
         worst = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", fock.TruncationWarning)
@@ -73,10 +74,11 @@ def test_criterion_2_defining_residual():
             for lab in labs:
                 st = fock.saturating_state(lab, n)
                 m = labels_to_moments(lab, C)
-                worst = max(worst, fock.defining_residual(st, m, C))
+                worst = max(worst, fock.defining_residual(q, p, st, m, C))
         crit.require("saturating residual", worst, 1e-7)
         one = fock.basis_state(n, 1)
-        probe = fock.defining_residual(one, fock.expectations(one, C), C)
+        probe = fock.defining_residual(q, p, one,
+                                       fock.expectations(q, p, one), C)
         crit.require("probe must NOT saturate", 0.1 / probe, 1.0)
 
 

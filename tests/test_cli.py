@@ -333,6 +333,17 @@ def test_argparse_usage_exit():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [("--hbar", "2"), ("--ell0", "2"),
+                                  ("--seed", "3"), ("--fock-dim", "64")])
+def test_resolve_identity_rejects_options_it_does_not_read(capsys, flag):
+    argv = ["resolve-identity", "--z", "0.5", "--dim-check", "4"]
+    assert run_cli(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + list(flag))
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 _NO_SCIPY_PROBE = textwrap.dedent("""
     import contextlib, io, sys
     from srsqueeze import cli, verify

@@ -7,7 +7,8 @@ import pytest
 from scipy.special import gammaln
 
 from srsqueeze import fock
-from srsqueeze.params import Constants, Labels, labels_to_moments
+from srsqueeze.params import (Constants, Labels, labels_to_moments, lambda0,
+                              squeeze_zeta)
 
 C = Constants()
 
@@ -126,6 +127,55 @@ def test_squeeze_dual_order_small_r():
     assert fock.top_block_norm(diff, 16) < 1e-10
 
 
+def _unsplit_squeeze_product(z, dim, reverse):
+    # the factored product as one dim x dim extended-precision matmul
+    r = abs(z)
+    zeta = squeeze_zeta(r, z / r)
+    ld = np.clongdouble
+    lower = fock._exp_adag2_lower(ld(zeta / 2.0), dim, dtype=ld)
+    upper = fock._exp_adag2_lower(ld(-zeta / 2.0), dim, dtype=ld).conj().T
+    rl = np.longdouble(r)
+    gamma = -2 * (rl + np.log1p(np.exp(-2 * rl)) - np.log(np.longdouble(2)))
+    if reverse:
+        gamma = -gamma
+    mid = np.exp(gamma * (np.arange(dim) + 0.5) / 2.0)
+    prod = (upper * mid[None, :]) @ lower if reverse \
+        else (lower * mid[None, :]) @ upper
+    return np.asarray(prod, dtype=complex)
+
+
+@pytest.mark.parametrize("dim", [16, 64])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_parity_split_product_is_bit_identical(dim, reverse):
+    for z in (0.3 * cmath.exp(0.8j), 1.1 * cmath.exp(-2.0j)):
+        got = fock._squeeze_product(z, dim, reverse)
+        assert np.array_equal(got, _unsplit_squeeze_product(z, dim, reverse))
+
+
+@pytest.mark.parametrize("r", [12.0, 18.0, 20.0])
+def test_squeeze_factored_vacuum_entry_at_large_r(r):
+    # 1 - tanh^2 r cancels here: 1.1% off at r = 18, a domain error at 20
+    got = fock.squeeze_factored(r, 8)[0, 0]
+    assert got.imag == 0.0
+    assert got.real == pytest.approx(math.cosh(r) ** -0.5, rel=1e-14)
+
+
+def test_exponential_oracles_match_dense_expm_block():
+    from scipy.linalg import expm
+
+    dim, inner = 24, 80
+    a, adag = fock.ladder(inner)
+    for z in (0.4 * cmath.exp(0.7j), 0.9 * cmath.exp(-2.5j)):
+        gen = 0.5 * (z * adag @ adag - np.conj(z) * a @ a)
+        want = expm(gen)[:dim, :dim]
+        got = fock.squeeze_exp(z, dim, inner_dim=inner)
+        assert np.max(np.abs(got - want)) < 1e-13
+    for u0 in (0.6 - 0.3j, 1.5j):
+        want = expm(u0 * adag - np.conj(u0) * a)[:dim, :dim]
+        got = fock.displacement_exp(u0, dim, inner_dim=inner)
+        assert np.max(np.abs(got - want)) < 1e-13
+
+
 def test_saturating_state_trivials():
     st = fock.saturating_state(Labels(), 32)
     assert st.amps[0] == pytest.approx(1.0)
@@ -208,14 +258,18 @@ def test_recurrence_underflow_gives_zeros():
     assert np.all(got == 0)
 
 
+def qp(n, c=C):
+    return fock.position(n, c), fock.momentum(n, c)
+
+
 def test_expectations_vacuum_and_coherent():
     st = fock.saturating_state(Labels(), 64)
-    m = fock.expectations(st, C)
+    m = fock.expectations(*qp(64), st)
     assert m.dq == pytest.approx(1 / math.sqrt(2), rel=1e-12)
     assert m.dp == pytest.approx(1 / math.sqrt(2), rel=1e-12)
     assert m.q0 == pytest.approx(0.0, abs=1e-14)
     st = fock.saturating_state(Labels(u0=1 + 0.5j), 96)
-    m = fock.expectations(st, C)
+    m = fock.expectations(*qp(96), st)
     assert m.dq == pytest.approx(1 / math.sqrt(2), rel=1e-11)
     assert m.dp == pytest.approx(1 / math.sqrt(2), rel=1e-11)
     assert m.q0 == pytest.approx(math.sqrt(2), rel=1e-12)
@@ -223,26 +277,53 @@ def test_expectations_vacuum_and_coherent():
 
 
 def test_defining_residual_saturating_states():
+    q, p = qp(256)
     for lab in (Labels(u0=1.0, r=0.5, theta=0.0),
                 Labels(u0=1 + 1j, r=0.8, theta=2.0),
                 Labels(u0=2j, r=1.0, theta=math.pi)):
         st = fock.saturating_state(lab, 256)
         m = labels_to_moments(lab, C)
-        assert fock.defining_residual(st, m, C) < 1e-8
+        assert fock.defining_residual(q, p, st, m, C) < 1e-8
 
 
 def test_defining_residual_vacuum():
     st = fock.saturating_state(Labels(), 64)
     m = labels_to_moments(Labels(), C)
-    assert fock.defining_residual(st, m, C) < 1e-14
+    assert fock.defining_residual(*qp(64), st, m, C) < 1e-14
 
 
 def test_defining_residual_fock_one():
+    q, p = qp(128)
     st = fock.basis_state(128, 1)
-    m = fock.expectations(st, C)
-    res = fock.defining_residual(st, m, C)
+    m = fock.expectations(q, p, st)
+    res = fock.defining_residual(q, p, st, m, C)
     assert res > 0.1
     assert res == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-12)
+
+
+def test_moments_from_passed_matrices_equal_dense_mat_vecs():
+    # the explicit forms that expectations and defining_residual evaluate
+    c = Constants(hbar=1.3, ell0=0.6)
+    lab = Labels(u0=0.7 - 0.4j, r=0.6, theta=1.1)
+    n = 96
+    q, p = qp(n, c)
+    st = fock.saturating_state(lab, n)
+    psi = st.amps
+    nrm2 = float(np.vdot(psi, psi).real)
+    qpsi, ppsi = q @ psi, p @ psi
+    q0 = float(np.vdot(psi, qpsi).real) / nrm2
+    p0 = float(np.vdot(psi, ppsi).real) / nrm2
+    qbar, pbar = qpsi - q0 * psi, ppsi - p0 * psi
+    want = (q0, p0, math.sqrt(float(np.vdot(qbar, qbar).real) / nrm2),
+            math.sqrt(float(np.vdot(pbar, pbar).real) / nrm2),
+            2.0 * float(np.vdot(qbar, pbar).real) / nrm2)
+    got = fock.expectations(q, p, st)
+    assert (got.q0, got.p0, got.dq, got.dp, got.corr) == want
+    m = labels_to_moments(lab, c)
+    lam = lambda0(m, c)
+    res = float(np.linalg.norm((qpsi - m.q0 * psi)
+                               - lam * (ppsi - m.p0 * psi)))
+    assert fock.defining_residual(q, p, st, m, c) == res
 
 
 def test_sr_ur_vacuum_saturates():
