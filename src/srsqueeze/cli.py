@@ -150,12 +150,7 @@ def cmd_overlap(args) -> int:
     row = {"value_re": res.value.real, "value_im": res.value.imag,
            "modulus": res.modulus, "phase": res.phase}
     if args.oracle == "fock":
-        dim = args.fock_dim
-        s2 = fock.saturating_state(Labels.from_z(u2, z2), dim,
-                                   tail_bound=math.inf)
-        s1 = fock.saturating_state(Labels.from_z(u1, z1), dim,
-                                   tail_bound=math.inf)
-        oracle = complex(np.vdot(s2.amps, s1.amps))
+        oracle = verify.fock_overlaps([(z2, u2, z1, u1)], args.fock_dim)[0]
     elif args.oracle == "quad":
         oracle = _in_domain(verify.quad_overlap, z2, u2, z1, u1, c,
                             check=True).value

@@ -149,6 +149,17 @@ def standard_labels(rmax: float = None, umax: float = None):
     return out
 
 
+def _state_rows(labels, dim: int) -> np.ndarray:
+    """First dim amplitudes of D(u0) S(z)|0> per label, from one recurrence call.
+
+    Row k is label k's state, contiguous, so that BLAS products see the
+    same vector as for a state built alone.
+    """
+    amps = fock.saturating_state_batch([lab.u0 for lab in labels],
+                                       [lab.z for lab in labels], dim)
+    return np.ascontiguousarray(amps.T)
+
+
 _REGISTRY: list = []
 
 
@@ -531,15 +542,13 @@ def _check_displaced_coherence(cfg):
     from .params import squeezed_frame_label
 
     n = cfg.fock_dim
+    labs = standard_labels()
     worst = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", fock.TruncationWarning)
-        for lab in standard_labels():
-            st = fock.saturating_state(lab, n)
-            az = fock.squeezed_annihilator(lab.z, n)
-            u0z = squeezed_frame_label(lab.u0, lab.z)
-            res = az @ st.amps - u0z * st.amps
-            worst = max(worst, float(np.linalg.norm(res[:n // 2])))
+    for lab, amps in zip(labs, _state_rows(labs, n)):
+        az = fock.squeezed_annihilator(lab.z, n)
+        u0z = squeezed_frame_label(lab.u0, lab.z)
+        res = az @ amps - u0z * amps
+        worst = max(worst, float(np.linalg.norm(res[:n // 2])))
     return [_result(cfg, "fock.displaced_coherence", worst)]
 
 
@@ -552,13 +561,12 @@ def _check_state_recurrence(cfg):
     at r = 0 and at the largest r with every theta.
     """
     n = 128
+    labs = [lab for lab in standard_labels()
+            if lab.u0 in (0j, 2j) and lab.r in (0.0, 1.2)]
     worst, wpt = 0.0, None
-    for lab in standard_labels():
-        if lab.u0 not in (0j, 2j) or lab.r not in (0.0, 1.2):
-            continue
+    for lab, amps in zip(labs, _state_rows(labs, n)):
         dense = fock.displacement(lab.u0, n) \
             @ fock._squeezed_vacuum_column(lab.z, n)
-        amps = fock.saturating_state(lab, n, tail_bound=math.inf).amps
         d = float(np.max(np.abs(amps[:n // 2] - dense[:n // 2])))
         if d > worst:
             worst, wpt = d, lab
@@ -606,15 +614,17 @@ def saturation_scan(cfg: VerifyConfig):
     c, n = cfg.constants, cfg.scan_dim
     q = fock.position(n, c)
     p = fock.momentum(n, c)
+    labs = standard_labels()
+    states = [fock.FockVector.from_amps(row) for row in _state_rows(labs, n)]
+    one = fock.basis_state(n, 1)
+    *recs, rec1 = fock.sr_ur_check(q, p, states + [one])
     worst = {"residual": (0.0, None), "slack": (0.0, None),
              "moments": (0.0, None)}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", fock.TruncationWarning)
-        for lab in standard_labels():
-            st = fock.saturating_state(lab, n)
+        for lab, st, rec in zip(labs, states, recs):
             m = labels_to_moments(lab, c)
             res = fock.defining_residual(q, p, st, m, c)
-            rec = fock.sr_ur_check(q, p, st)
             me = fock.expectations(q, p, st)
             dm = max(abs(me.q0 - m.q0), abs(me.p0 - m.p0),
                      abs(me.dq - m.dq), abs(me.dp - m.dp),
@@ -623,8 +633,6 @@ def saturation_scan(cfg: VerifyConfig):
                              ("moments", dm)):
                 if val > worst[key][0]:
                     worst[key] = (val, lab)
-    one = fock.basis_state(n, 1)
-    rec1 = fock.sr_ur_check(q, p, one)
     m1 = fock.expectations(q, p, one)
     probe_res = fock.defining_residual(q, p, one, m1, c)
     out = [
@@ -654,14 +662,13 @@ def _check_srur_positivity(cfg):
     q = fock.position(n, c)
     p = fock.momentum(n, c)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    worst = 0.0
+    states = []
     for _ in range(100):
         amps = rng.normal(size=n) + 1j * rng.normal(size=n)
         amps /= np.linalg.norm(amps)
-        rec = fock.sr_ur_check(q, p, fock.FockVector.from_amps(amps))
-        worst = max(worst, -rec.slack)
-    one = fock.basis_state(n, 1)
-    rec1 = fock.sr_ur_check(q, p, one)
+        states.append(fock.FockVector.from_amps(amps))
+    *recs, rec1 = fock.sr_ur_check(q, p, states + [fock.basis_state(n, 1)])
+    worst = max(0.0, *(-rec.slack for rec in recs))
     return [
         _result(cfg, "verify.srur_positivity", worst),
         _result(cfg, "verify.srur_fock_one",
@@ -780,19 +787,15 @@ def _check_convergence(cfg):
     c = cfg.constants
     labs = [Labels(u0=1 + 1j, r=0.7, theta=math.pi / 3),
             Labels(u0=2j, r=1.2, theta=math.pi)]
-    qp = {n: (fock.position(n, c), fock.momentum(n, c)) for n in (64, 128)}
-    worst = 0.0
-    detail = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", fock.TruncationWarning)
-        for lab in labs:
-            m = labels_to_moments(lab, c)
-            pair = []
-            for n, (q, p) in qp.items():
-                st = fock.saturating_state(lab, n)
-                pair.append(fock.defining_residual(q, p, st, m, c))
-            detail[repr(lab)] = pair
-            worst = max(worst, pair[1] - pair[0])
+    ms = [labels_to_moments(lab, c) for lab in labs]
+    res = []
+    for n in (64, 128):
+        q, p = fock.position(n, c), fock.momentum(n, c)
+        res.append([fock.defining_residual(q, p, fock.FockVector.from_amps(row),
+                                           m, c)
+                    for row, m in zip(_state_rows(labs, n), ms)])
+    detail = {repr(lab): [r64, r128] for lab, r64, r128 in zip(labs, *res)}
+    worst = max(0.0, *(r128 - r64 for r64, r128 in zip(*res)))
     return [_result(cfg, "verify.convergence_monotonic", worst,
                     {"residuals_N64_N128": detail})]
 
@@ -852,14 +855,16 @@ def _check_three_forms(cfg):
     return [_result(cfg, "wavefn.three_forms", worst)]
 
 
-def synthesis_ratio(lab: Labels, c: Constants, n: int, qs: np.ndarray) -> float:
+def synthesis_ratio(lab: Labels, c: Constants, amps: np.ndarray,
+                    qs: np.ndarray) -> float:
     """Worst Hermite-synthesis defect of the N-level state over its budget.
 
-    The budget is 8 sqrt(dropped mass) + 1e-11, where the dropped mass is
-    sum_{m >= N} |c_m|^2, read from the same state built at 2N.  (1 - norm^2
-    of the truncated state cancels to rounding noise and cannot be used.)
+    amps are the state's first 2N amplitudes.  The budget is 8 sqrt(dropped
+    mass) + 1e-11, where the dropped mass is sum_{m >= N} |c_m|^2, read from
+    the levels past N.  (1 - norm^2 of the truncated state cancels to
+    rounding noise and cannot be used.)
     """
-    amps = fock.saturating_state(lab, 2 * n, tail_bound=math.inf).amps
+    n = amps.size // 2
     p = wavefn.WavefnParams.from_labels(lab, c)
     diff = wavefn.synthesize(qs, amps[:n], c) - wavefn.psi(qs, p)
     missing = float(np.sum(np.abs(amps[n:]) ** 2))
@@ -874,9 +879,10 @@ def _check_synthesis(cfg):
     discarded; measured is the worst ratio of defect to that budget.
     """
     qs = np.linspace(-6.0, 6.0, 129)
+    labs = standard_labels(rmax=1.2)
     worst, wpt = 0.0, None
-    for lab in standard_labels(rmax=1.2):
-        ratio = synthesis_ratio(lab, cfg.constants, cfg.fock_dim, qs)
+    for lab, amps in zip(labs, _state_rows(labs, 2 * cfg.fock_dim)):
+        ratio = synthesis_ratio(lab, cfg.constants, amps, qs)
         if ratio > worst:
             worst, wpt = ratio, lab
     return [_result(cfg, "wavefn.fock_synthesis", worst,
@@ -977,12 +983,18 @@ def _check_squeezed_special(cfg):
     return [_result(cfg, "kernels.squeezed_special", worst)]
 
 
-def _fock_overlap(z2, u2, z1, u1, dim):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", fock.TruncationWarning)
-        s2 = fock.saturating_state(Labels.from_z(u2, z2), dim)
-        s1 = fock.saturating_state(Labels.from_z(u1, z1), dim)
-    return complex(np.vdot(s2.amps, s1.amps))
+def fock_overlaps(pairs, dim: int) -> list[complex]:
+    """<state(u2, z2)|state(u1, z1)> on dim Fock levels, per (z2, u2, z1, u1).
+
+    All the states come from one recurrence call; the value is exact up to
+    the mass the truncation drops, which the caller's dim must make small.
+    """
+    fock._check_dim(dim)
+    labs = [Labels.from_z(u, z) for z2, u2, z1, u1 in pairs
+            for z, u in ((z2, u2), (z1, u1))]
+    rows = _state_rows(labs, dim)
+    return [complex(np.vdot(rows[k], rows[k + 1]))
+            for k in range(0, len(rows), 2)]
 
 
 def quad_overlap(z2, u2, z1, u1, c: Constants = Constants(),
@@ -1017,9 +1029,9 @@ def _check_oracle_triangle(cfg):
     c = cfg.constants
     worst, wpt = 0.0, None
     npairs = 0
-    for z2, u2, z1, u1 in _pair_grid():
+    pairs = _pair_grid()
+    for (z2, u2, z1, u1), via_fock in zip(pairs, fock_overlaps(pairs, 192)):
         closed = kernels.squeezed_overlap(z2, u2, z1, u1).value
-        via_fock = _fock_overlap(z2, u2, z1, u1, 192)
         via_quad = quad_overlap(z2, u2, z1, u1, c).value
         err = max(abs(closed - via_fock), abs(closed - via_quad),
                   abs(via_fock - via_quad))
@@ -1204,7 +1216,7 @@ def _canary_g2(cfg):
     # corrupt: flip the sign of the Gaussian quadratic form
     corrupt = good.parts.prefactor * good.parts.symplectic_phase \
         / good.parts.gaussian
-    oracle = _fock_overlap(z2, u2, z1, u1, 160)
+    oracle = fock_overlaps([(z2, u2, z1, u1)], 160)[0]
     return [_canary(cfg, "canary.g2_sign_flip", abs(corrupt - oracle))]
 
 
@@ -1262,7 +1274,7 @@ def _canary_dropped_prefactor(cfg):
     zeta2 = math.tanh(0.6)
     zeta1 = 1j * math.tanh(0.4)
     corrupt = good.value * cmath.sqrt(1 - np.conj(zeta2) * zeta1)
-    oracle = _fock_overlap(z2, u2, z1, u1, 160)
+    oracle = fock_overlaps([(z2, u2, z1, u1)], 160)[0]
     return [_canary(cfg, "canary.dropped_prefactor", abs(corrupt - oracle))]
 
 

@@ -192,7 +192,7 @@ def test_criterion_9_sr_ur_checker():
         for _ in range(100):
             amps = rng.normal(size=n) + 1j * rng.normal(size=n)
             amps /= np.linalg.norm(amps)
-            rec = fock.sr_ur_check(q, p, fock.FockVector.from_amps(amps))
+            rec, = fock.sr_ur_check(q, p, [fock.FockVector.from_amps(amps)])
             worst_neg = max(worst_neg, -rec.slack)
         crit.require("positivity over 100 random states", worst_neg, 1e-10)
         worst_sat = 0.0
@@ -201,10 +201,10 @@ def test_criterion_9_sr_ur_checker():
             qn, pn = fock.position(192, C), fock.momentum(192, C)
             for lab in verify.standard_labels(rmax=1.0):
                 st = fock.saturating_state(lab, 192)
-                rec = fock.sr_ur_check(qn, pn, st)
+                rec, = fock.sr_ur_check(qn, pn, [st])
                 worst_sat = max(worst_sat, abs(rec.slack))
         crit.require("slack on saturating states", worst_sat, 1e-8)
-        rec1 = fock.sr_ur_check(q, p, fock.basis_state(n, 1))
+        rec1, = fock.sr_ur_check(q, p, [fock.basis_state(n, 1)])
         crit.require("slack of the n=1 probe vs 2 hbar^2",
                      abs(rec1.slack - 2.0 * C.hbar**2), 1e-10)
 

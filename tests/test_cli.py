@@ -100,6 +100,7 @@ def test_moments_bad_input_is_usage_error(capsys, argv):
     ("resolve-identity", "--z", "800", "--dim-check", "4"),
     ("resolve-identity", "--z", "0.5", "--dim-check", "0"),
     ("overlap", "--oracle", "fock", "--fock-dim", "0"),
+    ("overlap", "--oracle", "fock", "--fock-dim", "1"),
     ("overlap", "--z2", "400", "--u2", "2", "--z1", "400@1.5708", "--u1", "1"),
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):

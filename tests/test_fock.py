@@ -217,6 +217,29 @@ def test_batch_dim_validation():
         fock.saturating_state_batch(np.array([0j]), 0.0, 0)
 
 
+def test_batch_per_node_squeeze_is_exact():
+    # one squeeze per node gives each state the bits it has when built alone,
+    # z = 0 labels included
+    from srsqueeze.verify import standard_labels
+
+    labs = standard_labels()
+    assert any(lab.r == 0 for lab in labs)
+    batch = fock.saturating_state_batch([lab.u0 for lab in labs],
+                                        np.array([lab.z for lab in labs]), 256)
+    assert batch.shape == (256, len(labs))
+    for k, lab in enumerate(labs):
+        single = fock.saturating_state(lab, 256, tail_bound=math.inf).amps
+        assert np.array_equal(batch[:, k], single)
+
+
+def test_batch_squeeze_count_must_match():
+    us = np.array([0j, 1.0, 1j])
+    with pytest.raises(ValueError):
+        fock.saturating_state_batch(us, np.array([0.3, 0.5j]), 16)
+    with pytest.raises(ValueError):
+        fock.saturating_state_batch(us, np.zeros(4, complex), 16)
+
+
 def _mp_amplitudes(u, z, dim):
     """c_m = c_0 (i sqrt(zeta/2))^m H_m(-i beta/sqrt(2 zeta)) / sqrt(m!)."""
     with mpmath.workdps(60):
@@ -328,16 +351,16 @@ def test_moments_from_passed_matrices_equal_dense_mat_vecs():
 
 def test_sr_ur_vacuum_saturates():
     n = 64
-    rec = fock.sr_ur_check(fock.position(n, C), fock.momentum(n, C),
-                           fock.basis_state(n, 0))
+    rec, = fock.sr_ur_check(fock.position(n, C), fock.momentum(n, C),
+                            [fock.basis_state(n, 0)])
     assert abs(rec.slack) < 1e-12
     assert rec.lambda0 == pytest.approx(-1j, rel=1e-12)
 
 
 def test_sr_ur_fock_one():
     n = 64
-    rec = fock.sr_ur_check(fock.position(n, C), fock.momentum(n, C),
-                           fock.basis_state(n, 1))
+    rec, = fock.sr_ur_check(fock.position(n, C), fock.momentum(n, C),
+                            [fock.basis_state(n, 1)])
     assert rec.lhs == pytest.approx(9.0 / 4.0, rel=1e-13)
     assert rec.rhs_comm == pytest.approx(1.0 / 4.0, rel=1e-13)
     assert rec.rhs_anticomm == pytest.approx(0.0, abs=1e-13)
@@ -347,7 +370,28 @@ def test_sr_ur_fock_one():
 def test_sr_ur_rejects_non_hermitian():
     a, adag = fock.ladder(16)
     with pytest.raises(fock.NotHermitian):
-        fock.sr_ur_check(a, fock.position(16, C), fock.basis_state(16, 0))
+        fock.sr_ur_check(a, fock.position(16, C), [fock.basis_state(16, 0)])
+
+
+def test_sr_ur_rejects_non_hermitian_with_many_states():
+    a, adag = fock.ladder(16)
+    q = fock.position(16, C)
+    states = [fock.basis_state(16, k) for k in range(3)]
+    with pytest.raises(fock.NotHermitian):
+        fock.sr_ur_check(a, q, states)
+    with pytest.raises(fock.NotHermitian):
+        fock.sr_ur_check(q, adag, states)
+
+
+def test_sr_ur_list_matches_single_states():
+    n = 96
+    q, p = fock.position(n, C), fock.momentum(n, C)
+    states = [fock.saturating_state(lab, n)
+              for lab in (Labels(), Labels(u0=1 + 1j, r=0.7, theta=1.0),
+                          Labels(u0=-0.5, r=0.25, theta=math.pi))]
+    states.append(fock.basis_state(n, 1))
+    got = fock.sr_ur_check(q, p, states)
+    assert got == [fock.sr_ur_check(q, p, [st])[0] for st in states]
 
 
 def test_bogoliubov_closure_and_invariant_combination():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srsqueeze import verify
+from srsqueeze import fock, verify
 from srsqueeze.params import Constants, Labels
 
 
@@ -81,7 +81,8 @@ def test_synthesis_budget_counts_mass_past_truncation():
     # budget 1e-11 against a 2.5e-11 synthesis defect (ratio 2.48)
     lab = Labels(u0=2j, r=0.7, theta=math.pi)
     qs = np.linspace(-6.0, 6.0, 129)
-    assert verify.synthesis_ratio(lab, Constants(), 128, qs) <= 1.0
+    amps = fock.saturating_state(lab, 256, tail_bound=math.inf).amps
+    assert verify.synthesis_ratio(lab, Constants(), amps, qs) <= 1.0
 
 
 def test_bound_overrides():
