@@ -196,11 +196,21 @@ def derived_angles(
     c: Constants = Constants(),
 ) -> DerivedAngles:
     """All angular quantities of a consistent (labels, moments) pair."""
-    phi = math.atan(m.corr / c.hbar)
+    t = m.corr / c.hbar
+    phi = math.atan(t)
     sx = m.dq / c.ell0
     sy = c.ell0 * m.dp / c.hbar
-    rho_plus = math.sqrt(0.5 * (sy**2 + sx**2 + 1.0))
-    rho_minus = math.sqrt(max(0.0, 0.5 * (sy**2 + sx**2 - 1.0)))
+    s2 = sy**2 + sx**2
+    rho_plus = math.sqrt(0.5 * (s2 + 1.0))
+    if s2 >= 2.0:
+        rho_minus = math.sqrt(0.5 * (s2 - 1.0))
+    else:
+        # s2 - 1 cancels at small r.  Saturating moments have 2 sx sy =
+        # sqrt(1 + t^2), so s2 - 1 = (sx - sy)^2 + t^2/(1 + sqrt(1 + t^2)).
+        # (Past s2 = 2 the direct form loses at most one bit, while this one
+        # would carry the rounding of a small sy against a large sx.)
+        rho_minus = math.sqrt(0.5 * ((sx - sy) ** 2
+                                     + t * t / (1.0 + math.hypot(1.0, t))))
     cphi, sphi = math.cos(phi), math.sin(phi)
     theta_plus = math.atan2(sphi * sx, sy + cphi * sx)
     if rho_minus > 1e-14:
@@ -274,6 +284,7 @@ def squeezed_frame_label(u0: complex, z: complex) -> complex:
 
     u0(z) = cosh(r) (u0 - zeta conj(u0)) with zeta = e^{i theta} tanh r;
     it is the eigenvalue of the squeezed annihilator on the state (u0, z).
+    u0 may also be a NumPy array of labels, mapped elementwise with one z.
     """
     ch, _, zeta = squeeze_frame(z)
     return ch * (u0 - zeta * u0.conjugate())

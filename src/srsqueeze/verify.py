@@ -705,15 +705,49 @@ def _plane_states(spec: quadmod.QuadratureSpec, order: int, z: complex,
                   dim: int):
     """The plane rule of spec at order, rotated into the squeeze axes of z.
 
-    Returns the nodes us, their total weights tw and the (dim, nodes)
-    amplitudes psi[:, i] = <m|D(us[i]) S(z)|0>.  A fixed-z projector sum
-    sum_i w_i |psi_i><psi_i| is then the one product (psi * w) @ psi^dagger.
+    Returns all size nodes us, their total weights tw and the amplitudes
+    psi[:, i] = <m|D(us[i]) S(z)|0> of the first (size + 1)//2 nodes, a
+    (dim, (size + 1)//2) array.  The centred rule is antisymmetric,
+    us[size-1-i] = -us[i] and tw[size-1-i] = tw[i] exactly, and
+    |-u, z> = (-1)^N |u, z> exactly in the two-photon recurrence, so
+    _projector(psi, w) gives every fixed-z projector sum
+    sum_i w_i |psi_i><psi_i| from these columns.
     """
+    if spec.center != (0.0, 0.0):
+        raise ValueError(f"the parity fold needs a centred plane rule, "
+                         f"got center {spec.center}")
     z = complex(z)
     rot = cmath.exp(0.5j * cmath.phase(z)) if z != 0 else 1.0
     u, tw = quadmod._plane_nodes(order, spec)
     us = rot * u
-    return us, tw, fock.saturating_state_batch(us, z, dim)
+    half = (us.size + 1) // 2
+    return us, tw, fock.saturating_state_batch(us[:half], z, dim)
+
+
+def _projector(psi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w_i |psi_i><psi_i| over all nodes of a _plane_states rule.
+
+    psi holds the first (size+1)//2 nodes; w has one weight per node.  Node
+    i and its partner size-1-i = -u_i add w_i + w_partner to the entries
+    whose levels have equal parity and w_i - w_partner to the others.  An
+    odd rule's centre u = 0 is its own partner and has only even levels.
+    Each parity block is one product (psi[p::2] f) @ psi[q::2]^dagger, and
+    a block whose folded weights are all zero is skipped.
+    """
+    dim, half = psi.shape
+    partner = w[::-1][:half]
+    folds = (w[:half] + partner, w[:half] - partner)
+    if w.size % 2:
+        folds[0][-1] = w[half - 1]
+        folds[1][-1] = 0.0
+    conj = psi.conj()
+    out = np.zeros((dim, dim), dtype=complex)
+    for p in (0, 1):
+        for q in (0, 1):
+            f = folds[(p + q) % 2]
+            if f.any():
+                out[p::2, q::2] = (psi[p::2] * f) @ conj[q::2].T
+    return out
 
 
 def resolution_of_identity(z: complex, dim_check: int, cfg: VerifyConfig,
@@ -730,7 +764,7 @@ def resolution_of_identity(z: complex, dim_check: int, cfg: VerifyConfig,
     sums = []
     for m in (n, 2 * n):
         _, tw, psi = _plane_states(spec, m, z, dim_check)
-        sums.append((psi * tw) @ psi.conj().T)
+        sums.append(_projector(psi, tw))
     coarse, fine = sums
     est = float(np.max(np.abs(fine - coarse)))
     dev = float(np.max(np.abs(fine - np.eye(dim_check))))
@@ -763,7 +797,7 @@ def mu_weighted_identity(cfg: VerifyConfig) -> CheckResult:
         for i, z in enumerate(zs):
             order = min(112, 2 * (24 + math.ceil(16 * abs(z))))
             _, tw, psi = _plane_states(_roi_spec(z, order), order, z, dim_check)
-            out[i] = (psi * tw) @ psi.conj().T
+            out[i] = _projector(psi, tw)
         return out
 
     spec = quadmod.QuadratureSpec(
@@ -1092,12 +1126,11 @@ def _check_diag_kernel(cfg):
         z = complex(z)
         az = fock.squeezed_annihilator(z, dim)
         us, tw, psi = _plane_states(_roi_spec(z, order=96), 96, z, dim)
-        wz = np.array([squeezed_frame_label(uu, z) for uu in us])
+        wz = squeezed_frame_label(us, z)
         for name in ("I", "N", "Q", "P", "Q2", "P2", "QP"):
             op = kernels.quadrature_observable(name, z, c)
             kern = kernels.diagonal_kernel(op, z)
-            weights = kern.evaluate(wz) * tw
-            rec = (psi * weights) @ psi.conj().T
+            rec = _projector(psi, kern.evaluate(wz) * tw)
             direct = op.to_matrix(az)
             err = float(np.max(np.abs(rec[:block, :block]
                                       - direct[:block, :block])))

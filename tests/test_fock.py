@@ -232,6 +232,22 @@ def test_batch_per_node_squeeze_is_exact():
         assert np.array_equal(batch[:, k], single)
 
 
+@pytest.mark.parametrize("z", [0.0, 0.5, 0.8 * cmath.exp(1j * math.pi / 3),
+                               1.1 * cmath.exp(-2j), "per-node"])
+def test_batch_negated_nodes_are_exact_parity_images(z):
+    # |-u, z> = (-1)^N |u, z> holds bit for bit in the recurrence; the plane
+    # projector sums fold each node with its negative on this
+    rng = np.random.Generator(np.random.Philox(11))
+    us = rng.normal(size=40) * 2 + 1j * rng.normal(size=40) * 2
+    if z == "per-node":
+        z = 0.9 * rng.random(40) * np.exp(2j * math.pi * rng.random(40))
+    dim = 48
+    plus = fock.saturating_state_batch(us, z, dim)
+    minus = fock.saturating_state_batch(-us, z, dim)
+    sign = (-1.0) ** np.arange(dim)
+    assert np.array_equal(minus, sign[:, None] * plus)
+
+
 def test_batch_squeeze_count_must_match():
     us = np.array([0j, 1.0, 1j])
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -203,6 +204,29 @@ def test_derived_angles_frozen_point():
     assert m.dq == pytest.approx(1.669674503459752307928, rel=1e-14)
     assert m.dp == pytest.approx(0.9871082734837455701428, rel=1e-14)
     assert m.corr == pytest.approx(3.140953249175508260951, rel=1e-14)
+
+
+@pytest.mark.parametrize("r", [0.0, 1.6e-8, 1e-4, 1e-2, 1.2, 8.0])
+@pytest.mark.parametrize("theta", [0.0, math.pi / 3, math.pi / 2, math.pi, -2.0])
+def test_rho_minus_vs_mpmath(r, theta):
+    # rho_minus = sinh r, judged in 4 ulp of its condition with respect to
+    # the moments it reads: rho = sqrt(((sx - sy)^2 + sqrt(1 + t^2) - 1)/2)
+    # on saturating moments, whose partials in sx and sy are bounded by
+    # 1/sqrt(2) (their limit at r = 0)
+    lab = Labels(u0=0.5 + 0.5j, r=r, theta=theta)
+    got = derived_angles(lab, labels_to_moments(lab, C), C).rho_minus
+    with mpmath.workdps(60):
+        rr, th = mpmath.mpf(r), mpmath.mpf(theta)
+        ch, sh = mpmath.cosh(rr), mpmath.sinh(rr)
+        sx = abs(ch + mpmath.expj(-th) * sh) / mpmath.sqrt(2)
+        sy = abs(ch - mpmath.expj(th) * sh) / mpmath.sqrt(2)
+        t = mpmath.sin(th) * mpmath.sinh(2 * rr)
+        if sh == 0:
+            cond = (sx + sy) / mpmath.sqrt(2)
+        else:
+            cond = (sh + (sx + sy) * abs(sx - sy) / (2 * sh)
+                    + t * t / (4 * sh * mpmath.sqrt(1 + t * t)))
+        assert abs(got - sh) <= 4 * 2.0**-52 * cond
 
 
 @pytest.mark.parametrize("lab", GRID)

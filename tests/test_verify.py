@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srsqueeze import fock, verify
-from srsqueeze.params import Constants, Labels
+from srsqueeze import fock, kernels, verify
+from srsqueeze import quadrature as quadmod
+from srsqueeze.params import Constants, Labels, squeezed_frame_label
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +107,8 @@ def test_resolution_of_identity_blocks(cfg):
 
 
 def test_resolution_of_identity_peak_memory(cfg):
-    # each projector sum is one (psi * w) @ psi^dagger product, so the peak
-    # is a few (levels x nodes) amplitude batches, about 9 MB here
+    # each projector sum folds half-node amplitude batches by parity, so the
+    # peak is a few (levels x nodes) batches
     z = 0.8 * cmath.exp(1j * math.pi / 3)
     tracemalloc.start()
     try:
@@ -116,6 +117,48 @@ def test_resolution_of_identity_peak_memory(cfg):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("order", range(2, 186))
+def test_centred_plane_rule_is_exactly_antisymmetric(order):
+    spec = quadmod.QuadratureSpec(quadmod.QuadKind.TENSOR_GAUSS_HERMITE_2D, 2,
+                                  scale=(1.3 * math.exp(0.7), 1.3 * math.exp(-0.7)))
+    u, tw = quadmod._plane_nodes(order, spec)
+    assert np.array_equal(u[::-1], -u)
+    assert np.array_equal(tw[::-1], tw)
+
+
+def _assert_fold_matches_full_sum(us, z, psi, w):
+    # both sides round the same sum: entrywise within a few eps times the
+    # sum of the magnitudes of its terms
+    full = fock.saturating_state_batch(us, z, psi.shape[0])
+    ref = (full * w) @ full.conj().T
+    scale = (np.abs(full) * np.abs(w)) @ np.abs(full).T
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(verify._projector(psi, w) - ref) <= 16 * eps * scale)
+
+
+@pytest.mark.parametrize("order", [2, 7, 8, 41, 48])
+@pytest.mark.parametrize("dim", [1, 2, 16, 32])
+@pytest.mark.parametrize("z", [0.0, 0.4, 0.8 * cmath.exp(1j * math.pi / 3)])
+def test_projector_fold_matches_full_sum(order, dim, z):
+    us, tw, psi = verify._plane_states(verify._roi_spec(z, order), order, z, dim)
+    assert psi.shape == (dim, (us.size + 1) // 2)
+    _assert_fold_matches_full_sum(us, z, psi, tw)
+    # diagonal-kernel weights of Q are odd in u, so the opposite-parity
+    # fold carries them
+    q_op = kernels.quadrature_observable("Q", z, Constants())
+    kern = kernels.diagonal_kernel(q_op, z)
+    w = kern.evaluate(squeezed_frame_label(us, z)) * tw
+    assert np.max(np.abs(w + w[::-1])) <= 1e-12 * np.max(np.abs(w))
+    _assert_fold_matches_full_sum(us, z, psi, w)
+
+
+def test_plane_states_need_a_centred_rule():
+    spec = quadmod.QuadratureSpec(quadmod.QuadKind.TENSOR_GAUSS_HERMITE_2D, 8,
+                                  center=(0.5, 0.0))
+    with pytest.raises(ValueError):
+        verify._plane_states(spec, 8, 0.3, 4)
 
 
 def test_mu_weighted_identity_narrow_measure():
