@@ -173,36 +173,41 @@ def displacement(u0: complex, dim: int) -> np.ndarray:
     The normal-ordered product collapses, entry by entry, to a single finite
     sum: an associated Laguerre polynomial in |u0|^2 times a log-scaled
     prefactor.  Evaluating that sum through the Laguerre recurrence (one
-    sweep per diagonal, vectorized across diagonals) avoids the huge
+    sweep over the degree, vectorized across orders) avoids the huge
     cancelling intermediates the raw triangular-matrix product produces at
-    large (m, n).  Unitary on the upper-left block where columns have
-    converged within the truncation.
+    large (m, n); entry (m, n) reads order |m - n| at degree min(m, n).
+    Unitary on the upper-left block where columns have converged within
+    the truncation.
     """
     _check_dim(dim)
     u0 = complex(u0)
     if u0 == 0:
         return np.eye(dim, dtype=complex)
     x = abs(u0) ** 2
-    # laguerre[k, n] = L_n^{(k)}(x) for all diagonals k at once
-    lag = np.zeros((dim, dim))
+    # lag[n, k] = L_n^{(k)}(x) for all orders k at once; the recurrence's
+    # coefficients at degree n are alpha[n] and beta[n]
     kvec = np.arange(dim, dtype=float)
-    lag[:, 0] = 1.0
-    if dim > 1:
-        lag[:, 1] = 1.0 + kvec - x
+    nvec = np.arange(dim)[:, None]
+    alpha = 2 * nvec + 1 + kvec - x
+    beta = nvec + kvec
+    lag = np.empty((dim, dim))
+    lag[0] = 1.0
+    lag[1] = alpha[0]
     for n in range(1, dim - 1):
-        lag[:, n + 1] = ((2 * n + 1 + kvec - x) * lag[:, n]
-                         - (n + kvec) * lag[:, n - 1]) / (n + 1)
+        lag[n + 1] = (alpha[n] * lag[n] - beta[n] * lag[n - 1]) / (n + 1)
     lg = _lgfact(dim - 1)
+    levels = np.arange(dim)
+    diff = levels[:, None] - levels[None, :]
+    order = np.abs(diff)
+    degree = np.minimum(levels[:, None], levels[None, :])
+    mag = np.exp(-0.5 * x + order * math.log(abs(u0))
+                 + 0.5 * (lg[degree] - lg[degree + order])) \
+        * lag[degree, order]
+    # <m|D|n> carries phase^(m-n) below the diagonal, (-conj phase)^(n-m) above
     phase = u0 / abs(u0)
-    out = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        n = np.arange(dim - k)
-        mag = np.exp(-0.5 * x + k * math.log(abs(u0))
-                     + 0.5 * (lg[n] - lg[n + k])) * lag[k, :dim - k]
-        out[n + k, n] = phase**k * mag
-        if k:
-            out[n, n + k] = (-np.conj(phase))**k * mag
-    return out
+    powers = [(-np.conj(phase))**k for k in range(dim - 1, 0, -1)] \
+        + [phase**k for k in range(dim)]
+    return np.array(powers)[diff + dim - 1] * mag
 
 
 def displacement_exp(u0: complex, dim: int, inner_dim: int | None = None) -> np.ndarray:
@@ -297,16 +302,18 @@ def _squeeze_product(z: complex, dim: int, reverse: bool) -> np.ndarray:
 def squeeze_factored(z: complex, dim: int) -> np.ndarray:
     """S(z) as exp(zeta a^dag^2/2) exp(ln(1-|zeta|^2)(a^dag a + 1/2)/2) exp(-conj(zeta) a^2/2).
 
-    zeta = e^{i theta} tanh r.  In exact arithmetic every entry with
-    (m, n) < dim is truncation-exact (the left factor only lowers, the right
-    only raises), but each is a sum whose terms grow with the levels and
-    cancel.  The products run in extended precision, which converges only
-    on a fixed upper-left block whatever dim is: against squeeze_exp the
-    entries with m, n < 64 agree to about 3e-11 for r <= 1.2, and at r = 0.25
-    those below about 125 to 1e-9.  Past that block they are cancellation noise,
-    about 1e17 at [255, 255] for dim = 256 and r = 1, where a unitary's
-    entries are at most 1.  The checks read only blocks inside it (at most
-    the upper-left 64 x 64 at dim = 128).
+    zeta = e^{i theta} tanh r.  Every entry with (m, n) < dim is
+    truncation-exact (the left factor only lowers, the right only raises,
+    so each sum stops at min(m, n)): squeeze_factored(z, b) is
+    squeeze_factored(z, dim)[:b, :b] bit for bit.  But each entry is a sum
+    whose terms grow with the levels and cancel.  The products run in
+    extended precision, which converges only on a fixed upper-left block
+    whatever dim is: against squeeze_exp the entries with m, n < 64 agree
+    to about 3e-11 for r <= 1.2, and at r = 0.25 those below about 125 to
+    1e-9.  Past that block they are cancellation noise, about 1e17 at
+    [255, 255] for dim = 256 and r = 1, where a unitary's entries are at
+    most 1.  The checks read only entries inside it: the comparison with
+    squeeze_exp builds it at dim = 64, the block it compares.
     """
     return _squeeze_product(z, dim, reverse=False)
 
@@ -326,6 +333,18 @@ def squeezed_annihilator(z: complex, dim: int) -> np.ndarray:
     a, adag = ladder(dim)
     ch, s, _ = squeeze_frame(z)
     return ch * a - s * adag
+
+
+def _log_c0(us, ubar, zeta, log_ch):
+    """ln <0|D(u) S(z)|0> = -|u|^2/2 + zeta conj(u)^2/2 - ln(cosh r)/2."""
+    return -0.5 * (us * ubar).real + 0.5 * zeta * ubar * ubar - 0.5 * log_ch
+
+
+def vacuum_log_amplitude(us, z: complex) -> np.ndarray:
+    """ln <0|D(u) S(z)|0> for each u: the exponent of c_0 in the recurrence."""
+    us = np.asarray(us, dtype=complex).ravel()
+    ch, _, zeta = squeeze_frame(z)
+    return _log_c0(us, np.conj(us), zeta, math.log(ch))
 
 
 def _state_amplitudes(us, z, dim: int) -> np.ndarray:
@@ -354,8 +373,7 @@ def _state_amplitudes(us, z, dim: int) -> np.ndarray:
     ubar = np.conj(us)
     beta = us - zeta * ubar
     out = np.empty((dim, us.size), dtype=complex)
-    out[0] = np.exp(-0.5 * (us * ubar).real + 0.5 * zeta * ubar * ubar
-                    - 0.5 * log_ch)
+    out[0] = np.exp(_log_c0(us, ubar, zeta, log_ch))
     if dim > 1:
         out[1] = beta * out[0]
     for m in range(1, dim - 1):

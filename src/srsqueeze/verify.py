@@ -461,17 +461,27 @@ def _check_unitarity(cfg):
 
 @register("fock.squeeze_factored_vs_exp")
 def _check_squeeze_vs_exp(cfg):
-    n = cfg.fock_dim
+    """Factored squeeze against the exponential on the upper-left N/2 block.
+
+    The normal-order product is truncation-exact, so both sides are built
+    at the block size.  The exponential is diagonalized once per r; each
+    theta follows from the exact number rotation
+    S(r e^{i theta}) = e^{i theta N/2} S(r) e^{-i theta N/2}.
+    """
+    b = cfg.fock_dim // 2
+    levels = np.arange(b)
     worst, wpt = 0.0, None
     for r in (0.25, 0.7, 1.0):
+        base = fock.squeeze_exp(r, b)
         for th in (0.0, math.pi / 3, math.pi):
             z = r * cmath.exp(1j * th)
-            diff = fock.squeeze_factored(z, n) - fock.squeeze_exp(z, n)
-            d = fock.top_block_norm(diff, n // 2)
+            rot = np.exp(0.5j * th * levels)
+            exact = (rot[:, None] * base) * rot.conj()
+            d = fock.top_block_norm(fock.squeeze_factored(z, b) - exact, b)
             if d > worst:
                 worst, wpt = d, z
     return [_result(cfg, "fock.squeeze_factored_vs_exp", worst,
-                    {"worst_at_z": repr(wpt), "block": n // 2})]
+                    {"worst_at_z": repr(wpt), "block": b})]
 
 
 @register("fock.squeeze_dual_order")
@@ -484,16 +494,18 @@ def _check_squeeze_dual(cfg):
     before the alternating tail takes over).  The Fock comparison therefore
     stays at r <= 0.4 on a 16x16 block; the identity for every r is
     checked exactly in the defining representation
-    (bch.su11_defining_rep).
+    (bch.su11_defining_rep).  The reversed product is not truncation-exact,
+    so it is built at the full dimension; the exponential only at 16.
     """
     n = cfg.fock_dim
+    block = 16
     worst = 0.0
     for r in (0.2, 0.3, 0.4):
         for th in (0.0, math.pi / 3):
             z = r * cmath.exp(1j * th)
-            diff = fock.squeeze_factored_reversed(z, n) \
-                - fock.squeeze_exp(z, n)
-            worst = max(worst, fock.top_block_norm(diff, 16))
+            diff = fock.squeeze_factored_reversed(z, n)[:block, :block] \
+                - fock.squeeze_exp(z, block)
+            worst = max(worst, fock.top_block_norm(diff, block))
     return [_result(cfg, "fock.squeeze_dual_order", worst)]
 
 
@@ -701,6 +713,14 @@ def _roi_spec(z: complex, order: int | None = None,
         scale=(1.3 * math.exp(r), 1.3 * math.exp(-r)), rel_tol=rel_tol)
 
 
+def _rotated_nodes(spec: quadmod.QuadratureSpec, order: int, z: complex):
+    """Nodes and weights of spec's plane rule at order, in z's squeeze axes."""
+    z = complex(z)
+    rot = cmath.exp(0.5j * cmath.phase(z)) if z != 0 else 1.0
+    u, tw = quadmod._plane_nodes(order, spec)
+    return rot * u, tw
+
+
 def _plane_states(spec: quadmod.QuadratureSpec, order: int, z: complex,
                   dim: int):
     """The plane rule of spec at order, rotated into the squeeze axes of z.
@@ -716,10 +736,7 @@ def _plane_states(spec: quadmod.QuadratureSpec, order: int, z: complex,
     if spec.center != (0.0, 0.0):
         raise ValueError(f"the parity fold needs a centred plane rule, "
                          f"got center {spec.center}")
-    z = complex(z)
-    rot = cmath.exp(0.5j * cmath.phase(z)) if z != 0 else 1.0
-    u, tw = quadmod._plane_nodes(order, spec)
-    us = rot * u
+    us, tw = _rotated_nodes(spec, order, z)
     half = (us.size + 1) // 2
     return us, tw, fock.saturating_state_batch(us[:half], z, dim)
 
@@ -756,11 +773,27 @@ def resolution_of_identity(z: complex, dim_check: int, cfg: VerifyConfig,
 
     The projector sum is taken at the rule's order n and at 2n; the fine
     sum is measured against the identity, and the largest entry of
-    fine - coarse is the quadrature error estimate.
+    fine - coarse is the quadrature error estimate.  Raises BadSpec when
+    c_0 = <0|D(u) S(z)|0> is not a finite float at some node: at complex z
+    the rounding of its exponent's cancelling terms of size e^{2r} can
+    exceed the float range from |z| of about 20.
     """
     t0 = time.perf_counter()
     spec = _roi_spec(z, order)
     n = spec.order_or_nodes
+    for m in (n, 2 * n):
+        rows = _rotated_nodes(spec, m, z)[0].reshape(m, m)
+        # 16 rows of the m x m tensor rule at a time keep the temporaries
+        # small: arrays over the whole rule raised the process's peak memory
+        with np.errstate(all="ignore"):
+            finite = all(np.isfinite(np.exp(
+                fock.vacuum_log_amplitude(rows[i:i + 16], z))).all()
+                for i in range(0, m, 16))
+        if not finite:
+            raise quadmod.BadSpec(
+                f"at |z| = {abs(z):g}, arg z = {cmath.phase(z):g} the state "
+                f"amplitude c_0 overflows at nodes of the order-{m} plane "
+                f"rule")
     sums = []
     for m in (n, 2 * n):
         _, tw, psi = _plane_states(spec, m, z, dim_check)
@@ -1085,7 +1118,7 @@ def _check_matrix_element(cfg):
     for zeta2, u, zeta1 in cases:
         left = fock._exp_adag2_lower(zeta2 / 2.0, dim).conj().T
         right = fock._exp_adag2_lower(zeta1 / 2.0 + 0j, dim)
-        val_f = (left @ fock.displacement(u, dim) @ right)[0, 0]
+        val_f = left[0] @ fock.displacement(u, dim) @ right[:, 0]
         val_c = kernels.general_matrix_element(zeta2, u, zeta1)
         worst = max(worst, abs(val_f - val_c))
     return [_result(cfg, "kernels.matrix_element_vs_fock", worst)]

@@ -98,6 +98,8 @@ def test_moments_bad_input_is_usage_error(capsys, argv):
     ("resolve-identity", "--z", "0.5", "--dim-check", "4", "--order", "200"),
     ("resolve-identity", "--z", "400", "--dim-check", "4"),
     ("resolve-identity", "--z", "800", "--dim-check", "4"),
+    # c_0 overflows at outer nodes; no RuntimeWarning escapes the guard
+    ("resolve-identity", "--z", "20@0.7", "--dim-check", "4"),
     ("resolve-identity", "--z", "0.5", "--dim-check", "0"),
     ("overlap", "--oracle", "fock", "--fock-dim", "0"),
     ("overlap", "--oracle", "fock", "--fock-dim", "1"),
@@ -313,6 +315,15 @@ def test_resolve_identity_unconverged_exit(capsys):
     code, out, _ = run_cli(capsys, "resolve-identity", "--z", "1.2",
                            "--dim-check", "16", "--order", "3")
     assert code == cli.EXIT_NOT_CONVERGED
+
+
+def test_resolve_identity_finite_amplitudes_at_large_r_fail_the_bound(capsys):
+    # c_0 stays finite at every node here (it overflows from |z| of about
+    # 20 at this angle, a usage error), so the check runs and misses
+    code, out, _ = run_cli(capsys, "resolve-identity", "--z", "12@0.7",
+                           "--dim-check", "4")
+    assert code == 1
+    assert json.loads(out)["passed"] is False
 
 
 def test_config_file_defaults(capsys, tmp_path):

@@ -84,6 +84,73 @@ def test_displacement_unitary_on_converged_block():
     assert np.max(np.abs(gram[:32, :32] - np.eye(32))) < 1e-11
 
 
+def _diagonal_loop_displacement(u0, dim):
+    # the Laguerre closed form filled one diagonal at a time, with the
+    # recurrence stored as lag[k, n] = L_n^{(k)}(x)
+    u0 = complex(u0)
+    x = abs(u0) ** 2
+    lag = np.zeros((dim, dim))
+    kvec = np.arange(dim, dtype=float)
+    lag[:, 0] = 1.0
+    lag[:, 1] = 1.0 + kvec - x
+    for n in range(1, dim - 1):
+        lag[:, n + 1] = ((2 * n + 1 + kvec - x) * lag[:, n]
+                         - (n + kvec) * lag[:, n - 1]) / (n + 1)
+    lg = gammaln(np.arange(dim, dtype=float) + 1.0)
+    phase = u0 / abs(u0)
+    out = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim):
+        n = np.arange(dim - k)
+        mag = np.exp(-0.5 * x + k * math.log(abs(u0))
+                     + 0.5 * (lg[n] - lg[n + k])) * lag[k, :dim - k]
+        out[n + k, n] = phase**k * mag
+        if k:
+            out[n, n + k] = (-np.conj(phase))**k * mag
+    return out
+
+
+DISPLACEMENTS = [1e-3, 0.5, 2j, 1 + 1j, -0.5 + 0.2j]
+
+
+@pytest.mark.parametrize("u0", DISPLACEMENTS)
+@pytest.mark.parametrize("dim", [2, 3, 16, 128])
+def test_displacement_equals_diagonal_loop(u0, dim):
+    assert np.array_equal(fock.displacement(u0, dim),
+                          _diagonal_loop_displacement(u0, dim))
+
+
+@pytest.mark.parametrize("u0", DISPLACEMENTS)
+@pytest.mark.parametrize("block", [2, 8, 64])
+def test_displacement_block_is_truncation_exact(u0, block):
+    assert np.array_equal(fock.displacement(u0, block),
+                          fock.displacement(u0, 2 * block)[:block, :block])
+
+
+@pytest.mark.parametrize("r", [0.25, 0.7, 1.0])
+@pytest.mark.parametrize("theta", [0.0, math.pi / 3, math.pi])
+def test_squeeze_factored_block_is_truncation_exact(r, theta):
+    z = r * cmath.exp(1j * theta)
+    assert np.array_equal(fock.squeeze_factored(z, 64),
+                          fock.squeeze_factored(z, 128)[:64, :64])
+
+
+@pytest.mark.parametrize("r", [0.2, 0.7, 1.2])
+@pytest.mark.parametrize("theta", [math.pi / 3, math.pi, -2.0])
+def test_squeeze_exp_phase_is_number_rotation(r, theta):
+    # S(r e^{i theta}) = e^{i theta N/2} S(r) e^{-i theta N/2}
+    rot = np.exp(0.5j * theta * np.arange(64))
+    rotated = (rot[:, None] * fock.squeeze_exp(r, 64)) * rot.conj()
+    got = fock.squeeze_exp(r * cmath.exp(1j * theta), 64)
+    assert np.max(np.abs(got - rotated)) < 1e-14
+
+
+@pytest.mark.parametrize("z", [0.2, 0.7 * cmath.exp(1j * math.pi / 3),
+                               1.2 * cmath.exp(-2j)])
+def test_squeeze_exp_block_is_independent_of_dim(z):
+    got = fock.squeeze_exp(z, 64)
+    assert np.max(np.abs(got - fock.squeeze_exp(z, 128)[:64, :64])) < 1e-14
+
+
 def test_squeeze_exp_identity_and_parity():
     s = fock.squeeze_exp(0.0, 32)
     assert np.array_equal(s, np.eye(32))
