@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (Constants, Labels, Moments, lambda0, squeeze_frame,
-                     squeeze_zeta)
+from .params import (Constants, Labels, Moments, lambda0, squeeze_axes,
+                     squeeze_frame, squeeze_zeta)
 
 DEFAULT_TAIL_BOUND = 1e-10
 
@@ -335,24 +335,69 @@ def squeezed_annihilator(z: complex, dim: int) -> np.ndarray:
     return ch * a - s * adag
 
 
-def _log_c0(us, ubar, zeta, log_ch):
-    """ln <0|D(u) S(z)|0> = -|u|^2/2 + zeta conj(u)^2/2 - ln(cosh r)/2."""
-    return -0.5 * (us * ubar).real + 0.5 * zeta * ubar * ubar - 0.5 * log_ch
+def _half_turn(z: complex) -> tuple:
+    """(cos(theta/2), sin(theta/2)) of z = r e^{i theta}, theta in (-pi, pi].
+
+    In extended precision from z itself: a rotation by the rounded theta
+    would move a label u by |u| eps theta.
+    """
+    a, b = np.longdouble(z.real), np.longdouble(z.imag)
+    rho = np.hypot(a, b)
+    if a >= 0:
+        c = np.sqrt((rho + a) / (2 * rho))
+        return c, b / (2 * rho * c)
+    s = np.copysign(np.sqrt((rho - a) / (2 * rho)), b)
+    return b / (2 * rho * s), s
 
 
-def vacuum_log_amplitude(us, z: complex) -> np.ndarray:
-    """ln <0|D(u) S(z)|0> for each u: the exponent of c_0 in the recurrence."""
-    us = np.asarray(us, dtype=complex).ravel()
-    ch, _, zeta = squeeze_frame(z)
-    return _log_c0(us, np.conj(us), zeta, math.log(ch))
+def _frame_params(z):
+    """(tanh r, 1 - tanh r, 1 + tanh r, ln cosh r, cos(theta/2), sin(theta/2), theta).
+
+    Of z = r e^{i theta}, or of each z in an array, for which each parameter
+    is an array.  theta is 0 on the real axis's non-negative half, -0.0 and
+    a -0.0 imaginary part included.
+    """
+    if np.ndim(z) == 0:
+        z = complex(z)
+        if z.imag == 0 and z.real >= 0:
+            return (*squeeze_axes(z.real), 1.0, 0.0, 0.0)
+        return (*squeeze_axes(abs(z)), *_half_turn(z),
+                math.atan2(z.imag, z.real))
+    zs, where = np.unique(np.asarray(z, dtype=complex).ravel(),
+                          return_inverse=True)
+    cols = zip(*(_frame_params(zz) for zz in zs))
+    return tuple(np.array(col)[where] for col in cols)
+
+
+def _frame_start(us, t, omt, opt, log_ch, c, s, theta):
+    """beta and c_0 of the recurrence for the labels x + iy = e^{-i theta/2} us."""
+    x, y = us.real, us.imag
+    if np.any(theta != 0):
+        # the exponent of c_0 reaches t |u|^2/2, so rounding x and y to
+        # doubles would cost t |u|^2 eps in it; rotated and summed in
+        # extended precision, only the rounding of t and of the sum is left
+        x, y = x.astype(np.longdouble), y.astype(np.longdouble)
+        x, y = x * c + y * s, y * c - x * s
+    bx, by = x * omt, y * opt
+    beta = bx.astype(float, copy=False) + 1j * by.astype(float, copy=False)
+    log_c0 = -0.5 * (x * bx + y * by) - 0.5 * log_ch
+    phase = (t * x) * y
+    return beta, np.exp(log_c0.astype(float, copy=False)
+                        - 1j * phase.astype(float, copy=False))
 
 
 def _state_amplitudes(us, z, dim: int) -> np.ndarray:
     """<m|D(u) S(z)|0> for m < dim, one column per u, by the two-photon recurrence.
 
-    With zeta = e^{i theta} tanh r and beta = u - zeta conj(u) (Yuen 1976):
-        c_0     = (cosh r)^{-1/2} exp(-|u|^2/2 + zeta conj(u)^2/2)
-        c_{m+1} = (beta c_m + sqrt(m) zeta c_{m-1}) / sqrt(m+1).
+    With z = r e^{i theta}, S(z) = R S(r) R^dag and D(u) = R D(x + iy) R^dag
+    for R = e^{i theta N/2} and x + iy = e^{-i theta/2} u, so row m is
+    e^{i m theta/2} times the amplitude at real squeeze r and label x + iy.
+    There, with t = tanh r and beta = x(1 - t) + iy(1 + t) (Yuen 1976):
+        c_0     = (cosh r)^{-1/2} exp(-(x^2(1 - t) + y^2(1 + t))/2 - i t x y)
+        c_{m+1} = (beta c_m + sqrt(m) t c_{m-1}) / sqrt(m+1).
+    This is the lab-frame c_0 = (cosh r)^{-1/2} exp(-|u|^2/2 + zeta conj(u)^2/2)
+    with its phase, but nothing in it cancels: the real exponent is
+    -(x Re beta + y Im beta)/2, a sum of two terms <= 0.
     z is one squeeze for every u, or an array of one squeeze per u; each
     node's amplitudes are bit-identical either way.
     The amplitudes are exact for every m < dim (no truncation enters), and
@@ -360,25 +405,29 @@ def _state_amplitudes(us, z, dim: int) -> np.ndarray:
     |c_0| <= 1, so far nodes underflow to zeros, never to NaN.
     """
     us = np.asarray(us, dtype=complex).ravel()
-    if np.ndim(z) == 0:
-        ch, _, zeta = squeeze_frame(z)
-        log_ch = math.log(ch)
-    else:
-        zs = np.asarray(z, dtype=complex).ravel()
-        if zs.size != us.size:
-            raise ValueError(f"{zs.size} squeezes for {us.size} displacements")
-        frames = [squeeze_frame(zz) for zz in zs]
-        zeta = np.array([f[2] for f in frames], dtype=complex)
-        log_ch = np.array([math.log(f[0]) for f in frames])
-    ubar = np.conj(us)
-    beta = us - zeta * ubar
+    if np.ndim(z) != 0 and np.size(z) != us.size:
+        raise ValueError(f"{np.size(z)} squeezes for {us.size} displacements")
+    params = _frame_params(z)
+    t, theta = params[0], params[-1]
     out = np.empty((dim, us.size), dtype=complex)
-    out[0] = np.exp(_log_c0(us, ubar, zeta, log_ch))
+    if np.ndim(z) == 0:
+        beta, out[0] = _frame_start(us, *params)
+    else:
+        # nodes at real z take the double path, as each does alone
+        beta = np.empty(us.size, dtype=complex)
+        turned = theta != 0
+        for sel in (turned, ~turned):
+            beta[sel], out[0, sel] = _frame_start(
+                us[sel], *(p[sel] for p in params))
     if dim > 1:
         out[1] = beta * out[0]
     for m in range(1, dim - 1):
-        out[m + 1] = (beta * out[m] + math.sqrt(m) * zeta * out[m - 1]) \
+        out[m + 1] = (beta * out[m] + math.sqrt(m) * t * out[m - 1]) \
             / math.sqrt(m + 1)
+    if np.any(theta != 0):
+        # one row of phases per distinct squeeze angle, gathered per node
+        angles, where = np.unique(np.atleast_1d(theta), return_inverse=True)
+        out *= np.exp(0.5j * np.multiply.outer(np.arange(dim), angles))[:, where]
     return out
 
 

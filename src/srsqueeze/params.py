@@ -248,6 +248,19 @@ def squeeze_zeta(r: float, ph: complex) -> complex:
     return ph * math.tanh(r)
 
 
+def squeeze_axes(r: float) -> tuple[float, float, float, float]:
+    """(tanh r, 1 - tanh r, 1 + tanh r, ln cosh r), none of them cancelling.
+
+    With q = e^{-2r}: 1 - tanh r = 2q/(1 + q), 1 + tanh r = 2/(1 + q) and
+    ln cosh r = r + ln(1 + q) - ln 2.  Each is accurate to a few ulps (ln
+    cosh r to a few eps absolute) while 1 - tanh r is a normal float, up to
+    r of about 354.5; cosh r itself overflows from r of about 710.
+    """
+    q = math.exp(-2.0 * r)
+    return (math.tanh(r), 2.0 * q / (1.0 + q), 2.0 / (1.0 + q),
+            r + math.log1p(q) - math.log(2.0))
+
+
 def squeeze_frame(z: complex) -> tuple[float, complex, complex]:
     """(cosh r, e^{i theta} sinh r, zeta = e^{i theta} tanh r) of z = r e^{i theta}.
 
@@ -266,17 +279,15 @@ def squeeze_frame(z: complex) -> tuple[float, complex, complex]:
 def thetabar(r: float, theta: float) -> tuple[float, float]:
     """(thetabar_plus, thetabar_minus): the phases of cosh r +- e^{i theta} sinh r.
 
-    Each is read on its continuous branch from the unit vector
-    (cosh r +- e^{i theta} sinh r)/(cosh 2r +- cos(theta) sinh 2r)^{1/2}.
+    atan2 needs no normalization, and the real parts are written without
+    cancellation: cosh r + cos(theta) sinh r = e^{-r} + 2 cos^2(theta/2) sinh r
+    and cosh r - cos(theta) sinh r = e^{-r} + 2 sin^2(theta/2) sinh r, both
+    positive, so each phase lies in (-pi/2, pi/2).
     """
-    chr_, shr = math.cosh(r), math.sinh(r)
-    ch2, sh2 = math.cosh(2 * r), math.sinh(2 * r)
-    den_p = math.sqrt(ch2 + math.cos(theta) * sh2)
-    den_m = math.sqrt(ch2 - math.cos(theta) * sh2)
-    return (math.atan2(math.sin(theta) * shr / den_p,
-                       (chr_ + math.cos(theta) * shr) / den_p),
-            math.atan2(-math.sin(theta) * shr / den_m,
-                       (chr_ - math.cos(theta) * shr) / den_m))
+    shr, emr = math.sinh(r), math.exp(-r)
+    im = math.sin(theta) * shr
+    return (math.atan2(im, emr + 2.0 * math.cos(0.5 * theta) ** 2 * shr),
+            math.atan2(-im, emr + 2.0 * math.sin(0.5 * theta) ** 2 * shr))
 
 
 def squeezed_frame_label(u0: complex, z: complex) -> complex:

@@ -32,6 +32,7 @@ from .params import (
     labels_to_moments,
     lambda0,
     moments_to_labels,
+    squeeze_axes,
 )
 
 STANDARD_U0 = (0j, 1 + 0j, 1 + 1j, 2j, -1.5 + 0.5j)
@@ -99,6 +100,7 @@ DEFAULT_BOUNDS = {
     "canary.missing_center_phase": 1.0,
     "canary.swapped_rho": 1.0,
     "canary.dropped_prefactor": 1.0,
+    "canary.unnormalized_vacuum": 1.0,
 }
 
 _CANARY_THRESHOLD = 1e-3
@@ -691,54 +693,60 @@ def _check_srur_positivity(cfg):
 # --------------------------------------------------- overcompleteness
 
 
-# Every state amplitude needs |u0|^2 at its node (fock._state_amplitudes).
-# The nodes of a Gauss-Hermite rule of order m lie inside sqrt(2m + 1), so
-# up to this |z| (about 351.3) the squared modulus of every node of a plane
-# rule of scale 1.3 e^r stays a finite float, at any order the rules support.
-_ROI_MAX_R = (0.5 * math.log(np.finfo(float).max)
-              - math.log(1.3 * math.sqrt(2 * quadmod._MAX_ORDER + 1)))
+# The frame rule scales its x nodes by (1 - tanh r)^{-1/2}; past this |z|
+# (about 354.5) 1 - tanh r = 2e^{-2r}/(1 + e^{-2r}) is no longer a normal
+# float, and the width leaves the float range with it.
+_FRAME_MAX_R = 0.5 * math.log(2.0 / np.finfo(float).tiny)
+
+# resolution_of_identity compares its order with the next one; like every
+# Gauss-Hermite spec it takes orders up to 185.
+_FRAME_MAX_ORDER = quadmod._MAX_ORDER // 2
 
 
-def _roi_spec(z: complex, order: int | None = None,
-              rel_tol: float = 1e-3) -> quadmod.QuadratureSpec:
-    r = abs(complex(z))
-    if r > _ROI_MAX_R:
-        raise quadmod.BadSpec(
-            f"|z| = {r:g} is past {_ROI_MAX_R:.1f}, where the squared modulus "
-            f"of the plane rule's outer nodes overflows")
-    if order is None:
-        order = min(72, 40 + math.ceil(16 * r))
-    return quadmod.QuadratureSpec(
-        quadmod.QuadKind.TENSOR_GAUSS_HERMITE_2D, order,
-        scale=(1.3 * math.exp(r), 1.3 * math.exp(-r)), rel_tol=rel_tol)
+def _plane_states(z: complex, order: int, dim: int):
+    """The Gauss-Hermite rule of order on the squeeze-frame widths of z.
 
+    In the frame of z = r e^{i theta} a label is x + iy = e^{-i theta/2} u,
+    and each projector entry <m|u, z><u, z|n> is exp(-x^2(1 - t)
+    - y^2(1 + t)) (t = tanh r) times a polynomial of degree <= m + n in x
+    and in y (fock._state_amplitudes).  The tensor rule on the widths
+    s_x = (1 - t)^{-1/2} and s_y = (1 + t)^{-1/2}, weighted s_x s_y/pi,
+    therefore integrates every entry with m + n <= 2 order - 1 exactly: the
+    whole dim x dim block once order >= dim.
 
-def _rotated_nodes(spec: quadmod.QuadratureSpec, order: int, z: complex):
-    """Nodes and weights of spec's plane rule at order, in z's squeeze axes."""
-    z = complex(z)
-    rot = cmath.exp(0.5j * cmath.phase(z)) if z != 0 else 1.0
-    u, tw = quadmod._plane_nodes(order, spec)
-    return rot * u, tw
-
-
-def _plane_states(spec: quadmod.QuadratureSpec, order: int, z: complex,
-                  dim: int):
-    """The plane rule of spec at order, rotated into the squeeze axes of z.
-
-    Returns all size nodes us, their total weights tw and the amplitudes
-    psi[:, i] = <m|D(us[i]) S(z)|0> of the first (size + 1)//2 nodes, a
-    (dim, (size + 1)//2) array.  The centred rule is antisymmetric,
-    us[size-1-i] = -us[i] and tw[size-1-i] = tw[i] exactly, and
-    |-u, z> = (-1)^N |u, z> exactly in the two-photon recurrence, so
+    Returns the frame nodes us = x + iy, their total weights tw and the
+    amplitudes psi[:, i] = <m|us[i], |z|> at the real squeeze |z| of the
+    first (size + 1)//2 nodes, a (dim, (size + 1)//2) array; _lab_block
+    turns a sum over them into the lab basis.  The centred rule is
+    antisymmetric, us[size-1-i] = -us[i] and tw[size-1-i] = tw[i] exactly,
+    and |-u, z> = (-1)^N |u, z> exactly in the two-photon recurrence, so
     _projector(psi, w) gives every fixed-z projector sum
     sum_i w_i |psi_i><psi_i| from these columns.
     """
-    if spec.center != (0.0, 0.0):
-        raise ValueError(f"the parity fold needs a centred plane rule, "
-                         f"got center {spec.center}")
-    us, tw = _rotated_nodes(spec, order, z)
+    r = abs(complex(z))
+    if r > _FRAME_MAX_R:
+        raise quadmod.BadSpec(
+            f"|z| = {r:g} is past {_FRAME_MAX_R:.1f}, where 1 - tanh|z| and "
+            f"the frame rule's width (1 - tanh|z|)^(-1/2) leave the float "
+            f"range")
+    _, omt, opt, _ = squeeze_axes(r)
+    frame = quadmod.QuadratureSpec(quadmod.QuadKind.TENSOR_GAUSS_HERMITE_2D,
+                                   scale=(omt ** -0.5, opt ** -0.5))
+    us, tw = quadmod._plane_nodes(order, frame)
     half = (us.size + 1) // 2
-    return us, tw, fock.saturating_state_batch(us[:half], z, dim)
+    return us, tw, fock.saturating_state_batch(us[:half], r, dim)
+
+
+def _lab_block(block: np.ndarray, z: complex) -> np.ndarray:
+    """D block D^dagger, D = diag(e^{i m theta/2}): a frame sum in the lab basis.
+
+    <m|u, z> = e^{i m theta/2} <m|e^{-i theta/2} u, |z|> for z = r e^{i theta}.
+    """
+    theta = cmath.phase(complex(z))
+    if theta == 0:
+        return block
+    d = np.exp(0.5j * theta * np.arange(block.shape[0]))
+    return (d[:, None] * block) * d.conj()
 
 
 def _projector(psi: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -767,38 +775,32 @@ def _projector(psi: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _identity_sum(z: complex, order: int, dim: int) -> np.ndarray:
+    """sum_i w_i |u_i, z><u_i, z| over the frame rule of order, in the lab basis.
+
+    The dim x dim identity block, to rounding, once order >= dim.
+    """
+    _, tw, psi = _plane_states(z, order, dim)
+    return _lab_block(_projector(psi, tw), z)
+
+
 def resolution_of_identity(z: complex, dim_check: int, cfg: VerifyConfig,
                            order: int | None = None) -> CheckResult:
     """Max deviation of the integrated projector from the identity block.
 
-    The projector sum is taken at the rule's order n and at 2n; the fine
-    sum is measured against the identity, and the largest entry of
-    fine - coarse is the quadrature error estimate.  Raises BadSpec when
-    c_0 = <0|D(u) S(z)|0> is not a finite float at some node: at complex z
-    the rounding of its exponent's cancelling terms of size e^{2r} can
-    exceed the float range from |z| of about 20.
+    The frame rule of _plane_states at order n (default dim_check) is exact
+    for the block once n >= dim_check, so the sum is measured against the
+    identity at order n + 1, and the largest entry of its difference from
+    the sum at order n is the quadrature error estimate: both are rounding
+    when n >= dim_check.  Raises BadSpec for an order outside 2..185 and
+    for |z| past _FRAME_MAX_R.
     """
     t0 = time.perf_counter()
-    spec = _roi_spec(z, order)
-    n = spec.order_or_nodes
-    for m in (n, 2 * n):
-        rows = _rotated_nodes(spec, m, z)[0].reshape(m, m)
-        # 16 rows of the m x m tensor rule at a time keep the temporaries
-        # small: arrays over the whole rule raised the process's peak memory
-        with np.errstate(all="ignore"):
-            finite = all(np.isfinite(np.exp(
-                fock.vacuum_log_amplitude(rows[i:i + 16], z))).all()
-                for i in range(0, m, 16))
-        if not finite:
-            raise quadmod.BadSpec(
-                f"at |z| = {abs(z):g}, arg z = {cmath.phase(z):g} the state "
-                f"amplitude c_0 overflows at nodes of the order-{m} plane "
-                f"rule")
-    sums = []
-    for m in (n, 2 * n):
-        _, tw, psi = _plane_states(spec, m, z, dim_check)
-        sums.append(_projector(psi, tw))
-    coarse, fine = sums
+    n = max(2, dim_check) if order is None else order
+    if not 2 <= n <= _FRAME_MAX_ORDER:
+        raise quadmod.BadSpec(
+            f"order must be in 2..{_FRAME_MAX_ORDER}, got {n}")
+    coarse, fine = (_identity_sum(z, m, dim_check) for m in (n, n + 1))
     est = float(np.max(np.abs(fine - coarse)))
     dev = float(np.max(np.abs(fine - np.eye(dim_check))))
     bound = cfg.bound("verify.resolution_identity")
@@ -813,7 +815,8 @@ def resolution_of_identity(z: complex, dim_check: int, cfg: VerifyConfig,
 @register("verify.resolution_identity")
 def _check_roi(cfg):
     out = [resolution_of_identity(z, cfg.dim_check, cfg)
-           for z in (0.0, 0.5, 0.8 * cmath.exp(1j * math.pi / 3))]
+           for z in (0.0, 0.5, 0.8 * cmath.exp(1j * math.pi / 3),
+                     12 * cmath.exp(0.7j))]
     agg = max(out, key=lambda r: r.measured)
     return [CheckResult(check_id="verify.resolution_identity",
                         params={"per_z": {r.params["z"]: r.measured for r in out}},
@@ -822,16 +825,16 @@ def _check_roi(cfg):
 
 
 def mu_weighted_identity(cfg: VerifyConfig) -> CheckResult:
-    """Double integral over (u0, z) against the identity block."""
+    """Double integral over (u0, z) against the identity block.
+
+    The inner plane sums use the exact frame rule of order dim_check, so
+    the outer z-rule only has to integrate the normalized measure.
+    """
     dim_check = cfg.dim_check
+    order = max(2, dim_check)
 
     def inner(zs):
-        out = np.empty((zs.size, dim_check, dim_check), dtype=complex)
-        for i, z in enumerate(zs):
-            order = min(112, 2 * (24 + math.ceil(16 * abs(z))))
-            _, tw, psi = _plane_states(_roi_spec(z, order), order, z, dim_check)
-            out[i] = _projector(psi, tw)
-        return out
+        return np.stack([_identity_sum(z, order, dim_check) for z in zs])
 
     spec = quadmod.QuadratureSpec(
         quadmod.QuadKind.TENSOR_GAUSS_HERMITE_2D, cfg.mu_outer_order,
@@ -1150,6 +1153,11 @@ def _check_compose(cfg):
 
 @register("kernels.diagonal_kernel_reconstruction")
 def _check_diag_kernel(cfg):
+    """Each quadrature observable as its kernel-weighted projector integral.
+
+    The kernels are polynomials of degree <= 2 in the label, so the frame
+    rule of order block + 1 integrates the block exactly.
+    """
     from .params import squeezed_frame_label
 
     c = cfg.constants
@@ -1158,15 +1166,14 @@ def _check_diag_kernel(cfg):
     for z in (0.0, 0.4):
         z = complex(z)
         az = fock.squeezed_annihilator(z, dim)
-        us, tw, psi = _plane_states(_roi_spec(z, order=96), 96, z, dim)
-        wz = squeezed_frame_label(us, z)
+        us, tw, psi = _plane_states(z, block + 1, block)
+        wz = squeezed_frame_label(cmath.exp(0.5j * cmath.phase(z)) * us, z)
         for name in ("I", "N", "Q", "P", "Q2", "P2", "QP"):
             op = kernels.quadrature_observable(name, z, c)
             kern = kernels.diagonal_kernel(op, z)
-            rec = _projector(psi, kern.evaluate(wz) * tw)
+            rec = _lab_block(_projector(psi, kern.evaluate(wz) * tw), z)
             direct = op.to_matrix(az)
-            err = float(np.max(np.abs(rec[:block, :block]
-                                      - direct[:block, :block])))
+            err = float(np.max(np.abs(rec - direct[:block, :block])))
             if err > worst:
                 worst, wpt = err, (name, z)
     return [_result(cfg, "kernels.diagonal_kernel_reconstruction", worst,
@@ -1342,6 +1349,21 @@ def _canary_dropped_prefactor(cfg):
     corrupt = good.value * cmath.sqrt(1 - np.conj(zeta2) * zeta1)
     oracle = fock_overlaps([(z2, u2, z1, u1)], 160)[0]
     return [_canary(cfg, "canary.dropped_prefactor", abs(corrupt - oracle))]
+
+
+@register("canary.unnormalized_vacuum")
+def _canary_unnormalized_vacuum(cfg):
+    """A c_0 without its (cosh r)^{-1/2}, seen by the exact frame rule.
+
+    The rule holds the identity to rounding, so a normalization defect of
+    the amplitudes must show in the same projector sum.
+    """
+    z, dim = 0.8 * cmath.exp(1j * math.pi / 3), cfg.dim_check
+    _, tw, psi = _plane_states(z, dim, dim)
+    # corrupt: every amplitude scaled by (cosh r)^{1/2}
+    corrupt = _lab_block(_projector(psi * math.sqrt(math.cosh(abs(z))), tw), z)
+    return [_canary(cfg, "canary.unnormalized_vacuum",
+                    float(np.max(np.abs(corrupt - np.eye(dim)))))]
 
 
 # ------------------------------------------------------------------ suite

@@ -98,8 +98,8 @@ def test_moments_bad_input_is_usage_error(capsys, argv):
     ("resolve-identity", "--z", "0.5", "--dim-check", "4", "--order", "200"),
     ("resolve-identity", "--z", "400", "--dim-check", "4"),
     ("resolve-identity", "--z", "800", "--dim-check", "4"),
-    # c_0 overflows at outer nodes; no RuntimeWarning escapes the guard
-    ("resolve-identity", "--z", "20@0.7", "--dim-check", "4"),
+    # just past the |z| where 1 - tanh|z| stops being a normal float
+    ("resolve-identity", "--z", "355@0.7", "--dim-check", "4"),
     ("resolve-identity", "--z", "0.5", "--dim-check", "0"),
     ("overlap", "--oracle", "fock", "--fock-dim", "0"),
     ("overlap", "--oracle", "fock", "--fock-dim", "1"),
@@ -317,13 +317,16 @@ def test_resolve_identity_unconverged_exit(capsys):
     assert code == cli.EXIT_NOT_CONVERGED
 
 
-def test_resolve_identity_finite_amplitudes_at_large_r_fail_the_bound(capsys):
-    # c_0 stays finite at every node here (it overflows from |z| of about
-    # 20 at this angle, a usage error), so the check runs and misses
-    code, out, _ = run_cli(capsys, "resolve-identity", "--z", "12@0.7",
+@pytest.mark.parametrize("z", ["12@0.7", "19@0.3", "20@0.7", "300@0.3", "350@0.7"])
+def test_resolve_identity_passes_at_large_r(capsys, z):
+    # the frame rule and recurrence keep every amplitude finite and exact;
+    # a RuntimeWarning would fail the test
+    code, out, _ = run_cli(capsys, "resolve-identity", "--z", z,
                            "--dim-check", "4")
-    assert code == 1
-    assert json.loads(out)["passed"] is False
+    assert code == 0
+    row = json.loads(out)
+    assert row["passed"] is True
+    assert row["order"] == 4
 
 
 def test_config_file_defaults(capsys, tmp_path):

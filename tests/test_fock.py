@@ -315,6 +315,31 @@ def test_batch_negated_nodes_are_exact_parity_images(z):
     assert np.array_equal(minus, sign[:, None] * plus)
 
 
+@pytest.mark.parametrize("r", [0.0, 0.5, 3.0, 300.0])
+def test_batch_conjugate_nodes_are_exact_conjugate_images(r):
+    # at real z, <m|conj(u), r> = conj(<m|u, r>) bit for bit, and the
+    # parity image holds as well: the frame rule's nodes come in (x, +-y)
+    # and (+-x, +-y) quadruples
+    rng = np.random.Generator(np.random.Philox(12))
+    us = rng.normal(size=40) * 3 + 1j * rng.normal(size=40) * 3
+    dim = 24
+    amps = fock.saturating_state_batch(us, r, dim)
+    assert np.all(np.isfinite(amps))
+    assert np.array_equal(fock.saturating_state_batch(us.conj(), r, dim),
+                          amps.conj())
+    sign = (-1.0) ** np.arange(dim)
+    assert np.array_equal(fock.saturating_state_batch(-us, r, dim),
+                          sign[:, None] * amps)
+
+
+def test_batch_matches_the_dense_oracle_check():
+    from srsqueeze import verify
+
+    res, = verify.run_suite(only=["fock.state_recurrence_vs_dense"])
+    assert res.bound == 1e-13
+    assert res.passed
+
+
 def test_batch_squeeze_count_must_match():
     us = np.array([0j, 1.0, 1j])
     with pytest.raises(ValueError):
@@ -352,6 +377,26 @@ def test_recurrence_far_nodes_vs_mpmath(radius):
         assert np.all(np.abs(want) > 1e-290)
         rel = np.abs(got[:, i] - want) / np.abs(want)
         assert np.max(rel) <= 1e-13
+
+
+@pytest.mark.parametrize("z, x", [(12 * cmath.exp(0.7j), 3.0),
+                                  (19 * cmath.exp(0.3j), 3.0),
+                                  (19 * cmath.exp(-2.0j), 1.5)])
+def test_recurrence_moduli_at_large_r_vs_mpmath(z, x):
+    # nodes far out on the anti-squeezed axis, where |u| is about e^r and
+    # u - zeta conj(u) cancels to O(e^{-r}): the lab-frame recurrence kept a
+    # residue of eps |u| there and overflowed.  The extended-precision
+    # rotation leaves about |u| 2^-64 in y, which turns the phase by t x dy,
+    # so moduli are compared, relative to the largest
+    r = abs(z)
+    width = math.sqrt((1 + math.exp(-2 * r)) / (2 * math.exp(-2 * r)))
+    us = cmath.exp(0.5j * cmath.phase(z)) * np.array(
+        [x * width + 0.5j, -x * width + 0.2j, 0.3j])
+    got = fock.saturating_state_batch(us, z, 12)
+    for i, u in enumerate(us):
+        want = np.abs(_mp_amplitudes(u, z, 12))
+        assert np.max(want) > 1e-8
+        assert np.max(np.abs(np.abs(got[:, i]) - want)) <= 1e-9 * np.max(want)
 
 
 def test_recurrence_underflow_gives_zeros():

@@ -15,6 +15,7 @@ from srsqueeze.params import (
     moments_to_labels,
     saturation_defect,
     squeezed_frame_label,
+    thetabar,
     wrap_angle,
 )
 
@@ -227,6 +228,22 @@ def test_rho_minus_vs_mpmath(r, theta):
             cond = (sh + (sx + sy) * abs(sx - sy) / (2 * sh)
                     + t * t / (4 * sh * mpmath.sqrt(1 + t * t)))
         assert abs(got - sh) <= 4 * 2.0**-52 * cond
+
+
+@pytest.mark.parametrize("r", [2.0, 8.0, 12.0, 18.0, 40.0])
+@pytest.mark.parametrize("theta", [0.0, 1e-3, math.pi / 3, math.pi / 2, 2.0,
+                                   math.pi, -math.pi / 2, -3.0])
+def test_thetabar_vs_mpmath(r, theta):
+    # both real parts are positive sums, so each phase is a few ulp of pi/2
+    # from its value at the float labels, where cosh r -+ cos(theta) sinh r
+    # used to cancel to 0 (r = 12, theta = 0) or below (r = 18, 40)
+    got = thetabar(r, theta)
+    with mpmath.workdps(60):
+        rr, th = mpmath.mpf(r), mpmath.mpf(theta)
+        want = [mpmath.arg(mpmath.cosh(rr) + sgn * mpmath.expj(th)
+                           * mpmath.sinh(rr)) for sgn in (1, -1)]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 4 * 2.0**-53 * math.pi / 2
 
 
 @pytest.mark.parametrize("lab", GRID)

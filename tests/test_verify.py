@@ -142,23 +142,52 @@ def _assert_fold_matches_full_sum(us, z, psi, w):
 @pytest.mark.parametrize("dim", [1, 2, 16, 32])
 @pytest.mark.parametrize("z", [0.0, 0.4, 0.8 * cmath.exp(1j * math.pi / 3)])
 def test_projector_fold_matches_full_sum(order, dim, z):
-    us, tw, psi = verify._plane_states(verify._roi_spec(z, order), order, z, dim)
+    us, tw, psi = verify._plane_states(z, order, dim)
     assert psi.shape == (dim, (us.size + 1) // 2)
-    _assert_fold_matches_full_sum(us, z, psi, tw)
+    _assert_fold_matches_full_sum(us, abs(z), psi, tw)
     # diagonal-kernel weights of Q are odd in u, so the opposite-parity
     # fold carries them
     q_op = kernels.quadrature_observable("Q", z, Constants())
     kern = kernels.diagonal_kernel(q_op, z)
-    w = kern.evaluate(squeezed_frame_label(us, z)) * tw
+    lab = cmath.exp(0.5j * cmath.phase(z)) * us
+    w = kern.evaluate(squeezed_frame_label(lab, z)) * tw
     assert np.max(np.abs(w + w[::-1])) <= 1e-12 * np.max(np.abs(w))
-    _assert_fold_matches_full_sum(us, z, psi, w)
+    _assert_fold_matches_full_sum(us, abs(z), psi, w)
 
 
-def test_plane_states_need_a_centred_rule():
-    spec = quadmod.QuadratureSpec(quadmod.QuadKind.TENSOR_GAUSS_HERMITE_2D, 8,
-                                  center=(0.5, 0.0))
-    with pytest.raises(ValueError):
-        verify._plane_states(spec, 8, 0.3, 4)
+@pytest.mark.parametrize("z", [0.0, 0.8 * cmath.exp(1j * math.pi / 3),
+                               20 * cmath.exp(0.7j), 300 * cmath.exp(0.3j),
+                               350 * cmath.exp(0.7j), -2.0])
+def test_frame_rule_is_exact_at_order_dim(z):
+    for dim in (1, 4, 16):
+        assert np.max(np.abs(verify._identity_sum(z, dim, dim)
+                             - np.eye(dim))) <= 1e-13
+
+
+def test_frame_rule_below_order_dim_is_not_exact():
+    # order 3 integrates only the entries with m + n <= 5
+    s = verify._identity_sum(1.2, 3, 16)
+    assert np.max(np.abs(s[:3, :3] - np.eye(3))) <= 1e-13
+    assert np.max(np.abs(s - np.eye(16))) > 0.1
+
+
+def test_frame_rule_refuses_widths_past_the_float_range():
+    assert verify._FRAME_MAX_R == pytest.approx(354.5, abs=0.1)
+    verify._plane_states(verify._FRAME_MAX_R, 2, 2)
+    with pytest.raises(quadmod.BadSpec):
+        verify._plane_states(1.001 * verify._FRAME_MAX_R, 2, 2)
+
+
+@pytest.mark.parametrize("outer", [4, 10])
+def test_mu_weighted_identity_holds_to_rounding(outer):
+    res = verify.mu_weighted_identity(verify.VerifyConfig(mu_outer_order=outer))
+    assert res.measured <= 1e-12
+
+
+def test_unnormalized_vacuum_canary_is_flagged(cfg):
+    res, = verify.run_suite(cfg, only=["canary.unnormalized_vacuum"])
+    assert res.passed
+    assert res.params["detected_difference"] > 0.3
 
 
 def test_mu_weighted_identity_narrow_measure():
