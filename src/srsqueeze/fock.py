@@ -410,12 +410,12 @@ def _state_amplitudes(us, z, dim: int) -> np.ndarray:
     params = _frame_params(z)
     t, theta = params[0], params[-1]
     out = np.empty((dim, us.size), dtype=complex)
-    if np.ndim(z) == 0:
+    turned = np.asarray(theta != 0)
+    if turned.all() or not turned.any():
         beta, out[0] = _frame_start(us, *params)
     else:
         # nodes at real z take the double path, as each does alone
         beta = np.empty(us.size, dtype=complex)
-        turned = theta != 0
         for sel in (turned, ~turned):
             beta[sel], out[0, sel] = _frame_start(
                 us[sel], *(p[sel] for p in params))
@@ -463,7 +463,8 @@ def saturating_state_batch(
 
     z is one squeeze for every node (a quadrature over the u0 plane) or an
     array of one squeeze per node, as long as u0s (many labelled states at
-    once).  Returns a (dim, len(u0s)) array from the same recurrence as
+    once, or the plane rules of many z in one call, as verify._plane_states
+    builds them).  Returns a (dim, len(u0s)) array from the same recurrence as
     saturating_state, O(dim) per node; its columns are strided, so a caller
     that hands states to BLAS products takes the rows of
     np.ascontiguousarray(amps.T).

@@ -144,13 +144,21 @@ def integrate_line(f, spec: QuadratureSpec, check: bool = True) -> QuadratureRep
 
 
 def _plane_nodes(order: int, spec: QuadratureSpec):
+    return _frame_nodes(order, *spec.scale, *spec.center)
+
+
+def _frame_nodes(order: int, sx, sy, cx: float = 0.0, cy: float = 0.0):
+    """Tensor rule nodes u and total weights tw on the frame scale (sx, sy), centre (cx, cy).
+
+    sx and sy are floats, or arrays of one scale per frame; arrays give u
+    and tw a leading frame axis, and each frame's row is bit-identical to
+    its own call, since every node takes the same elementwise operations.
+    """
     x, twx = _gh_rule(order)
-    y, twy = _gh_rule(order)
-    sx, sy = spec.scale
-    cx, cy = spec.center
-    u = ((cx + sx * x)[:, None] + 1j * (cy + sy * y)[None, :]).ravel()
-    tw = (twx[:, None] * twy[None, :]).ravel() * (sx * sy / math.pi)
-    return u, tw
+    sx, sy = (np.asarray(s, dtype=float)[..., None, None] for s in (sx, sy))
+    u = (cx + sx * x[:, None]) + 1j * (cy + sy * x[None, :])
+    tw = (twx[:, None] * twx[None, :]) * (sx * sy / math.pi)
+    return u.reshape(*u.shape[:-2], -1), tw.reshape(*tw.shape[:-2], -1)
 
 
 def _plane_gh(f, order: int, spec: QuadratureSpec):

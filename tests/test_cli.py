@@ -303,7 +303,9 @@ def test_resolve_identity(capsys):
 
 
 def test_resolve_identity_highest_order(capsys):
-    # the order-doubled rule runs at 370, the highest the rules support
+    # the highest order accepted: the sums at orders 185 and 186 are
+    # compared, and 185 is the top of the range every Gauss-Hermite spec
+    # takes
     code, out, _ = run_cli(capsys, "resolve-identity", "--z", "0.5",
                            "--dim-check", "4", "--order", "185")
     assert code == 0

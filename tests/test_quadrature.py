@@ -163,3 +163,27 @@ def test_bad_measure():
     spec = plane_spec(4, scale=(0.01, 0.01), rel_tol=1e-8)
     with pytest.raises(quad.BadMeasure):
         quad.integrate_z(lambda z: np.ones_like(z), spec, sigma=0.5)
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 16, 41])
+def test_frame_nodes_stack_each_frame_bit_for_bit(order):
+    # a stack of frames gives every frame the nodes and weights of its own
+    # rule, and a single frame those of the tensor product written out
+    sx = np.array([1.0, 0.37, 4.1e3, 2.0 ** 0.5])
+    sy = np.array([1.0, 2.6, 0.707, 1e-3])
+    us, tw = quad._frame_nodes(order, sx, sy)
+    assert us.shape == tw.shape == (sx.size, order * order)
+    x, twx = quad._gh_rule(order)
+    for k in range(sx.size):
+        spec = quad.QuadratureSpec(quad.QuadKind.TENSOR_GAUSS_HERMITE_2D,
+                                   center=(0.25, -1.5), scale=(sx[k], sy[k]))
+        u1, tw1 = quad._plane_nodes(order, spec)
+        want_u = ((0.25 + float(sx[k]) * x)[:, None]
+                  + 1j * (-1.5 + float(sy[k]) * x)[None, :]).ravel()
+        want_tw = (twx[:, None] * twx[None, :]).ravel() \
+            * (float(sx[k]) * float(sy[k]) / math.pi)
+        assert np.array_equal(u1, want_u) and np.array_equal(tw1, want_tw)
+        assert np.array_equal(tw[k], tw1)
+        u0, _ = quad._plane_nodes(order, quad.QuadratureSpec(
+            quad.QuadKind.TENSOR_GAUSS_HERMITE_2D, scale=(sx[k], sy[k])))
+        assert np.array_equal(us[k], u0)

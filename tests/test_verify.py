@@ -1,3 +1,4 @@
+import ast
 import cmath
 import json
 import math
@@ -8,7 +9,8 @@ import pytest
 
 from srsqueeze import fock, kernels, verify
 from srsqueeze import quadrature as quadmod
-from srsqueeze.params import Constants, Labels, squeezed_frame_label
+from srsqueeze.params import (Constants, Labels, squeeze_axes,
+                              squeezed_frame_label)
 
 
 @pytest.fixture(scope="module")
@@ -128,22 +130,29 @@ def test_centred_plane_rule_is_exactly_antisymmetric(order):
     assert np.array_equal(tw[::-1], tw)
 
 
+def _full_sum(us, z, dim, w):
+    # the unfolded frame sum over every node, and the sum of the magnitudes
+    # of its terms
+    full = fock.saturating_state_batch(us, z, dim)
+    return ((full * w) @ full.conj().T,
+            (np.abs(full) * np.abs(w)) @ np.abs(full).T)
+
+
 def _assert_fold_matches_full_sum(us, z, psi, w):
     # both sides round the same sum: entrywise within a few eps times the
     # sum of the magnitudes of its terms
-    full = fock.saturating_state_batch(us, z, psi.shape[0])
-    ref = (full * w) @ full.conj().T
-    scale = (np.abs(full) * np.abs(w)) @ np.abs(full).T
+    ref, scale = _full_sum(us[0], z, psi.shape[1], w[0])
     eps = np.finfo(float).eps
-    assert np.all(np.abs(verify._projector(psi, w) - ref) <= 16 * eps * scale)
+    assert np.all(np.abs(verify._projector(psi, w)[0] - ref)
+                  <= 16 * eps * scale)
 
 
 @pytest.mark.parametrize("order", [2, 7, 8, 41, 48])
 @pytest.mark.parametrize("dim", [1, 2, 16, 32])
 @pytest.mark.parametrize("z", [0.0, 0.4, 0.8 * cmath.exp(1j * math.pi / 3)])
 def test_projector_fold_matches_full_sum(order, dim, z):
-    us, tw, psi = verify._plane_states(z, order, dim)
-    assert psi.shape == (dim, (us.size + 1) // 2)
+    us, tw, psi = verify._plane_states([z], order, dim)
+    assert psi.shape == (1, dim, (us.shape[1] + 1) // 2)
     _assert_fold_matches_full_sum(us, abs(z), psi, tw)
     # diagonal-kernel weights of Q are odd in u, so the opposite-parity
     # fold carries them
@@ -151,8 +160,59 @@ def test_projector_fold_matches_full_sum(order, dim, z):
     kern = kernels.diagonal_kernel(q_op, z)
     lab = cmath.exp(0.5j * cmath.phase(z)) * us
     w = kern.evaluate(squeezed_frame_label(lab, z)) * tw
-    assert np.max(np.abs(w + w[::-1])) <= 1e-12 * np.max(np.abs(w))
+    assert np.max(np.abs(w + w[:, ::-1])) <= 1e-12 * np.max(np.abs(w))
     _assert_fold_matches_full_sum(us, abs(z), psi, w)
+
+
+# mixed squeezes, 0.4 twice; tiled three times the list spans two blocks
+_MIXED_Z = [0.0, 0.4, 0.8 * cmath.exp(1j * math.pi / 3),
+            12 * cmath.exp(0.7j), -2.0, 0.4]
+
+
+@pytest.mark.parametrize("dim", [1, 4, 16])
+def test_identity_sums_of_a_block_match_each_z_alone(dim):
+    zs = 3 * _MIXED_Z
+    assert len(zs) > verify._Z_BLOCK
+    order = max(2, dim)
+    sums = verify._identity_sums(zs, order, dim)
+    assert sums.shape == (len(zs), dim, dim)
+    eps = np.finfo(float).eps
+    for z, got in zip(zs, sums):
+        us, tw, _ = verify._plane_states([z], order, dim)
+        ref, scale = _full_sum(us[0], abs(z), dim, tw[0])
+        # the unfolded frame sum, rotated to the lab basis
+        d = np.exp(0.5j * cmath.phase(z) * np.arange(dim))
+        ref = d[:, None] * ref * d.conj()
+        assert np.all(np.abs(got - ref) <= 16 * eps * scale)
+        alone = verify._identity_sums([z], order, dim)[0]
+        assert np.all(np.abs(got - alone) <= 16 * eps * scale)
+
+
+def test_plane_states_of_a_block_are_each_z_alone():
+    # the nodes, weights and amplitudes of a block are those of its z alone,
+    # bit for bit
+    us, tw, psi = verify._plane_states(_MIXED_Z, 5, 6)
+    for k, z in enumerate(_MIXED_Z):
+        r = abs(z)
+        _, omt, opt, _ = squeeze_axes(r)
+        frame = quadmod.QuadratureSpec(quadmod.QuadKind.TENSOR_GAUSS_HERMITE_2D,
+                                       scale=(omt ** -0.5, opt ** -0.5))
+        u1, tw1 = quadmod._plane_nodes(5, frame)
+        assert np.array_equal(us[k], u1) and np.array_equal(tw[k], tw1)
+        assert np.array_equal(psi[k], fock.saturating_state_batch(
+            u1[:(u1.size + 1) // 2], r, 6))
+
+
+def _count_state_batches(monkeypatch):
+    calls = []
+    batch = fock.saturating_state_batch
+
+    def counted(*args):
+        calls.append(args)
+        return batch(*args)
+
+    monkeypatch.setattr(fock, "saturating_state_batch", counted)
+    return calls
 
 
 @pytest.mark.parametrize("z", [0.0, 0.8 * cmath.exp(1j * math.pi / 3),
@@ -160,28 +220,67 @@ def test_projector_fold_matches_full_sum(order, dim, z):
                                350 * cmath.exp(0.7j), -2.0])
 def test_frame_rule_is_exact_at_order_dim(z):
     for dim in (1, 4, 16):
-        assert np.max(np.abs(verify._identity_sum(z, dim, dim)
+        assert np.max(np.abs(verify._identity_sums([z], dim, dim)[0]
                              - np.eye(dim))) <= 1e-13
 
 
 def test_frame_rule_below_order_dim_is_not_exact():
     # order 3 integrates only the entries with m + n <= 5
-    s = verify._identity_sum(1.2, 3, 16)
+    s = verify._identity_sums([1.2], 3, 16)[0]
     assert np.max(np.abs(s[:3, :3] - np.eye(3))) <= 1e-13
     assert np.max(np.abs(s - np.eye(16))) > 0.1
 
 
-def test_frame_rule_refuses_widths_past_the_float_range():
+def test_frame_rule_refuses_widths_past_the_float_range(monkeypatch):
     assert verify._FRAME_MAX_R == pytest.approx(354.5, abs=0.1)
-    verify._plane_states(verify._FRAME_MAX_R, 2, 2)
-    with pytest.raises(quadmod.BadSpec):
-        verify._plane_states(1.001 * verify._FRAME_MAX_R, 2, 2)
+    verify._plane_states([verify._FRAME_MAX_R], 2, 2)
+    calls = _count_state_batches(monkeypatch)
+    # one z past the limit refuses its whole block before any amplitude
+    far = 1.001 * verify._FRAME_MAX_R * cmath.exp(0.3j)
+    for zs in ([1.001 * verify._FRAME_MAX_R], [0.4, far, 0.0]):
+        with pytest.raises(quadmod.BadSpec):
+            verify._plane_states(zs, 2, 2)
+        with pytest.raises(quadmod.BadSpec):
+            verify._identity_sums(zs, 2, 2)
+    assert calls == []
 
 
 @pytest.mark.parametrize("outer", [4, 10])
 def test_mu_weighted_identity_holds_to_rounding(outer):
     res = verify.mu_weighted_identity(verify.VerifyConfig(mu_outer_order=outer))
     assert res.measured <= 1e-12
+
+
+def test_mu_weighted_identity_builds_one_state_batch_per_block(monkeypatch):
+    # outer order 4 evaluates 16 + 64 z; one batch each would be 80 calls
+    calls = _count_state_batches(monkeypatch)
+    res = verify.mu_weighted_identity(verify.VerifyConfig(mu_outer_order=4))
+    assert len(calls) <= 5
+    assert res.passed
+
+
+def test_mu_weighted_identity_peak_memory():
+    # the z blocks bound the peak; one batch over all 64 fine-rule z peaks
+    # at about 5 MB
+    cfg = verify.VerifyConfig(mu_outer_order=4)
+    verify.mu_weighted_identity(cfg)
+    tracemalloc.start()
+    try:
+        verify.mu_weighted_identity(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+
+
+def test_mu_weighted_identity_reports_worst_entry_and_nodes():
+    cfg = verify.VerifyConfig(mu_outer_order=4)
+    res = verify.mu_weighted_identity(cfg)
+    m, n = ast.literal_eval(res.params["worst_at"])
+    assert 0 <= m < cfg.dim_check and 0 <= n < cfg.dim_check
+    # (16 + 64) outer z, half of the 16 x 16 inner rule each
+    assert res.params["nodes"] == 80 * 128
+    assert {"sigma", "outer_order", "quad_est_error"} <= set(res.params)
 
 
 def test_unnormalized_vacuum_canary_is_flagged(cfg):
