@@ -354,8 +354,8 @@ def _frame_params(z):
     """(tanh r, 1 - tanh r, 1 + tanh r, ln cosh r, cos(theta/2), sin(theta/2), theta).
 
     Of z = r e^{i theta}, or of each z in an array, for which each parameter
-    is an array.  theta is 0 on the real axis's non-negative half, -0.0 and
-    a -0.0 imaginary part included.
+    is an array of z's shape.  theta is 0 on the real axis's non-negative
+    half, -0.0 and a -0.0 imaginary part included.
     """
     if np.ndim(z) == 0:
         z = complex(z)
@@ -363,10 +363,9 @@ def _frame_params(z):
             return (*squeeze_axes(z.real), 1.0, 0.0, 0.0)
         return (*squeeze_axes(abs(z)), *_half_turn(z),
                 math.atan2(z.imag, z.real))
-    zs, where = np.unique(np.asarray(z, dtype=complex).ravel(),
-                          return_inverse=True)
-    cols = zip(*(_frame_params(zz) for zz in zs))
-    return tuple(np.array(col)[where] for col in cols)
+    zs = np.asarray(z, dtype=complex)
+    cols = zip(*(_frame_params(zz) for zz in zs.ravel()))
+    return tuple(np.reshape(col, zs.shape) for col in cols)
 
 
 def _frame_start(us, t, omt, opt, log_ch, c, s, theta):
@@ -398,37 +397,40 @@ def _state_amplitudes(us, z, dim: int) -> np.ndarray:
     This is the lab-frame c_0 = (cosh r)^{-1/2} exp(-|u|^2/2 + zeta conj(u)^2/2)
     with its phase, but nothing in it cancels: the real exponent is
     -(x Re beta + y Im beta)/2, a sum of two terms <= 0.
-    z is one squeeze for every u, or an array of one squeeze per u; each
-    node's amplitudes are bit-identical either way.
+    z is any array that broadcasts to the shape of us: one squeeze for every
+    u, one per u, or one per row of a (k, n) block of labels as a (k, 1)
+    array.  Each node's amplitudes are bit-identical in every layout.
     The amplitudes are exact for every m < dim (no truncation enters), and
     the forward sweep is stable: the wanted solution is the dominant one.
     |c_0| <= 1, so far nodes underflow to zeros, never to NaN.
+    Returns a (dim, us.size) array, its columns in the order of us.ravel().
     """
-    us = np.asarray(us, dtype=complex).ravel()
-    if np.ndim(z) != 0 and np.size(z) != us.size:
-        raise ValueError(f"{np.size(z)} squeezes for {us.size} displacements")
+    us = np.atleast_1d(np.asarray(us, dtype=complex))
+    if np.broadcast_shapes(np.shape(z), us.shape) != us.shape:
+        raise ValueError(f"squeezes of shape {np.shape(z)} do not broadcast "
+                         f"to displacements of shape {us.shape}")
     params = _frame_params(z)
     t, theta = params[0], params[-1]
-    out = np.empty((dim, us.size), dtype=complex)
-    turned = np.asarray(theta != 0)
+    out = np.empty((dim, *us.shape), dtype=complex)
+    turned = np.broadcast_to(theta != 0, us.shape)
     if turned.all() or not turned.any():
         beta, out[0] = _frame_start(us, *params)
     else:
         # nodes at real z take the double path, as each does alone
-        beta = np.empty(us.size, dtype=complex)
+        beta = np.empty(us.shape, dtype=complex)
         for sel in (turned, ~turned):
-            beta[sel], out[0, sel] = _frame_start(
-                us[sel], *(p[sel] for p in params))
+            beta[sel], out[0][sel] = _frame_start(
+                us[sel], *(np.broadcast_to(p, us.shape)[sel] for p in params))
     if dim > 1:
         out[1] = beta * out[0]
     for m in range(1, dim - 1):
         out[m + 1] = (beta * out[m] + math.sqrt(m) * t * out[m - 1]) \
             / math.sqrt(m + 1)
-    if np.any(theta != 0):
-        # one row of phases per distinct squeeze angle, gathered per node
-        angles, where = np.unique(np.atleast_1d(theta), return_inverse=True)
-        out *= np.exp(0.5j * np.multiply.outer(np.arange(dim), angles))[:, where]
-    return out
+    if turned.any():
+        # one row of phases per squeeze, broadcast over its nodes
+        levels = np.arange(dim).reshape(dim, *(1,) * us.ndim)
+        out *= np.exp(0.5j * (levels * theta))
+    return out.reshape(dim, us.size)
 
 
 def saturating_state(
@@ -461,13 +463,15 @@ def saturating_state_batch(
 ) -> np.ndarray:
     """Amplitudes <m|D(u0) S(z)|0>, m < dim, for many u0.
 
-    z is one squeeze for every node (a quadrature over the u0 plane) or an
-    array of one squeeze per node, as long as u0s (many labelled states at
-    once, or the plane rules of many z in one call, as verify._plane_states
-    builds them).  Returns a (dim, len(u0s)) array from the same recurrence as
-    saturating_state, O(dim) per node; its columns are strided, so a caller
-    that hands states to BLAS products takes the rows of
-    np.ascontiguousarray(amps.T).
+    u0s is an array of labels of any shape, and z any array of squeezes
+    that broadcasts to it: one squeeze for every node (a quadrature over
+    the u0 plane), one per node (many labelled states at once), or, for
+    (k, n) nodes, a (k, 1) array of one squeeze per row (the plane rules of
+    k squeezes in one call, as verify._plane_states builds them).  Returns
+    a (dim, u0s.size) array, one column per node of u0s.ravel(), from the
+    same recurrence as saturating_state, O(dim) per node; its columns are
+    strided, so a caller that hands states to BLAS products takes the rows
+    of np.ascontiguousarray(amps.T).
     """
     if dim < 1:
         raise BadDim(f"row count must be >= 1, got {dim}")
@@ -528,7 +532,6 @@ class SrUrResult:
     rhs_comm: float
     rhs_anticomm: float
     slack: float
-    lambda0: complex
 
 
 def sr_ur_check(
@@ -566,9 +569,8 @@ def _sr_ur_one(A: np.ndarray, B: np.ndarray, psi: np.ndarray) -> SrUrResult:
     lhs = var_a * var_b
     rhs_comm = 0.25 * comm**2
     rhs_anticomm = 0.25 * anti**2
-    lam = (0.5 * anti - 0.5j * comm) / var_b
     return SrUrResult(lhs=lhs, rhs_comm=rhs_comm, rhs_anticomm=rhs_anticomm,
-                      slack=lhs - rhs_comm - rhs_anticomm, lambda0=lam)
+                      slack=lhs - rhs_comm - rhs_anticomm)
 
 
 def top_block_norm(mat: np.ndarray, k: int) -> float:

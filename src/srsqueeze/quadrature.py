@@ -2,13 +2,13 @@
 
 Three geometries: 1D line integrals over q (Gauss-Hermite with affine
 recentering), 2D integrals over the complex u0-plane with measure
-du0 dubar0 / pi = dx dy / pi (tensor Gauss-Hermite or Monte Carlo), and
-Gaussian-weighted integrals over the z-plane.  Integrands are called once
-per rule with the flat array of its nodes.
+du0 dubar0 / pi = dx dy / pi (tensor Gauss-Hermite), and Gaussian-weighted
+integrals over the z-plane.  Integrands are called once per rule with the
+flat array of its nodes.
 
 Error estimates come from order doubling: the rule is evaluated at the
 requested order and at twice that order, and the difference is the quoted
-estimate.  Identical specs (and seeds) produce bit-identical reports:
+estimate.  Identical specs produce bit-identical reports:
 node ordering is fixed and accumulation uses exact (fsum) or
 extended-precision summation.
 """
@@ -46,17 +46,16 @@ class BadMeasure(ValueError):
 class QuadKind(enum.Enum):
     GAUSS_HERMITE = "gauss-hermite"
     TENSOR_GAUSS_HERMITE_2D = "tensor-gauss-hermite-2d"
-    MONTE_CARLO = "monte-carlo"
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Rule selection: kind, base order (or node count), affine frame.
+    """Rule selection: kind, base order, affine frame.
 
     center/scale recenter the rule on the integrand's Gaussian peak; for 1D
-    rules only the first component of each pair is used.  seed matters only
-    for MONTE_CARLO.  The Gauss-Hermite kinds also evaluate the rule at
-    twice the order, so their order is at most _MAX_ORDER // 2 = 185.
+    rules only the first component of each pair is used.  Every rule is also
+    evaluated at twice the order, so the order is at most
+    _MAX_ORDER // 2 = 185.
     """
 
     kind: QuadKind
@@ -64,13 +63,11 @@ class QuadratureSpec:
     center: tuple[float, float] = (0.0, 0.0)
     scale: tuple[float, float] = (1.0, 1.0)
     rel_tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.order_or_nodes < 2:
             raise BadSpec(f"order_or_nodes must be >= 2, got {self.order_or_nodes}")
-        if self.kind in (QuadKind.GAUSS_HERMITE, QuadKind.TENSOR_GAUSS_HERMITE_2D) \
-                and 2 * self.order_or_nodes > _MAX_ORDER:
+        if 2 * self.order_or_nodes > _MAX_ORDER:
             raise BadSpec(f"Gauss-Hermite order must be <= {_MAX_ORDER // 2} "
                           f"(doubled for the error estimate), "
                           f"got {self.order_or_nodes}")
@@ -168,35 +165,12 @@ def _plane_gh(f, order: int, spec: QuadratureSpec):
     return _sum_nodes(vals * tw.reshape(shape))
 
 
-def _plane_mc(f, spec: QuadratureSpec):
-    """Counter-based (Philox) importance-sampled cross-check of the 2D rule."""
-    rng = np.random.Generator(np.random.Philox(spec.seed))
-    n = spec.order_or_nodes
-    sx, sy = spec.scale
-    cx, cy = spec.center
-    xs = rng.normal(cx, sx / math.sqrt(2.0), size=n)
-    ys = rng.normal(cy, sy / math.sqrt(2.0), size=n)
-    vals = np.asarray(f(xs + 1j * ys), dtype=complex)
-    # 1/(pi * sampling density) = sx sy e^{g}
-    g = (xs - cx) ** 2 / sx**2 + (ys - cy) ** 2 / sy**2
-    w = sx * sy * np.exp(g)
-    samples = vals * w.reshape((n,) + (1,) * (vals.ndim - 1))
-    mean = _sum_nodes(samples) / n
-    var = np.sum(np.abs(samples - mean) ** 2, axis=0) / (n - 1)
-    spread = math.sqrt(float(np.max(var)) / n)
-    return mean, spread
-
-
 def integrate_plane(f, spec: QuadratureSpec, check: bool = True) -> QuadratureReport:
     """Integral of f(u0) with measure du0 dubar0 / pi over the complex plane.
 
     f maps a flat array of points to their values, stacked along the first
     axis.  Matrix-valued integrands converge elementwise.
     """
-    if spec.kind == QuadKind.MONTE_CARLO:
-        mean, spread = _plane_mc(f, spec)
-        return _finish(mean, spread, spec.order_or_nodes, spec.rel_tol,
-                       check, "Monte Carlo plane integral")
     if spec.kind != QuadKind.TENSOR_GAUSS_HERMITE_2D:
         raise ValueError(f"unsupported plane-integral kind {spec.kind}")
     n = spec.order_or_nodes

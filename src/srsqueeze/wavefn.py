@@ -26,7 +26,6 @@ from .params import (
     Moments,
     derived_angles,
     labels_to_moments,
-    thetabar,
 )
 
 
@@ -103,12 +102,6 @@ def psi_form(q, p: WavefnParams, form: str):
     else:
         raise ValueError(f"unknown form {form!r}")
     return common * pre * np.exp(expo)
-
-
-def phase_factor(z: complex) -> complex:
-    """Squeeze part of the wavefunction phase, e^{-i thetabar_plus(z)/2}."""
-    z = complex(z)
-    return cmath.exp(-0.5j * thetabar(abs(z), cmath.phase(z))[0])
 
 
 def hermite_functions(nmax: int, x: np.ndarray) -> np.ndarray:

@@ -287,6 +287,18 @@ def test_normal_ordered_product():
     assert np.max(np.abs((lhs - rhs)[:22, :22])) < 1e-13
 
 
+@pytest.mark.parametrize("name", ["Q2", "N"])
+def test_normal_ordered_square_matches_dense_square(name):
+    # Q2 * Q2 contracts A^2 A^dag^2, where the Wick weight C(j2, i) is 2
+    z = 0.4 * cmath.exp(0.7j)
+    az = fock.squeezed_annihilator(z, 32)
+    op = kernels.quadrature_observable(name, z, C)
+    dense = op.to_matrix(az)
+    want = (dense @ dense)[:16, :16]
+    got = (op * op).to_matrix(az)[:16, :16]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_quadrature_observable_matches_plain_frame():
     a, _ = fock.ladder(32)
     qm = fock.position(32, C)

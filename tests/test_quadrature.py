@@ -29,7 +29,6 @@ def test_spec_validation():
                  quad.QuadKind.TENSOR_GAUSS_HERMITE_2D):
         with pytest.raises(quad.BadSpec):
             quad.QuadratureSpec(kind, 186)
-    quad.QuadratureSpec(quad.QuadKind.MONTE_CARLO, 200_000)
     with pytest.raises(quad.BadSpec):
         quad._gh_rule(371)
 
@@ -131,23 +130,6 @@ def test_determinism_bit_identical():
     assert r1.value == r2.value
     assert r1.est_error == r2.est_error
     assert r1.nodes_used == r2.nodes_used
-
-
-def test_monte_carlo_deterministic_and_consistent():
-    mspec = quad.QuadratureSpec(quad.QuadKind.MONTE_CARLO, 50_000,
-                                rel_tol=1.0, seed=7)
-
-    def f(u):
-        return np.exp(-np.abs(u) ** 2) * (1.0 + np.abs(u) ** 2)
-
-    m1 = quad.integrate_plane(f, mspec, check=False)
-    m2 = quad.integrate_plane(f, mspec, check=False)
-    assert m1.value == m2.value
-    assert abs(m1.value - 2.0) < 5 * m1.est_error
-    other = quad.QuadratureSpec(quad.QuadKind.MONTE_CARLO, 50_000,
-                                rel_tol=1.0, seed=8)
-    m3 = quad.integrate_plane(f, other, check=False)
-    assert m3.value != m1.value
 
 
 def test_z_measure_normalization_and_moment():

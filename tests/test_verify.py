@@ -320,6 +320,14 @@ def test_no_registered_check_is_skipped(cfg):
     assert wanted <= got
 
 
+def test_full_suite_reports_one_result_per_documented_bound(cfg):
+    # perfbench/checks.py holds a whole run to DEFAULT_BOUNDS and expects
+    # exactly one result per key
+    results = verify.run_suite(cfg)
+    assert sorted(r.check_id for r in results) == sorted(verify.DEFAULT_BOUNDS)
+    assert all(r.passed for r in results)
+
+
 def test_registry_ids_unique():
     ids = [cid for cid, _ in verify._REGISTRY]
     assert len(ids) == len(set(ids))

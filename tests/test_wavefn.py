@@ -114,17 +114,6 @@ def test_log_psi_finite_where_psi_underflows():
     assert lp.real < -1500  # |psi| ~ e^{-1800}, far below float range
 
 
-def test_phase_factor_values():
-    assert wavefn.phase_factor(0.0) == 1.0
-    for r in (0.3, 1.0, 2.0):
-        assert wavefn.phase_factor(r) == pytest.approx(1.0, rel=1e-14)
-        assert abs(wavefn.phase_factor(r * cmath.exp(2.1j))) == \
-            pytest.approx(1.0, rel=1e-14)
-    # r=1, theta=pi/2: tan(thetabar_plus) = sinh(1)/cosh(1)
-    expected = cmath.exp(-0.5j * math.atan(math.tanh(1.0)))
-    assert wavefn.phase_factor(1j) == pytest.approx(expected, rel=1e-14)
-
-
 def test_phase_anchor_through_quadrature():
     # integral of conj(psi_vac) psi_z reproduces (cosh r)^{-1/2} with zero
     # imaginary part: the squeeze phase convention is forced by this
