@@ -258,20 +258,23 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--config", help="JSON file with default option values")
     sub = top.add_subparsers(dest="command", required=True)
 
+    # each subcommand takes only the options it reads; any other is an
+    # unrecognized argument (exit 2)
     def output(p):
         p.add_argument("--format", choices=("json", "csv", "table"),
                        default="json")
 
-    def common(p):
+    def constants(p):
         p.add_argument("--hbar", type=float, default=1.0)
         p.add_argument("--ell0", type=float, default=1.0)
-        output(p)
-        p.add_argument("--seed", type=int, default=20240817)
+
+    def fock_dim(p):
         p.add_argument("--fock-dim", dest="fock_dim", type=int, default=128)
 
     p = sub.add_parser("moments",
                        help="moments and derived angles of a labelled state")
-    common(p)
+    constants(p)
+    output(p)
     p.add_argument("--u0", default="0")
     p.add_argument("--z", default="0")
     p.add_argument("--from-moments", dest="from_moments",
@@ -281,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("overlap", help="closed-form overlap of two states")
-    common(p)
+    constants(p)
+    output(p)
+    fock_dim(p)
     p.add_argument("--z2", default="0")
     p.add_argument("--u2", default="0")
     p.add_argument("--z1", default="0")
@@ -291,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_overlap)
 
     p = sub.add_parser("wavefn", help="sample the wavefunction on a q-grid")
-    common(p)
+    constants(p)
     p.add_argument("--u0", default="0")
     p.add_argument("--z", default="0")
     p.add_argument("--qmin", type=float, default=-4.0)
@@ -301,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_wavefn)
 
     p = sub.add_parser("verify", help="run the identity-verification suite")
-    common(p)
+    constants(p)
+    fock_dim(p)
+    p.add_argument("--seed", type=int, default=20240817)
     p.add_argument("--scan-dim", dest="scan_dim", type=int, default=256)
     p.add_argument("--dim-check", dest="dim_check", type=int, default=16)
     p.add_argument("--only", action="append",
@@ -313,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel",
                        help="diagonal kernel of a quadrature observable")
-    common(p)
+    constants(p)
+    output(p)
     p.add_argument("--op", default="N",
                    choices=("I", "N", "Q", "P", "Q2", "P2", "QP"))
     p.add_argument("--z", default="0")
@@ -322,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve-identity",
                        help="overcompleteness check at fixed z")
-    # no constant, seed or --fock-dim enters the Fock-amplitude identity
     output(p)
     p.add_argument("--z", default="0")
     p.add_argument("--dim-check", dest="dim_check", type=int, default=16)

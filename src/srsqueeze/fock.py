@@ -490,18 +490,7 @@ def expectations(q: np.ndarray, p: np.ndarray, state: FockVector) -> Moments:
             TruncationWarning,
             stacklevel=2,
         )
-    psi = state.amps
-    nrm2 = float(np.vdot(psi, psi).real)
-    qpsi = q @ psi
-    ppsi = p @ psi
-    q0 = float(np.vdot(psi, qpsi).real) / nrm2
-    p0 = float(np.vdot(psi, ppsi).real) / nrm2
-    qbar = qpsi - q0 * psi
-    pbar = ppsi - p0 * psi
-    dq2 = float(np.vdot(qbar, qbar).real) / nrm2
-    dp2 = float(np.vdot(pbar, pbar).real) / nrm2
-    corr = 2.0 * float(np.vdot(qbar, pbar).real) / nrm2
-    return Moments(q0=q0, p0=p0, dq=math.sqrt(dq2), dp=math.sqrt(dp2), corr=corr)
+    return _second_moments(q, p, state.amps).as_moments()
 
 
 def defining_residual(
@@ -525,13 +514,48 @@ def defining_residual(
 
 
 @dataclass(frozen=True)
+class SecondMoments:
+    """<A>, <B>, Var A, Var B and <Abar Bbar> (Abar = A - <A>) of one state."""
+
+    a0: float
+    b0: float
+    var_a: float
+    var_b: float
+    cross: complex
+
+    def as_moments(self) -> Moments:
+        """The state's Moments, reading A as Q and B as P."""
+        return Moments(q0=self.a0, p0=self.b0, dq=math.sqrt(self.var_a),
+                       dp=math.sqrt(self.var_b), corr=2.0 * self.cross.real)
+
+
+def _second_moments(A: np.ndarray, B: np.ndarray,
+                    psi: np.ndarray) -> SecondMoments:
+    nrm2 = float(np.vdot(psi, psi).real)
+    apsi = A @ psi
+    bpsi = B @ psi
+    a0 = float(np.vdot(psi, apsi).real) / nrm2
+    b0 = float(np.vdot(psi, bpsi).real) / nrm2
+    abar = apsi - a0 * psi
+    bbar = bpsi - b0 * psi
+    return SecondMoments(a0=a0, b0=b0,
+                         var_a=float(np.vdot(abar, abar).real) / nrm2,
+                         var_b=float(np.vdot(bbar, bbar).real) / nrm2,
+                         cross=complex(np.vdot(abar, bbar)) / nrm2)
+
+
+@dataclass(frozen=True)
 class SrUrResult:
-    """Both sides of the Schrodinger-Robertson inequality for one state."""
+    """Both sides of the Schrodinger-Robertson inequality for one state.
+
+    moments are the second moments of A and B both sides are built from.
+    """
 
     lhs: float
     rhs_comm: float
     rhs_anticomm: float
     slack: float
+    moments: SecondMoments
 
 
 def sr_ur_check(
@@ -554,23 +578,14 @@ def sr_ur_check(
 
 
 def _sr_ur_one(A: np.ndarray, B: np.ndarray, psi: np.ndarray) -> SrUrResult:
-    nrm2 = float(np.vdot(psi, psi).real)
-    apsi = A @ psi
-    bpsi = B @ psi
-    a0 = float(np.vdot(psi, apsi).real) / nrm2
-    b0 = float(np.vdot(psi, bpsi).real) / nrm2
-    abar = apsi - a0 * psi
-    bbar = bpsi - b0 * psi
-    var_a = float(np.vdot(abar, abar).real) / nrm2
-    var_b = float(np.vdot(bbar, bbar).real) / nrm2
-    cross = complex(np.vdot(abar, bbar)) / nrm2  # <Abar Bbar>
-    comm = 2.0 * cross.imag       # <(-i)[A, B]>
-    anti = 2.0 * cross.real       # <{Abar, Bbar}>
-    lhs = var_a * var_b
+    sm = _second_moments(A, B, psi)
+    comm = 2.0 * sm.cross.imag       # <(-i)[A, B]>
+    anti = 2.0 * sm.cross.real       # <{Abar, Bbar}>
+    lhs = sm.var_a * sm.var_b
     rhs_comm = 0.25 * comm**2
     rhs_anticomm = 0.25 * anti**2
     return SrUrResult(lhs=lhs, rhs_comm=rhs_comm, rhs_anticomm=rhs_anticomm,
-                      slack=lhs - rhs_comm - rhs_anticomm)
+                      slack=lhs - rhs_comm - rhs_anticomm, moments=sm)
 
 
 def top_block_norm(mat: np.ndarray, k: int) -> float:

@@ -362,9 +362,6 @@ class NormalOrderedOp:
         out[:b.shape[0], :b.shape[1]] += b
         return NormalOrderedOp(out)
 
-    def scale(self, s: complex) -> "NormalOrderedOp":
-        return NormalOrderedOp(self.coeffs * s)
-
     def __mul__(self, other: "NormalOrderedOp") -> "NormalOrderedOp":
         a, b = self.coeffs, other.coeffs
         jmax = a.shape[0] + b.shape[0] - 1

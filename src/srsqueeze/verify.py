@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import cmath
 import fnmatch
+import functools
 import json
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,6 +180,43 @@ def _result(cfg, check_id, measured, params=None):
                        passed=bool(measured <= b), runtime_ms=0.0)
 
 
+def _worst(cfg, check_id, devs, params=None):
+    """The check's result at the largest deviation of (deviation, where) pairs.
+
+    A deviation is a float or an array whose np.max counts.  A NaN counts
+    as the largest and ends the scan.  Ties keep the first point, measured
+    is floored at 0, and params gain worst_at = repr(where) of the largest
+    deviation, negative or not.
+    """
+    top, where = -math.inf, None
+    for dev, at in devs:
+        d = float(np.max(dev))
+        del dev  # free an array deviation before the next one is built
+        if math.isnan(d):
+            top, where = d, at
+            break
+        if d > top:
+            top, where = d, at
+    return _result(cfg, check_id, 0.0 if top < 0 else top,
+                   {"worst_at": repr(where), **(params or {})})
+
+
+def register_grid(check_id: str, **params):
+    """Register a generator of (deviation, where) pairs, reduced by _worst.
+
+    The registered check, which the decorator returns, yields the one
+    result _worst(cfg, check_id, gen(cfg), params).
+    """
+    def deco(gen):
+        @functools.wraps(gen)
+        def check(cfg):
+            return [_worst(cfg, check_id, gen(cfg), params)]
+
+        return register(check_id)(check)
+
+    return deco
+
+
 def _canary(cfg, check_id, detected_difference, params=None):
     """Canary convention: measured = threshold/difference, pass iff <= 1."""
     measured = _CANARY_THRESHOLD / max(float(detected_difference), 1e-300)
@@ -196,59 +233,48 @@ def _angle_dist(a: float, b: float) -> float:
 # ----------------------------------------------------------------- params
 
 
-@register("params.roundtrip")
+@register_grid("params.roundtrip")
 def _check_roundtrip(cfg):
     c = cfg.constants
-    worst, wpt = 0.0, None
     for lab in standard_labels():
         m = labels_to_moments(lab, c)
         back = moments_to_labels(m, c)
-        err = max(abs(back.u0 - lab.u0), abs(back.r - lab.r),
-                  _angle_dist(back.theta, lab.theta) if lab.r > 0 else 0.0)
-        if err > worst:
-            worst, wpt = err, lab
-    return [_result(cfg, "params.roundtrip", worst, {"worst_at": repr(wpt)})]
+        yield (abs(back.u0 - lab.u0), abs(back.r - lab.r),
+               _angle_dist(back.theta, lab.theta) if lab.r > 0 else 0.0), lab
 
 
-@register("params.saturation_identity")
+@register_grid("params.saturation_identity")
 def _check_saturation(cfg):
     c = cfg.constants
-    worst = 0.0
     for lab in standard_labels():
         m = labels_to_moments(lab, c)
         target = 0.25 * c.hbar**2 * (
             1.0 + math.sin(lab.theta) ** 2 * math.sinh(2 * lab.r) ** 2)
-        worst = max(worst, abs(m.dq**2 * m.dp**2 - target) / target)
-    return [_result(cfg, "params.saturation_identity", worst)]
+        yield abs(m.dq**2 * m.dp**2 - target) / target, lab
 
 
-@register("params.bound_band")
+@register_grid("params.bound_band")
 def _check_band(cfg):
     c = cfg.constants
-    worst = 0.0
     for lab in standard_labels():
         m = labels_to_moments(lab, c)
         lo, hi = math.exp(-lab.r) / math.sqrt(2), math.exp(lab.r) / math.sqrt(2)
         for val in (m.dq / c.ell0, c.ell0 * m.dp / c.hbar):
-            worst = max(worst, lo - val, val - hi)
-    return [_result(cfg, "params.bound_band", worst)]
+            yield (lo - val, val - hi), lab
 
 
-@register("params.rho_identity")
+@register_grid("params.rho_identity")
 def _check_rho(cfg):
     c = cfg.constants
-    worst = 0.0
     for lab in standard_labels():
         m = labels_to_moments(lab, c)
         ang = derived_angles(lab, m, c)
-        worst = max(worst, abs(ang.rho_plus**2 - ang.rho_minus**2 - 1.0))
-    return [_result(cfg, "params.rho_identity", worst)]
+        yield abs(ang.rho_plus**2 - ang.rho_minus**2 - 1.0), lab
 
 
-@register("params.angle_identity")
+@register_grid("params.angle_identity")
 def _check_angle_identity(cfg):
     c = cfg.constants
-    worst = 0.0
     for lab in standard_labels():
         m = labels_to_moments(lab, c)
         ang = derived_angles(lab, m, c)
@@ -256,15 +282,13 @@ def _check_angle_identity(cfg):
         sh2 = math.sinh(2 * lab.r)
         rhs = 1.0 / math.sqrt(ch2**2 - (math.cos(lab.theta) * sh2) ** 2)
         lhs = math.cos(ang.thetabar_plus - ang.thetabar_minus)
-        worst = max(worst, abs(lhs - rhs))
-    return [_result(cfg, "params.angle_identity", worst)]
+        yield abs(lhs - rhs), lab
 
 
-@register("params.theta_branch")
+@register_grid("params.theta_branch")
 def _check_theta_branch(cfg):
     # e^{i theta} = -e^{i(theta_minus - theta_plus)}
     c = cfg.constants
-    worst = 0.0
     for lab in standard_labels():
         if lab.r == 0:
             continue
@@ -272,37 +296,32 @@ def _check_theta_branch(cfg):
         ang = derived_angles(lab, m, c)
         lhs = cmath.exp(1j * lab.theta)
         rhs = -cmath.exp(1j * (ang.theta_minus - ang.theta_plus))
-        worst = max(worst, abs(lhs - rhs))
-    return [_result(cfg, "params.theta_branch", worst)]
+        yield abs(lhs - rhs), lab
 
 
-@register("params.lambda0_forms")
+@register_grid("params.lambda0_forms")
 def _check_lambda0(cfg):
     c = cfg.constants
-    worst = 0.0
     for lab in standard_labels():
         m = labels_to_moments(lab, c)
         lam = lambda0(m, c)
         phi = math.atan(m.corr / c.hbar)
         alt = -1j * (m.dq / m.dp) * cmath.exp(1j * phi)
-        worst = max(worst, abs(lam - alt) / abs(lam))
-    return [_result(cfg, "params.lambda0_forms", worst)]
+        yield abs(lam - alt) / abs(lam), lab
 
 
 # -------------------------------------------------------------------- bch
 
 
-@register("bch.f_symmetry")
+@register_grid("bch.f_symmetry")
 def _check_f_symmetry(cfg):
     pts = [-2.0, -0.7, 0.0, 1.3, 2.0, -2 + 2j, 2 + 2j, -2 - 2j, 0.5 - 1j]
-    worst = 0.0
     for u in pts:
         for v in pts:
-            worst = max(worst, abs(bch.f_uv(u, v) - bch.f_uv(v, u)))
-    return [_result(cfg, "bch.f_symmetry", worst)]
+            yield abs(bch.f_uv(u, v) - bch.f_uv(v, u)), (u, v)
 
 
-@register("bch.f_matrix_log")
+@register_grid("bch.f_matrix_log")
 def _check_f_matrix_log(cfg):
     """log(e^A e^B) = A + B + f(u,v) [A,B] for small 2x2 / 3x3 pairs."""
     from scipy.linalg import expm, logm
@@ -328,35 +347,30 @@ def _check_f_matrix_log(cfg):
     e12 = np.zeros((3, 3), complex); e12[0, 1] = 1
     e23 = np.zeros((3, 3), complex); e23[1, 2] = 1
     cases.append((0.4 * e12, 0.3 * e23, 0.0, 0.0))
-    worst = 0.0
     for amat, bmat, u, v in cases:
         lhs = logm(expm(amat) @ expm(bmat))
         comm = amat @ bmat - bmat @ amat
         rhs = amat + bmat + bch.f_uv(u, v) * comm
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return [_result(cfg, "bch.f_matrix_log", worst)]
+        yield np.abs(lhs - rhs), (u, v)
 
 
-@register("bch.phi_psi_inverse")
+@register_grid("bch.phi_psi_inverse")
 def _check_phi_psi(cfg):
     pts = [0.1, 0.5, 1.0, 2.5, math.e, 0.5 + 1j, 2 - 1j, 1e-3 + 1e-4j, 1 + 1e-9]
-    worst = 0.0
     for x in pts:
-        worst = max(worst, abs(bch.phi(-cmath.log(x)) * bch.psi(x) - 1.0))
-    return [_result(cfg, "bch.phi_psi_inverse", worst)]
+        yield abs(bch.phi(-cmath.log(x)) * bch.psi(x) - 1.0), x
 
 
-@register("bch.disentangle_gamma")
+@register_grid("bch.disentangle_gamma")
 def _check_gamma(cfg):
-    worst = 0.0
     for r in (0.0, 0.25, 0.7, 1.2, 2.0):
         for th in STANDARD_THETA:
-            d = bch.disentangle_squeeze(r * cmath.exp(1j * th))
-            worst = max(worst, abs(d.gamma - math.log1p(-abs(d.alpha) ** 2)))
-    return [_result(cfg, "bch.disentangle_gamma", worst)]
+            z = r * cmath.exp(1j * th)
+            d = bch.disentangle_squeeze(z)
+            yield abs(d.gamma - math.log1p(-abs(d.alpha) ** 2)), z
 
 
-@register("bch.su11_defining_rep")
+@register_grid("bch.su11_defining_rep")
 def _check_su11_rep(cfg):
     """Both factor orders against exp(z K+ - conj(z) K-) in the 2x2 rep."""
     from scipy.linalg import expm
@@ -364,7 +378,6 @@ def _check_su11_rep(cfg):
     k0 = np.diag([0.5, -0.5]).astype(complex)
     kp = np.array([[0, 1], [0, 0]], dtype=complex)
     km = np.array([[0, 0], [-1, 0]], dtype=complex)
-    worst = 0.0
     for r in (0.25, 0.7, 1.0, 1.2):
         for th in STANDARD_THETA:
             z = r * cmath.exp(1j * th)
@@ -374,9 +387,8 @@ def _check_su11_rep(cfg):
                 @ expm(-np.conj(d.alpha) * km)
             rev = expm(-np.conj(d.alpha) * km) @ expm(-d.gamma * k0) \
                 @ expm(d.alpha * kp)
-            worst = max(worst, float(np.max(np.abs(fwd - target))),
-                        float(np.max(np.abs(rev - target))))
-    return [_result(cfg, "bch.su11_defining_rep", worst)]
+            yield np.abs(fwd - target), z
+            yield np.abs(rev - target), z
 
 
 # ------------------------------------------------------------------- fock
@@ -402,23 +414,20 @@ def _check_heisenberg(cfg):
     return [_result(cfg, "fock.heisenberg_commutator", dev)]
 
 
-@register("fock.bogoliubov_closure")
+@register_grid("fock.bogoliubov_closure")
 def _check_bogoliubov(cfg):
     n = cfg.fock_dim
-    worst = 0.0
     for r in STANDARD_R:
         for th in STANDARD_THETA:
-            az = fock.squeezed_annihilator(r * cmath.exp(1j * th), n)
+            z = r * cmath.exp(1j * th)
+            az = fock.squeezed_annihilator(z, n)
             comm = az @ az.conj().T - az.conj().T @ az
-            worst = max(worst, float(np.max(np.abs(
-                comm[:n - 2, :n - 2] - np.eye(n - 2)))))
-    return [_result(cfg, "fock.bogoliubov_closure", worst)]
+            yield np.abs(comm[:n - 2, :n - 2] - np.eye(n - 2)), z
 
 
-@register("fock.coherent_column")
+@register_grid("fock.coherent_column")
 def _check_coherent_column(cfg):
     n = cfg.fock_dim
-    worst = 0.0
     for u0 in STANDARD_U0:
         col = fock.displacement(u0, n)[:, 0]
         if u0 == 0:
@@ -428,37 +437,33 @@ def _check_coherent_column(cfg):
             k = np.arange(n)
             ref = np.exp(-0.5 * abs(u0) ** 2 + k * np.log(complex(u0))
                          - 0.5 * fock._lgfact(n - 1))
-        worst = max(worst, float(np.max(np.abs(col - ref))))
-    return [_result(cfg, "fock.coherent_column", worst)]
+        yield np.abs(col - ref), u0
 
 
-@register("fock.displacement_vs_exp")
+@register_grid("fock.displacement_vs_exp")
 def _check_displacement_vs_exp(cfg):
     n = cfg.fock_dim
-    worst = 0.0
     for u0 in STANDARD_U0:
         diff = fock.displacement(u0, n) - fock.displacement_exp(u0, n)
-        worst = max(worst, fock.top_block_norm(diff, n // 2))
-    return [_result(cfg, "fock.displacement_vs_exp", worst)]
+        yield fock.top_block_norm(diff, n // 2), u0
 
 
-@register("fock.unitarity")
+@register_grid("fock.unitarity")
 def _check_unitarity(cfg):
     """Isometry on blocks whose columns have converged inside the box."""
     n = cfg.fock_dim
-    worst = 0.0
     for u0 in STANDARD_U0:
         d = fock.displacement(u0, n)
         k = n // 4
         gram = d.conj().T @ d
-        worst = max(worst, float(np.max(np.abs(gram[:k, :k] - np.eye(k)))))
+        yield np.abs(gram[:k, :k] - np.eye(k)), ("displacement", u0)
     for r in (0.25, 0.7):
-        s = fock.squeeze_factored(r * cmath.exp(1j * math.pi / 3), n)
+        z = r * cmath.exp(1j * math.pi / 3)
+        s = fock.squeeze_factored(z, n)
         # squeezing |k> spreads to ~ k e^{2r}; keep columns well inside
         k = max(2, int(n / (2 * math.exp(2 * r))))
         gram = s.conj().T @ s
-        worst = max(worst, float(np.max(np.abs(gram[:k, :k] - np.eye(k)))))
-    return [_result(cfg, "fock.unitarity", worst)]
+        yield np.abs(gram[:k, :k] - np.eye(k)), ("squeeze", z)
 
 
 @register("fock.squeeze_factored_vs_exp")
@@ -472,21 +477,21 @@ def _check_squeeze_vs_exp(cfg):
     """
     b = cfg.fock_dim // 2
     levels = np.arange(b)
-    worst, wpt = 0.0, None
-    for r in (0.25, 0.7, 1.0):
-        base = fock.squeeze_exp(r, b)
-        for th in (0.0, math.pi / 3, math.pi):
-            z = r * cmath.exp(1j * th)
-            rot = np.exp(0.5j * th * levels)
-            exact = (rot[:, None] * base) * rot.conj()
-            d = fock.top_block_norm(fock.squeeze_factored(z, b) - exact, b)
-            if d > worst:
-                worst, wpt = d, z
-    return [_result(cfg, "fock.squeeze_factored_vs_exp", worst,
-                    {"worst_at_z": repr(wpt), "block": b})]
+
+    def devs():
+        for r in (0.25, 0.7, 1.0):
+            base = fock.squeeze_exp(r, b)
+            for th in (0.0, math.pi / 3, math.pi):
+                z = r * cmath.exp(1j * th)
+                rot = np.exp(0.5j * th * levels)
+                exact = (rot[:, None] * base) * rot.conj()
+                yield fock.top_block_norm(fock.squeeze_factored(z, b) - exact,
+                                          b), z
+
+    return [_worst(cfg, "fock.squeeze_factored_vs_exp", devs(), {"block": b})]
 
 
-@register("fock.squeeze_dual_order")
+@register_grid("fock.squeeze_dual_order")
 def _check_squeeze_dual(cfg):
     """Reversed factor order in Fock space, inside its convergence region.
 
@@ -501,14 +506,12 @@ def _check_squeeze_dual(cfg):
     """
     n = cfg.fock_dim
     block = 16
-    worst = 0.0
     for r in (0.2, 0.3, 0.4):
         for th in (0.0, math.pi / 3):
             z = r * cmath.exp(1j * th)
             diff = fock.squeeze_factored_reversed(z, n)[:block, :block] \
                 - fock.squeeze_exp(z, block)
-            worst = max(worst, fock.top_block_norm(diff, block))
-    return [_result(cfg, "fock.squeeze_dual_order", worst)]
+            yield fock.top_block_norm(diff, block), z
 
 
 @register("fock.squeeze_truncation_decay")
@@ -521,52 +524,46 @@ def _check_squeeze_decay(cfg):
     """
     from scipy.linalg import expm
 
-    worst = 0.0
-    meas = {}
     block = 24
+    errs = {}
     for r in (0.4, 0.6):
         z = r * cmath.exp(1j * math.pi / 3)
-        errs = []
+        errs[r] = []
         for n in (48, 96):
             a, adag = fock.ladder(n)
             gen = 0.5 * (z * adag @ adag - np.conj(z) * a @ a)
             diff = fock.squeeze_factored(z, n) - expm(gen)
-            errs.append(fock.top_block_norm(diff, block))
-        meas[f"r={r}"] = errs
-        worst = max(worst, errs[1] - errs[0])
-    return [_result(cfg, "fock.squeeze_truncation_decay", worst,
-                    {"errors_at_N48_N96": meas})]
+            errs[r].append(fock.top_block_norm(diff, block))
+    return [_worst(cfg, "fock.squeeze_truncation_decay",
+                   ((e96 - e48, r) for r, (e48, e96) in errs.items()),
+                   {"errors_at_N48_N96": {f"r={r}": e for r, e in errs.items()}})]
 
 
-@register("fock.annihilation")
+@register_grid("fock.annihilation")
 def _check_annihilation(cfg):
     n = cfg.fock_dim
-    worst = 0.0
     for r in STANDARD_R:
         for th in STANDARD_THETA:
             z = r * cmath.exp(1j * th)
             v = fock._squeezed_vacuum_column(z, n)
             res = fock.squeezed_annihilator(z, n) @ v
-            worst = max(worst, float(np.linalg.norm(res[:n // 2])))
-    return [_result(cfg, "fock.annihilation", worst)]
+            yield float(np.linalg.norm(res[:n // 2])), z
 
 
-@register("fock.displaced_coherence")
+@register_grid("fock.displaced_coherence")
 def _check_displaced_coherence(cfg):
     from .params import squeezed_frame_label
 
     n = cfg.fock_dim
     labs = standard_labels()
-    worst = 0.0
     for lab, amps in zip(labs, _state_rows(labs, n)):
         az = fock.squeezed_annihilator(lab.z, n)
         u0z = squeezed_frame_label(lab.u0, lab.z)
         res = az @ amps - u0z * amps
-        worst = max(worst, float(np.linalg.norm(res[:n // 2])))
-    return [_result(cfg, "fock.displaced_coherence", worst)]
+        yield float(np.linalg.norm(res[:n // 2])), lab
 
 
-@register("fock.state_recurrence_vs_dense")
+@register_grid("fock.state_recurrence_vs_dense", fock_dim=128)
 def _check_state_recurrence(cfg):
     """Recurrence amplitudes against the dense product D(u0) S(z)|0>.
 
@@ -577,38 +574,29 @@ def _check_state_recurrence(cfg):
     n = 128
     labs = [lab for lab in standard_labels()
             if lab.u0 in (0j, 2j) and lab.r in (0.0, 1.2)]
-    worst, wpt = 0.0, None
     for lab, amps in zip(labs, _state_rows(labs, n)):
         dense = fock.displacement(lab.u0, n) \
             @ fock._squeezed_vacuum_column(lab.z, n)
-        d = float(np.max(np.abs(amps[:n // 2] - dense[:n // 2])))
-        if d > worst:
-            worst, wpt = d, lab
-    return [_result(cfg, "fock.state_recurrence_vs_dense", worst,
-                    {"worst_at": repr(wpt), "fock_dim": n})]
+        yield np.abs(amps[:n // 2] - dense[:n // 2]), lab
 
 
-@register("fock.operator_shift")
+@register_grid("fock.operator_shift")
 def _check_operator_shift(cfg):
     c, n = cfg.constants, cfg.fock_dim
     q = fock.position(n, c)
-    worst = 0.0
     for u0 in STANDARD_U0:
         d = fock.displacement(u0, n)
         q0 = math.sqrt(2.0) * c.ell0 * complex(u0).real
         shifted = d @ q @ d.conj().T
-        worst = max(worst, fock.top_block_norm(
-            shifted - (q - q0 * np.eye(n)), n // 4))
-    return [_result(cfg, "fock.operator_shift", worst)]
+        yield fock.top_block_norm(shifted - (q - q0 * np.eye(n)), n // 4), u0
 
 
-@register("fock.invariant_combination")
+@register_grid("fock.invariant_combination")
 def _check_invariant_combination(cfg):
     from .params import squeezed_frame_label
 
     n = cfg.fock_dim
     a, adag = fock.ladder(n)
-    worst = 0.0
     for lab in standard_labels():
         if lab.u0 == 0:
             continue
@@ -616,8 +604,7 @@ def _check_invariant_combination(cfg):
         u0z = squeezed_frame_label(lab.u0, lab.z)
         lhs = u0z * az.conj().T - np.conj(u0z) * az
         rhs = lab.u0 * adag - np.conj(lab.u0) * a
-        worst = max(worst, fock.top_block_norm(lhs - rhs, n - 2))
-    return [_result(cfg, "fock.invariant_combination", worst)]
+        yield fock.top_block_norm(lhs - rhs, n - 2), lab
 
 
 # ----------------------------------------------------- saturation scanning
@@ -632,37 +619,27 @@ def saturation_scan(cfg: VerifyConfig):
     states = [fock.FockVector.from_amps(row) for row in _state_rows(labs, n)]
     one = fock.basis_state(n, 1)
     *recs, rec1 = fock.sr_ur_check(q, p, states + [one])
-    worst = {"residual": (0.0, None), "slack": (0.0, None),
-             "moments": (0.0, None)}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", fock.TruncationWarning)
-        for lab, st, rec in zip(labs, states, recs):
-            m = labels_to_moments(lab, c)
-            res = fock.defining_residual(q, p, st, m, c)
-            me = fock.expectations(q, p, st)
-            dm = max(abs(me.q0 - m.q0), abs(me.p0 - m.p0),
-                     abs(me.dq - m.dq), abs(me.dp - m.dp),
-                     abs(me.corr - m.corr))
-            for key, val in (("residual", res), ("slack", abs(rec.slack)),
-                             ("moments", dm)):
-                if val > worst[key][0]:
-                    worst[key] = (val, lab)
-    m1 = fock.expectations(q, p, one)
-    probe_res = fock.defining_residual(q, p, one, m1, c)
-    out = [
-        _result(cfg, "verify.defining_residual", worst["residual"][0],
-                {"worst_at": repr(worst["residual"][1]), "fock_dim": n}),
-        _result(cfg, "verify.srur_saturating", worst["slack"][0],
-                {"worst_at": repr(worst["slack"][1])}),
-        _result(cfg, "verify.moment_agreement", worst["moments"][0],
-                {"worst_at": repr(worst["moments"][1])}),
+    ms = [labels_to_moments(lab, c) for lab in labs]
+    residuals = [fock.defining_residual(q, p, st, m, c)
+                 for st, m in zip(states, ms)]
+    gaps = []
+    for rec, m in zip(recs, ms):
+        me = rec.moments.as_moments()
+        gaps.append((abs(me.q0 - m.q0), abs(me.p0 - m.p0), abs(me.dq - m.dq),
+                     abs(me.dp - m.dp), abs(me.corr - m.corr)))
+    probe_res = fock.defining_residual(q, p, one, rec1.moments.as_moments(), c)
+    return [
+        _worst(cfg, "verify.defining_residual", zip(residuals, labs),
+               {"fock_dim": n}),
+        _worst(cfg, "verify.srur_saturating",
+               ((abs(rec.slack), lab) for rec, lab in zip(recs, labs))),
+        _worst(cfg, "verify.moment_agreement", zip(gaps, labs)),
         # expected-fail fixture: |1> must NOT look saturating
         _result(cfg, "verify.nonsaturating_probe",
                 0.1 / max(probe_res, 1e-300),
                 {"probe_residual": probe_res,
                  "slack_minus_2hbar2": rec1.slack - 2 * c.hbar**2}),
     ]
-    return out
 
 
 @register("verify.saturation_scan")
@@ -682,9 +659,9 @@ def _check_srur_positivity(cfg):
         amps /= np.linalg.norm(amps)
         states.append(fock.FockVector.from_amps(amps))
     *recs, rec1 = fock.sr_ur_check(q, p, states + [fock.basis_state(n, 1)])
-    worst = max(0.0, *(-rec.slack for rec in recs))
     return [
-        _result(cfg, "verify.srur_positivity", worst),
+        _worst(cfg, "verify.srur_positivity",
+               ((-rec.slack, k) for k, rec in enumerate(recs))),
         _result(cfg, "verify.srur_fock_one",
                 abs(rec1.slack - 2 * c.hbar**2)),
     ]
@@ -836,14 +813,11 @@ def resolution_of_identity(z: complex, dim_check: int, cfg: VerifyConfig,
 
 @register("verify.resolution_identity")
 def _check_roi(cfg):
-    out = [resolution_of_identity(z, cfg.dim_check, cfg)
-           for z in (0.0, 0.5, 0.8 * cmath.exp(1j * math.pi / 3),
-                     12 * cmath.exp(0.7j))]
-    agg = max(out, key=lambda r: r.measured)
-    return [CheckResult(check_id="verify.resolution_identity",
-                        params={"per_z": {r.params["z"]: r.measured for r in out}},
-                        measured=agg.measured, bound=agg.bound,
-                        passed=all(r.passed for r in out), runtime_ms=0.0)]
+    zs = (0.0, 0.5, 0.8 * cmath.exp(1j * math.pi / 3), 12 * cmath.exp(0.7j))
+    out = [resolution_of_identity(z, cfg.dim_check, cfg) for z in zs]
+    return [_worst(cfg, "verify.resolution_identity",
+                   ((r.measured, z) for r, z in zip(out, zs)),
+                   {"per_z": {r.params["z"]: r.measured for r in out}})]
 
 
 def mu_weighted_identity(cfg: VerifyConfig) -> CheckResult:
@@ -890,19 +864,18 @@ def _check_convergence(cfg):
                                            m, c)
                     for row, m in zip(_state_rows(labs, n), ms)])
     detail = {repr(lab): [r64, r128] for lab, r64, r128 in zip(labs, *res)}
-    worst = max(0.0, *(r128 - r64 for r64, r128 in zip(*res)))
-    return [_result(cfg, "verify.convergence_monotonic", worst,
-                    {"residuals_N64_N128": detail})]
+    return [_worst(cfg, "verify.convergence_monotonic",
+                   ((r128 - r64, lab) for lab, r64, r128 in zip(labs, *res)),
+                   {"residuals_N64_N128": detail})]
 
 
 # ----------------------------------------------------------------- wavefn
 
 
-@register("wavefn.normalization")
+@register_grid("wavefn.normalization")
 def _check_wavefn_norm(cfg):
     c = cfg.constants
-    worst = 0.0
-    for lab in standard_labels(rmax=1.2):
+    for lab in standard_labels():
         p = wavefn.WavefnParams.from_labels(lab, c)
         spec = quadmod.QuadratureSpec(
             quadmod.QuadKind.GAUSS_HERMITE, 96,
@@ -910,15 +883,13 @@ def _check_wavefn_norm(cfg):
             rel_tol=1e-9)
         rep = quadmod.integrate_line(
             lambda q: np.abs(wavefn.psi(q, p)) ** 2, spec, check=False)
-        worst = max(worst, abs(rep.value - 1.0))
-    return [_result(cfg, "wavefn.normalization", worst)]
+        yield abs(rep.value - 1.0), lab
 
 
-@register("wavefn.phase_anchor")
+@register_grid("wavefn.phase_anchor")
 def _check_phase_anchor(cfg):
     c = cfg.constants
     vac = wavefn.WavefnParams.from_labels(Labels(), c)
-    worst = 0.0
     for r in STANDARD_R:
         for th in STANDARD_THETA:
             lab = Labels(u0=0, r=r, theta=th)
@@ -931,23 +902,18 @@ def _check_phase_anchor(cfg):
                 lambda q: np.conj(wavefn.psi(q, vac)) * wavefn.psi(q, p),
                 spec, check=False)
             expected = math.cosh(r) ** -0.5
-            worst = max(worst, abs(rep.value - expected),
-                        abs(rep.value.imag))
-    return [_result(cfg, "wavefn.phase_anchor", worst)]
+            yield (abs(rep.value - expected), abs(rep.value.imag)), lab.z
 
 
-@register("wavefn.three_forms")
+@register_grid("wavefn.three_forms")
 def _check_three_forms(cfg):
     c = cfg.constants
     qs = np.linspace(-6.0, 6.0, 129)
-    worst = 0.0
     for lab in standard_labels():
         p = wavefn.WavefnParams.from_labels(lab, c)
-        vals = [wavefn.psi_form(qs, p, f) for f in ("angle", "sqrt")]
         base = wavefn.psi(qs, p)
-        for v in vals:
-            worst = max(worst, float(np.max(np.abs(v - base))))
-    return [_result(cfg, "wavefn.three_forms", worst)]
+        for form in ("angle", "sqrt"):
+            yield np.abs(wavefn.psi_form(qs, p, form) - base), (form, lab)
 
 
 def synthesis_ratio(lab: Labels, c: Constants, amps: np.ndarray,
@@ -966,7 +932,7 @@ def synthesis_ratio(lab: Labels, c: Constants, amps: np.ndarray,
     return float(np.max(np.abs(diff))) / (8.0 * math.sqrt(missing) + 1e-11)
 
 
-@register("wavefn.fock_synthesis")
+@register_grid("wavefn.fock_synthesis")
 def _check_synthesis(cfg):
     """Hermite synthesis against a per-state truncation budget.
 
@@ -974,92 +940,71 @@ def _check_synthesis(cfg):
     discarded; measured is the worst ratio of defect to that budget.
     """
     qs = np.linspace(-6.0, 6.0, 129)
-    labs = standard_labels(rmax=1.2)
-    worst, wpt = 0.0, None
+    labs = standard_labels()
     for lab, amps in zip(labs, _state_rows(labs, 2 * cfg.fock_dim)):
-        ratio = synthesis_ratio(lab, cfg.constants, amps, qs)
-        if ratio > worst:
-            worst, wpt = ratio, lab
-    return [_result(cfg, "wavefn.fock_synthesis", worst,
-                    {"worst_at": repr(wpt)})]
+        yield synthesis_ratio(lab, cfg.constants, amps, qs), lab
 
 
-@register("wavefn.log_consistency")
+@register_grid("wavefn.log_consistency")
 def _check_log_psi(cfg):
     c = cfg.constants
     qs = np.linspace(-8.0, 8.0, 65)
-    worst = 0.0
     for lab in standard_labels():
         p = wavefn.WavefnParams.from_labels(lab, c)
         lp = wavefn.log_psi(qs, p)
         direct = wavefn.psi_form(qs, p, "angle")
         mask = np.abs(direct) > 1e-250
-        worst = max(worst, float(np.max(np.abs(np.exp(lp[mask]) - direct[mask]))))
-    return [_result(cfg, "wavefn.log_consistency", worst)]
+        yield np.abs(np.exp(lp[mask]) - direct[mask]), lab
 
 
 # ---------------------------------------------------------------- kernels
 
 
-_PAIR_GRID = None
+_PAIR_LABELS = tuple(zip(
+    (0.0, 0.25, 0.7 * cmath.exp(1j * math.pi / 3), 1.0j,
+     1.2 * cmath.exp(1j * 2.5)),
+    (0j, 1.0, 1 + 1j, -1.5 + 0.5j, 2j)))
+# (z2, u2, z1, u1) for every ordered pair of the (z, u) labels: the two
+# states themselves, and the two with their displacements swapped
+_PAIR_GRID = tuple(pair for z2, u2 in _PAIR_LABELS for z1, u1 in _PAIR_LABELS
+                   for pair in ((z2, u1, z1, u2), (z2, u2, z1, u1)))
 
 
-def _pair_grid():
-    global _PAIR_GRID
-    if _PAIR_GRID is None:
-        zs = [0.0, 0.25, 0.7 * cmath.exp(1j * math.pi / 3),
-              1.0j, 1.2 * cmath.exp(1j * 2.5)]
-        us = [0j, 1.0, 1 + 1j, -1.5 + 0.5j, 2j]
-        pairs = []
-        for i, (z2, u2) in enumerate(zip(zs, us)):
-            for j, (z1, u1) in enumerate(zip(zs, us)):
-                pairs.append((zs[i], us[j], zs[j], us[i]))
-                pairs.append((zs[i], us[i], zs[j], us[j]))
-        _PAIR_GRID = pairs
-    return _PAIR_GRID
-
-
-@register("kernels.hermitian_symmetry")
+@register_grid("kernels.hermitian_symmetry")
 def _check_hermitian(cfg):
-    worst = 0.0
-    for z2, u2, z1, u1 in _pair_grid():
+    for pair in _PAIR_GRID:
+        z2, u2, z1, u1 = pair
         o12 = kernels.squeezed_overlap(z2, u2, z1, u1).value
         o21 = kernels.squeezed_overlap(z1, u1, z2, u2).value
-        worst = max(worst, abs(o12 - np.conj(o21)))
-    return [_result(cfg, "kernels.hermitian_symmetry", worst)]
+        yield abs(o12 - np.conj(o21)), pair
 
 
-@register("kernels.cauchy_schwarz")
+@register_grid("kernels.cauchy_schwarz")
 def _check_cauchy_schwarz(cfg):
-    worst = 0.0
-    for z2, u2, z1, u1 in _pair_grid():
+    for pair in _PAIR_GRID:
+        z2, u2, z1, u1 = pair
         mod = kernels.squeezed_overlap(z2, u2, z1, u1).modulus
-        worst = max(worst, mod - 1.0)
+        yield mod - 1.0, pair
         if (z2, u2) != (z1, u1) and abs(complex(z2) - complex(z1)) \
                 + abs(complex(u2) - complex(u1)) > 0.1:
             if mod > 1 - 1e-6:
-                worst = max(worst, mod)
-    return [_result(cfg, "kernels.cauchy_schwarz", worst)]
+                yield mod, pair
 
 
-@register("kernels.coherent_special")
+@register_grid("kernels.coherent_special")
 def _check_coherent_special(cfg):
-    worst = 0.0
     for u2 in STANDARD_U0:
         for u1 in STANDARD_U0:
             res = kernels.coherent_overlap(u2, u1)
-            worst = max(worst, abs(res.modulus
-                                   - math.exp(-0.5 * abs(complex(u2) - complex(u1)) ** 2)))
+            modulus = math.exp(-0.5 * abs(complex(u2) - complex(u1)) ** 2)
             direct = cmath.exp(-0.5 * abs(complex(u2)) ** 2
                                - 0.5 * abs(complex(u1)) ** 2
                                + np.conj(complex(u2)) * complex(u1))
-            worst = max(worst, abs(res.value - direct))
-    return [_result(cfg, "kernels.coherent_special", worst)]
+            yield (abs(res.modulus - modulus), abs(res.value - direct)), (u2, u1)
 
 
-@register("kernels.squeezed_special")
+@register_grid("kernels.squeezed_special")
 def _check_squeezed_special(cfg):
-    worst = 0.0
     for r2 in (0.0, 0.5, 1.0):
         for r1 in (0.0, 0.7):
             for th in (0.0, math.pi / 2):
@@ -1070,12 +1015,11 @@ def _check_squeezed_special(cfg):
                 zeta1 = math.tanh(r1)
                 expected = (math.cosh(r2) * math.cosh(r1)) ** -0.5 \
                     * (1 - np.conj(zeta2) * zeta1) ** -0.5
-                worst = max(worst, abs(res.value - expected))
+                yield abs(res.value - expected), (z2, z1)
     # vacuum-squeezed special value (cosh r)^{-1/2}
     for r in STANDARD_R:
         res = kernels.squeezed_overlap(0, 0, r, 0)
-        worst = max(worst, abs(res.value - math.cosh(r) ** -0.5))
-    return [_result(cfg, "kernels.squeezed_special", worst)]
+        yield abs(res.value - math.cosh(r) ** -0.5), (0, r)
 
 
 def fock_overlaps(pairs, dim: int) -> list[complex]:
@@ -1119,28 +1063,19 @@ def quad_overlap(z2, u2, z1, u1, c: Constants = Constants(),
         spec, check=check)
 
 
-@register("kernels.oracle_triangle")
+@register_grid("kernels.oracle_triangle", pairs=len(_PAIR_GRID))
 def _check_oracle_triangle(cfg):
     c = cfg.constants
-    worst, wpt = 0.0, None
-    npairs = 0
-    pairs = _pair_grid()
-    for (z2, u2, z1, u1), via_fock in zip(pairs, fock_overlaps(pairs, 192)):
-        closed = kernels.squeezed_overlap(z2, u2, z1, u1).value
-        via_quad = quad_overlap(z2, u2, z1, u1, c).value
-        err = max(abs(closed - via_fock), abs(closed - via_quad),
-                  abs(via_fock - via_quad))
-        npairs += 1
-        if err > worst:
-            worst, wpt = err, (z2, u2, z1, u1)
-    return [_result(cfg, "kernels.oracle_triangle", worst,
-                    {"pairs": npairs, "worst_at": repr(wpt)})]
+    for pair, via_fock in zip(_PAIR_GRID, fock_overlaps(_PAIR_GRID, 192)):
+        closed = kernels.squeezed_overlap(*pair).value
+        via_quad = quad_overlap(*pair, c).value
+        yield (abs(closed - via_fock), abs(closed - via_quad),
+               abs(via_fock - via_quad)), pair
 
 
-@register("kernels.matrix_element_vs_fock")
+@register_grid("kernels.matrix_element_vs_fock")
 def _check_matrix_element(cfg):
     dim = 192
-    worst = 0.0
     cases = [(0.4j, 1 + 0.5j, -0.2), (0.3, 0.5 - 1j, 0.5j),
              (-0.6j, 2.0, 0.55), (0.0, 1 + 1j, 0.0)]
     for zeta2, u, zeta1 in cases:
@@ -1148,20 +1083,17 @@ def _check_matrix_element(cfg):
         right = fock._exp_adag2_lower(zeta1 / 2.0 + 0j, dim)
         val_f = left[0] @ fock.displacement(u, dim) @ right[:, 0]
         val_c = kernels.general_matrix_element(zeta2, u, zeta1)
-        worst = max(worst, abs(val_f - val_c))
-    return [_result(cfg, "kernels.matrix_element_vs_fock", worst)]
+        yield abs(val_f - val_c), (zeta2, u, zeta1)
 
 
-@register("kernels.displacement_composition")
+@register_grid("kernels.displacement_composition")
 def _check_disp_composition(cfg):
     n = cfg.fock_dim
-    worst = 0.0
     for u2, u1 in ((1.0, 1j), (1 + 1j, -0.5 + 0.2j), (0.0, 1.5)):
         comp = kernels.displacement_composition(u2, u1)
         lhs = fock.displacement(u2, n).conj().T @ fock.displacement(u1, n)
         rhs = comp.phase * fock.displacement(comp.shifted, n)
-        worst = max(worst, fock.top_block_norm(lhs - rhs, n // 2))
-    return [_result(cfg, "kernels.displacement_composition", worst)]
+        yield fock.top_block_norm(lhs - rhs, n // 2), (u2, u1)
 
 
 @register("kernels.compose")
@@ -1176,7 +1108,7 @@ def _check_compose(cfg):
     ]
 
 
-@register("kernels.diagonal_kernel_reconstruction")
+@register_grid("kernels.diagonal_kernel_reconstruction")
 def _check_diag_kernel(cfg):
     """Each quadrature observable as its kernel-weighted projector integral.
 
@@ -1187,7 +1119,6 @@ def _check_diag_kernel(cfg):
 
     c = cfg.constants
     dim, block = 32, 8
-    worst, wpt = 0.0, None
     for z in (0.0, 0.4):
         z = complex(z)
         az = fock.squeezed_annihilator(z, dim)
@@ -1198,19 +1129,14 @@ def _check_diag_kernel(cfg):
             kern = kernels.diagonal_kernel(op, z)
             rec = _lab_block(_projector(psi, kern.evaluate(wz) * tw), [z])[0]
             direct = op.to_matrix(az)
-            err = float(np.max(np.abs(rec - direct[:block, :block])))
-            if err > worst:
-                worst, wpt = err, (name, z)
-    return [_result(cfg, "kernels.diagonal_kernel_reconstruction", worst,
-                    {"worst_at": repr(wpt)})]
+            yield np.abs(rec - direct[:block, :block]), (name, z)
 
 
 @register("kernels.variable_change")
 def _check_variable_change(cfg):
     """Mixed second derivative re-expressed across the frame change."""
     rng = np.random.Generator(np.random.Philox(cfg.seed + 1))
-    worst = 0.0
-    jac_worst = 0.0
+    rows = []
     for r, th in ((0.4, 0.0), (0.8, math.pi / 3), (1.1, math.pi / 2)):
         ch, sh = math.cosh(r), math.sinh(r)
         s = cmath.exp(1j * th) * sh
@@ -1227,12 +1153,12 @@ def _check_variable_change(cfg):
         rhs = d_uu * half + d_bb * np.conj(half) \
             + d_ub * math.cosh(2 * r)
         scale = float(np.max(np.abs(rhs.coeffs))) + 1.0
-        worst = max(worst, lhs.max_abs_diff(rhs) / scale)
         det = ch * ch - (s * np.conj(s)).real
-        jac_worst = max(jac_worst, abs(abs(det) - 1.0))
+        rows.append((lhs.max_abs_diff(rhs) / scale, abs(abs(det) - 1.0),
+                     (r, th)))
     return [
-        _result(cfg, "kernels.variable_change", worst),
-        _result(cfg, "kernels.jacobian_unit", jac_worst),
+        _worst(cfg, "kernels.variable_change", ((d, at) for d, _, at in rows)),
+        _worst(cfg, "kernels.jacobian_unit", ((j, at) for _, j, at in rows)),
     ]
 
 
@@ -1334,10 +1260,7 @@ def _canary_center_phase(cfg):
     qs = np.linspace(-4, 5, 65)
     corrupt = wavefn.psi(qs, p) * cmath.exp(0.5j * p.moments.q0
                                             * p.moments.p0 / c.hbar)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", fock.TruncationWarning)
-        st = fock.saturating_state(lab, cfg.fock_dim)
-    synth = wavefn.synthesize(qs, st.amps, c)
+    synth = wavefn.synthesize(qs, _state_rows([lab], cfg.fock_dim)[0], c)
     return [_canary(cfg, "canary.missing_center_phase",
                     float(np.max(np.abs(corrupt - synth))))]
 

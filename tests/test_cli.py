@@ -350,13 +350,47 @@ def test_argparse_usage_exit():
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize("flag", [("--hbar", "2"), ("--ell0", "2"),
-                                  ("--seed", "3"), ("--fock-dim", "64")])
-def test_resolve_identity_rejects_options_it_does_not_read(capsys, flag):
-    argv = ["resolve-identity", "--z", "0.5", "--dim-check", "4"]
+# a working call of each subcommand, and the options it never reads
+_BASE_ARGV = {
+    "moments": ["moments"],
+    "overlap": ["overlap"],
+    "wavefn": ["wavefn", "--samples", "9"],
+    "kernel": ["kernel"],
+    "verify": ["verify", "--only", "params.roundtrip"],
+    "resolve-identity": ["resolve-identity", "--z", "0.5", "--dim-check", "4"],
+}
+_UNREAD = [
+    ("resolve-identity", "--hbar", "2"), ("resolve-identity", "--ell0", "2"),
+    ("resolve-identity", "--seed", "3"), ("resolve-identity", "--fock-dim", "64"),
+    ("moments", "--seed", "3"), ("moments", "--fock-dim", "64"),
+    ("overlap", "--seed", "3"),
+    ("wavefn", "--seed", "3"), ("wavefn", "--fock-dim", "64"),
+    ("wavefn", "--format", "csv"),
+    ("kernel", "--seed", "3"), ("kernel", "--fock-dim", "64"),
+    ("verify", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", _UNREAD,
+                         ids=[f"{cmd}{flag}" for cmd, flag, _ in _UNREAD])
+def test_subcommand_rejects_options_it_does_not_read(capsys, command, flag,
+                                                     value):
+    argv = _BASE_ARGV[command]
     assert run_cli(capsys, *argv)[0] == 0
     with pytest.raises(SystemExit) as info:
-        cli.main(argv + list(flag))
+        cli.main(argv + [flag, value])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_key_a_subcommand_does_not_read_is_usage_error(capsys,
+                                                              tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"seed": 3}))
+    assert run_cli(capsys, "verify", "--only", "params.roundtrip",
+                   "--config", str(cfgfile))[0] == 0
+    with pytest.raises(SystemExit) as info:
+        cli.main(["moments", "--config", str(cfgfile)])
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -545,6 +545,21 @@ def test_sr_ur_list_matches_single_states():
     assert got == [fock.sr_ur_check(q, p, [st])[0] for st in states]
 
 
+def test_sr_ur_moments_are_the_expectations():
+    # one second-moment pass serves both: bit for bit the same numbers
+    n = 96
+    q, p = fock.position(n, C), fock.momentum(n, C)
+    for st in (fock.saturating_state(Labels(u0=0.7 - 0.4j, r=0.6, theta=1.1), n),
+               fock.basis_state(n, 1)):
+        rec, = fock.sr_ur_check(q, p, [st])
+        assert rec.moments.as_moments() == fock.expectations(q, p, st)
+        assert rec.lhs == rec.moments.var_a * rec.moments.var_b
+    # a state with no spread in A still has its SR sides
+    num = np.diag(np.arange(n, dtype=float))
+    rec, = fock.sr_ur_check(num, q, [fock.basis_state(n, 2)])
+    assert rec.moments.var_a == 0.0 and rec.slack == 0.0
+
+
 def test_bogoliubov_closure_and_invariant_combination():
     from srsqueeze.params import squeezed_frame_label
 

@@ -1,13 +1,15 @@
 import ast
 import cmath
+import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from srsqueeze import fock, kernels, verify
+from srsqueeze import bch, fock, kernels, verify
 from srsqueeze import quadrature as quadmod
 from srsqueeze.params import (Constants, Labels, squeeze_axes,
                               squeezed_frame_label)
@@ -16,6 +18,116 @@ from srsqueeze.params import (Constants, Labels, squeeze_axes,
 @pytest.fixture(scope="module")
 def cfg():
     return verify.VerifyConfig()
+
+
+@pytest.fixture(scope="module")
+def full_suite(cfg):
+    return verify.run_suite(cfg)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("devs,at", [
+    ([(_NAN, "a"), (1.0, "b"), (2.0, "c")], "a"),
+    ([(1.0, "a"), (_NAN, "b"), (2.0, "c")], "b"),
+    ([(1.0, "a"), (2.0, "b"), (_NAN, "c")], "c"),
+    ([(1.0, "a"), (np.array([0.5, _NAN]), "b"), (2.0, "c")], "b"),
+])
+def test_worst_fails_at_the_first_nan(cfg, devs, at):
+    seen = []
+
+    def gen():
+        for dev, where in devs:
+            seen.append(where)
+            yield dev, where
+
+    res = verify._worst(cfg, "params.roundtrip", gen(), {"extra": 1})
+    assert math.isnan(res.measured) and not res.passed
+    assert res.params == {"worst_at": repr(at), "extra": 1}
+    # the scan stops at the NaN
+    assert seen[-1] == at
+
+
+def test_worst_keeps_the_first_of_ties(cfg):
+    res = verify._worst(cfg, "params.roundtrip",
+                        [(1e-13, "a"), (3e-13, "b"), (3e-13, "c"), (2e-13, "d")])
+    assert res.measured == 3e-13 and res.passed
+    assert res.params["worst_at"] == repr("b")
+
+
+def test_worst_floors_negative_deviations_at_zero(cfg):
+    res = verify._worst(cfg, "params.roundtrip", [(-3.0, "a"), (-1.0, "b")])
+    assert res.measured == 0.0 and res.passed
+    # worst_at still names the point closest to failing
+    assert res.params["worst_at"] == repr("b")
+
+
+def test_worst_reduces_array_deviations(cfg):
+    res = verify._worst(cfg, "params.roundtrip",
+                        [(np.array([1e-14, 4e-13]), (0, 1)),
+                         (np.array([[2e-13], [3e-13]]), (1, 0))])
+    assert res.measured == 4e-13
+    assert res.params["worst_at"] == repr((0, 1))
+    res = verify._worst(cfg, "params.roundtrip", [(np.array([2e-12]), 0.5)])
+    assert res.measured == 2e-12 and not res.passed
+
+
+def test_worst_of_no_pairs_is_zero(cfg):
+    res = verify._worst(cfg, "params.roundtrip", iter(()))
+    assert res.measured == 0.0 and res.passed
+    assert res.params == {"worst_at": "None"}
+
+
+def _only_result(cfg, check_id):
+    res, = verify.run_suite(cfg, only=[check_id])
+    return res
+
+
+def test_nan_in_f_uv_fails_f_symmetry(cfg, monkeypatch):
+    f_uv = bch.f_uv
+    bad = (-0.7, 0.5 - 1j)
+    monkeypatch.setattr(bch, "f_uv", lambda u, v: _NAN if (u, v) == bad
+                        else f_uv(u, v))
+    res = _only_result(cfg, "bch.f_symmetry")
+    assert math.isnan(res.measured) and not res.passed
+    assert res.params["worst_at"] == repr(bad)
+
+
+def test_nan_in_squeezed_annihilator_fails_bogoliubov_closure(cfg,
+                                                              monkeypatch):
+    annihilator = fock.squeezed_annihilator
+    bad = 0.7 * cmath.exp(1j * math.pi / 3)
+
+    def corrupt(z, n):
+        az = annihilator(z, n)
+        if z == bad:
+            az[3, 5] = _NAN
+        return az
+
+    monkeypatch.setattr(fock, "squeezed_annihilator", corrupt)
+    res = _only_result(cfg, "fock.bogoliubov_closure")
+    assert math.isnan(res.measured) and not res.passed
+    assert res.params["worst_at"] == repr(bad)
+
+
+def test_nan_in_squeezed_overlap_fails_hermitian_symmetry(cfg, monkeypatch):
+    overlap = kernels.squeezed_overlap
+    bad = verify._PAIR_GRID[17]
+
+    def corrupt(*pair):
+        res = overlap(*pair)
+        if pair == bad:
+            res = dataclasses.replace(res, value=complex(_NAN, 0.0))
+        return res
+
+    monkeypatch.setattr(kernels, "squeezed_overlap", corrupt)
+    res = _only_result(cfg, "kernels.hermitian_symmetry")
+    assert math.isnan(res.measured) and not res.passed
+    # the check also evaluates each pair reversed: the first pair that
+    # reads the corrupt value is the worst
+    first = next(p for p in verify._PAIR_GRID if bad in (p, p[2:] + p[:2]))
+    assert res.params["worst_at"] == repr(first)
 
 
 def test_params_subset_passes(cfg):
@@ -320,12 +432,44 @@ def test_no_registered_check_is_skipped(cfg):
     assert wanted <= got
 
 
-def test_full_suite_reports_one_result_per_documented_bound(cfg):
+def test_full_suite_reports_one_result_per_documented_bound(full_suite):
     # perfbench/checks.py holds a whole run to DEFAULT_BOUNDS and expects
     # exactly one result per key
-    results = verify.run_suite(cfg)
+    results = full_suite
     assert sorted(r.check_id for r in results) == sorted(verify.DEFAULT_BOUNDS)
     assert all(r.passed for r in results)
+
+
+# results that evaluate one point, so have no worst point to report
+_SINGLE_EVALUATION = {
+    "canary.dropped_prefactor", "canary.g2_sign_flip",
+    "canary.missing_center_phase", "canary.swapped_rho",
+    "canary.thetabar_branch", "canary.unnormalized_vacuum",
+    "fock.ladder_commutator", "fock.heisenberg_commutator",
+    "kernels.compose_coherent", "kernels.compose_squeezed",
+    "quadrature.determinism", "quadrature.plane_exactness",
+    "quadrature.polynomial_exactness",
+    "verify.nonsaturating_probe", "verify.srur_fock_one",
+}
+
+
+def test_every_grid_result_reports_its_worst_point(full_suite):
+    # a grid check reduced by hand would drop a NaN and carry no worst_at
+    assert _SINGLE_EVALUATION <= set(verify.DEFAULT_BOUNDS)
+    missing = sorted(r.check_id for r in full_suite
+                     if "worst_at" not in r.params)
+    assert missing == sorted(_SINGLE_EVALUATION)
+
+
+def test_saturation_scan_reads_moments_from_the_sr_pass(monkeypatch):
+    def fail(*args):
+        raise AssertionError("expectations called")
+
+    monkeypatch.setattr(fock, "expectations", fail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = verify.saturation_scan(verify.VerifyConfig())
+    assert len(results) == 4 and all(r.passed for r in results)
 
 
 def test_registry_ids_unique():
