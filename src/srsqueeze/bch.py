@@ -19,10 +19,9 @@ that the result stays accurate to ~1e-15 everywhere.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
-from .params import squeeze_zeta
+from .params import squeeze_axes, squeeze_zeta
 
 _DIAG_SWITCH = 3e-3
 _SERIES_SWITCH = 1e-4
@@ -120,11 +119,6 @@ def disentangle_squeeze(z: complex) -> DisentangledSqueeze:
     r = abs(z)
     if r == 0.0:
         return DisentangledSqueeze(alpha=0j, gamma=0.0)
-    alpha = squeeze_zeta(r, z / r)
-    # gamma = ln(1 - tanh^2 r) = -2 ln cosh r, with cosh r = 1 + 2 sinh^2(r/2)
-    # free of cancellation for small r, and the e^{-2r} form for large r
-    if r <= 1.0:
-        gamma = -2.0 * math.log1p(2.0 * math.sinh(0.5 * r) ** 2)
-    else:
-        gamma = -2.0 * (r + math.log1p(math.exp(-2.0 * r)) - math.log(2.0))
-    return DisentangledSqueeze(alpha=alpha, gamma=gamma)
+    # gamma = ln(1 - tanh^2 r) = -2 ln cosh r
+    return DisentangledSqueeze(alpha=squeeze_zeta(r, z / r),
+                               gamma=-2.0 * squeeze_axes(r)[3])

@@ -100,13 +100,6 @@ def momentum(dim: int, c: Constants = Constants()) -> np.ndarray:
     return -1j * c.hbar * (a - adag) / (c.ell0 * math.sqrt(2.0))
 
 
-def su11_generators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K0 = (a^dag a + 1/2)/2, K+ = a^dag^2/2, K- = a^2/2."""
-    a, adag = ladder(dim)
-    k0 = np.diag((np.arange(dim) + 0.5) / 2.0).astype(complex)
-    return k0, adag @ adag / 2.0, a @ a / 2.0
-
-
 def basis_state(dim: int, n: int) -> FockVector:
     _check_dim(dim)
     amps = np.zeros(dim, dtype=complex)

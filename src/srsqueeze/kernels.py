@@ -4,9 +4,9 @@ The overlap of two saturating states factors into a prefactor
 (cosh r2 cosh r1)^{-1/2} (1 - conj(zeta2) zeta1)^{-1/2}, a symplectic phase
 e^{-(u2 conj(u1) - conj(u2) u1)/2}, and a Gaussian in the label difference.
 One private core, _overlap_exponent, gives the logarithms of all three; the
-scalar squeezed_overlap (math/cmath), squeezed_overlap_qp and the vectorized
-overlap_values all exponentiate its sum, so moduli never overflow and phases
-stay coherent.  The prefactor is written free of cancellation:
+scalar squeezed_overlap (math/cmath) and the vectorized overlap_values
+both exponentiate its sum, so moduli never overflow and phases stay
+coherent.  The prefactor is written free of cancellation:
 
     cosh r2 cosh r1 (1 - conj(zeta2) zeta1)
         = cosh(r2 - r1) - 2i sin(D/2) e^{iD/2} sinh r2 sinh r1,
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bch import DomainError
-from .params import SQRT2, TWO_PI, Constants, squeeze_frame
+from .params import TWO_PI, Constants, squeeze_ellipse, squeeze_frame
 from . import quadrature as quadmod
 
 
@@ -55,13 +55,6 @@ class OverlapResult:
     modulus: float
     phase: float
     parts: OverlapParts
-
-
-def _squeeze_axes(r: float, theta: float) -> tuple[float, float, float, float]:
-    """e^{-r} and e^{r} times (cos, sin)(theta/2): the state's squeeze axes."""
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    em, ep = math.exp(-r), math.exp(r)
-    return em * c, em * s, ep * c, ep * s
 
 
 def _overlap_exponent(z2: complex, u2, z1: complex, u1):
@@ -88,8 +81,8 @@ def _overlap_exponent(z2: complex, u2, z1: complex, u1):
     den = complex(math.cosh(r2 - r1) + sn * cross, -math.cos(half) * cross)
     # -conj(e^{i t2/2}) e^{i t1/2} / (2P)
     kappa = -0.5 * (cmath.exp(0.5j * (t1 - t2)) / den)
-    a2, b2, c2, e2 = _squeeze_axes(r2, t2)
-    a1, b1, c1, e1 = _squeeze_axes(r1, t1)
+    a2, b2, c2, e2 = squeeze_ellipse(r2, t2)
+    a1, b1, c1, e1 = squeeze_ellipse(r1, t1)
     d = u2 - u1
     dx, dy = d.real, d.imag
     # (e^{-r} Re w, e^{r} Im w) of each state, then conj(.)_2 (.)_1
@@ -131,20 +124,6 @@ def squeezed_overlap(z2: complex, u2: complex,
     """
     logpre, sym, gre, gim = _overlap_exponent(z2, complex(u2), z1, complex(u1))
     return _result(logpre, complex(0.0, sym), complex(gre, gim))
-
-
-def squeezed_overlap_qp(z2: complex, qp2: tuple[float, float],
-                        z1: complex, qp1: tuple[float, float],
-                        c: Constants = Constants()) -> OverlapResult:
-    """Same overlap from physical centers (q, p) instead of labels u.
-
-    u = (q/ell0 + i ell0 p/hbar)/sqrt(2); the symplectic phase is then
-    e^{i(q2 p1 - q1 p2)/(2 hbar)}.
-    """
-    def label(q, p):
-        return complex(q / c.ell0, c.ell0 * p / c.hbar) / SQRT2
-
-    return squeezed_overlap(z2, label(*qp2), z1, label(*qp1))
 
 
 def overlap_values(z2: complex, u2, z1: complex, u1) -> np.ndarray:
@@ -224,17 +203,6 @@ class PolySymbol:
     def __init__(self, coeffs):
         arr = np.atleast_2d(np.asarray(coeffs, dtype=complex))
         self.coeffs = arr
-
-    @classmethod
-    def from_dict(cls, entries: dict[tuple[int, int], complex]) -> "PolySymbol":
-        if not entries:
-            return cls(np.zeros((1, 1)))
-        jmax = max(j for j, _ in entries)
-        kmax = max(k for _, k in entries)
-        arr = np.zeros((jmax + 1, kmax + 1), dtype=complex)
-        for (j, k), val in entries.items():
-            arr[j, k] = val
-        return cls(arr)
 
     @property
     def degree(self) -> int:

@@ -146,15 +146,19 @@ def labels_to_moments(labels: Labels, c: Constants = Constants()) -> Moments:
         (dq/ell0)^2      = (cosh 2r + cos(theta) sinh 2r) / 2
         (ell0 dp/hbar)^2 = (cosh 2r - cos(theta) sinh 2r) / 2
         corr             = hbar sin(theta) sinh 2r
+
+    The spreads are read in the squeeze axes (squeeze_ellipse), where both
+    are sums of positive terms, dq/ell0 = |(e^{r} cos(theta/2), e^{-r}
+    sin(theta/2))|/sqrt(2) and ell0 dp/hbar = |(e^{-r} cos(theta/2), e^{r}
+    sin(theta/2))|/sqrt(2), so neither cancels at any r or theta.
     """
     u0 = labels.u0
-    r, theta = labels.r, labels.theta
     q0 = SQRT2 * c.ell0 * u0.real
     p0 = SQRT2 * c.hbar * u0.imag / c.ell0
-    ch2, sh2 = math.cosh(2 * r), math.sinh(2 * r)
-    dq = c.ell0 * math.sqrt(0.5 * (ch2 + math.cos(theta) * sh2))
-    dp = (c.hbar / c.ell0) * math.sqrt(0.5 * (ch2 - math.cos(theta) * sh2))
-    corr = c.hbar * math.sin(theta) * sh2
+    mc, ms, pc, ps = squeeze_ellipse(labels.r, labels.theta)
+    dq = c.ell0 * math.hypot(pc, ms) / SQRT2
+    dp = (c.hbar / c.ell0) * math.hypot(mc, ps) / SQRT2
+    corr = c.hbar * math.sin(labels.theta) * math.sinh(2 * labels.r)
     return Moments(q0=q0, p0=p0, dq=dq, dp=dp, corr=corr)
 
 
@@ -214,7 +218,11 @@ def derived_angles(
     cphi, sphi = math.cos(phi), math.sin(phi)
     theta_plus = math.atan2(sphi * sx, sy + cphi * sx)
     if rho_minus > 1e-14:
-        theta_minus = math.atan2(-sphi * sx, sy - cphi * sx)
+        # sy - cos(phi) sx = (sy - sx) + 2 sin^2(phi/2) sx: at small r both
+        # sx and sy are near 1/sqrt(2) and cos(phi) near 1, so the direct
+        # difference cancels
+        theta_minus = math.atan2(-sphi * sx,
+                                 (sy - sx) + 2.0 * math.sin(0.5 * phi) ** 2 * sx)
     else:
         theta_minus = 0.0
     tb_plus, tb_minus = thetabar(labels.r, labels.theta)
@@ -252,13 +260,29 @@ def squeeze_axes(r: float) -> tuple[float, float, float, float]:
     """(tanh r, 1 - tanh r, 1 + tanh r, ln cosh r), none of them cancelling.
 
     With q = e^{-2r}: 1 - tanh r = 2q/(1 + q), 1 + tanh r = 2/(1 + q) and
-    ln cosh r = r + ln(1 + q) - ln 2.  Each is accurate to a few ulps (ln
-    cosh r to a few eps absolute) while 1 - tanh r is a normal float, up to
-    r of about 354.5; cosh r itself overflows from r of about 710.
+    ln cosh r = r + ln(1 + q) - ln 2, or ln(1 + 2 sinh^2(r/2)) for r <= 1,
+    where the other form would cancel.  Each is accurate to a few ulps while
+    1 - tanh r is a normal float, up to r of about 354.5; cosh r itself
+    overflows from r of about 710.
     """
     q = math.exp(-2.0 * r)
-    return (math.tanh(r), 2.0 * q / (1.0 + q), 2.0 / (1.0 + q),
-            r + math.log1p(q) - math.log(2.0))
+    if r <= 1.0:
+        ln_cosh = math.log1p(2.0 * math.sinh(0.5 * r) ** 2)
+    else:
+        ln_cosh = r + math.log1p(q) - math.log(2.0)
+    return math.tanh(r), 2.0 * q / (1.0 + q), 2.0 / (1.0 + q), ln_cosh
+
+
+def squeeze_ellipse(r: float, theta: float) -> tuple[float, float, float, float]:
+    """e^{-r} and e^{r} times (cos, sin)(theta/2): the squeeze axes of z = r e^{i theta}.
+
+    Returns (e^{-r} cos, e^{-r} sin, e^{r} cos, e^{r} sin) of theta/2.
+    labels_to_moments reads the spreads, and the overlap kernel each state's
+    Gaussian factor, from these without cancellation at any r or theta.
+    """
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    em, ep = math.exp(-r), math.exp(r)
+    return em * c, em * s, ep * c, ep * s
 
 
 def squeeze_frame(z: complex) -> tuple[float, complex, complex]:

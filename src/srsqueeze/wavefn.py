@@ -1,14 +1,15 @@
 """Configuration-space wavefunctions of the saturating states.
 
-The wavefunction is a Gaussian with a complex width set by z and a fully
+The wavefunction is a Gaussian fixed by the state's moments, with a fully
 fixed phase: the squeeze contributes e^{-i thetabar_plus/2} (the phase of
 (cosh r + e^{i theta} sinh r)^{-1/2} on its continuous branch) and the
 displacement contributes e^{-i q0 p0/(2 hbar)} e^{i q p0/hbar}.
 
-The modulus and the phase of the prefactor are always assembled separately
-(from (cosh 2r + cos theta sinh 2r)^{-1/4} and thetabar_plus); the
-equivalent closed forms that a principal complex square root would give are
-kept in psi_form for the equivalence checks.
+psi reads its width and chirp from the moments alone, as the textbook
+Gaussian (2 pi dq^2)^{-1/4} exp(-(1 - i corr/hbar) (q - q0)^2 / (4 dq^2)),
+so it inherits their accuracy at any squeezing.  The equivalent lab-frame
+closed forms, written in cosh and sinh of r and 2r, are kept in psi_form as
+independent oracles for the equivalence checks.
 """
 
 from __future__ import annotations
@@ -45,13 +46,6 @@ class WavefnParams:
                    constants=c)
 
 
-def _width_ratio(labels: Labels) -> complex:
-    """(cosh r - e^{i theta} sinh r)/(cosh r + e^{i theta} sinh r)."""
-    ch, sh = math.cosh(labels.r), math.sinh(labels.r)
-    ph = cmath.exp(1j * labels.theta)
-    return (ch - ph * sh) / (ch + ph * sh)
-
-
 def log_psi(q, p: WavefnParams):
     """Log-amplitude log(psi(q)); stable where psi itself underflows.
 
@@ -59,14 +53,12 @@ def log_psi(q, p: WavefnParams):
     representable.
     """
     q = np.asarray(q, dtype=float)
-    c, lab, m, ang = p.constants, p.labels, p.moments, p.angles
-    ch2 = math.cosh(2 * lab.r)
-    sh2 = math.sinh(2 * lab.r)
-    x2 = ch2 + math.cos(lab.theta) * sh2
-    logpre = (-0.25 * math.log(math.pi * c.ell0**2) - 0.25 * math.log(x2)
-              - 0.5j * ang.thetabar_plus - 0.5j * m.q0 * m.p0 / c.hbar)
-    dq = (q - m.q0) / c.ell0
-    return logpre + 1j * q * m.p0 / c.hbar - 0.5 * _width_ratio(lab) * dq * dq
+    c, m = p.constants, p.moments
+    logpre = (-0.25 * math.log(2.0 * math.pi) - 0.5 * math.log(m.dq)
+              - 0.5j * p.angles.thetabar_plus - 0.5j * m.q0 * m.p0 / c.hbar)
+    x = (q - m.q0) / m.dq
+    return (logpre + 1j * q * m.p0 / c.hbar
+            - 0.25 * complex(1.0, -m.corr / c.hbar) * x * x)
 
 
 def psi(q, p: WavefnParams):
@@ -83,7 +75,7 @@ def psi_form(q, p: WavefnParams, form: str):
                       (cosh r + e^{i theta} sinh r) as the prefactor, the
                       exponent from the Bogoliubov coefficient ratio.
 
-    psi itself is the modulus-phase prefactor with the ratio exponent.
+    psi itself is the same Gaussian written in the moments.
     """
     q = np.asarray(q, dtype=float)
     c, lab, m, ang = p.constants, p.labels, p.moments, p.angles
@@ -97,8 +89,9 @@ def psi_form(q, p: WavefnParams, form: str):
         pre = x2 ** -0.25 * cmath.exp(-0.5j * ang.thetabar_plus)
         expo = -0.5 * (1 - 1j * math.sin(lab.theta) * sh2) / x2 * dq2
     elif form == "sqrt":
-        pre = 1.0 / cmath.sqrt(ch + cmath.exp(1j * lab.theta) * sh)
-        expo = -0.5 * _width_ratio(lab) * dq2
+        ph = cmath.exp(1j * lab.theta)
+        pre = 1.0 / cmath.sqrt(ch + ph * sh)
+        expo = -0.5 * (ch - ph * sh) / (ch + ph * sh) * dq2
     else:
         raise ValueError(f"unknown form {form!r}")
     return common * pre * np.exp(expo)

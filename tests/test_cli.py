@@ -78,10 +78,10 @@ def test_usage_error_on_bad_literal(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("--u0", "nan", "--z", "0.5"),
-    ("--u0", "1", "--z", "40"),
     ("--u0", "1", "--z", "400"),
     ("--from-moments", "dq=-1,dp=1"),
     ("--from-moments", "dq=inf,dp=1"),
+    ("--from-moments", "dq=1,dp=0"),
 ])
 def test_moments_bad_input_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "moments", *argv)
@@ -91,8 +91,9 @@ def test_moments_bad_input_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("wavefn", "--u0", "0", "--z", "40"),
-    ("overlap", "--z2", "0", "--u2", "0", "--z1", "40", "--u1", "0",
+    # sinh 2r overflows in the correlation
+    ("wavefn", "--u0", "0", "--z", "400"),
+    ("overlap", "--z2", "0", "--u2", "0", "--z1", "400", "--u1", "0",
      "--oracle", "quad"),
     ("resolve-identity", "--z", "0.5", "--dim-check", "4", "--order", "1"),
     ("resolve-identity", "--z", "0.5", "--dim-check", "4", "--order", "200"),
@@ -110,6 +111,34 @@ def test_out_of_range_input_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error:")
+
+
+def test_moments_large_squeezing(capsys):
+    # dp = e^{-40}/sqrt(2), which cosh 80 - sinh 80 used to round to 0
+    code, out, err = run_cli(capsys, "moments", "--u0", "1", "--z", "40")
+    assert code == 0, err
+    row = json.loads(out)
+    assert row["dq"] == pytest.approx(math.exp(40) / math.sqrt(2), rel=1e-15)
+    assert row["dp"] == pytest.approx(math.exp(-40) / math.sqrt(2), rel=1e-15)
+
+
+@pytest.mark.parametrize("z", ["18@0.3", "20@3.141592653589793"])
+def test_wavefn_large_squeezing(capsys, z):
+    # |psi(q0 + k dq)|^2 = e^{-k^2/2} |psi(q0)|^2 at k = 0, 1, 2: at 18@0.3
+    # the lab-frame exponent gave |psi|^2 4.5% and 19% high at k = 1 and 2,
+    # and at 20@pi its width cancelled to 0
+    _, out, _ = run_cli(capsys, "moments", "--u0", "0", "--z", z)
+    dq = json.loads(out)["dq"]
+    code, out, err = run_cli(capsys, "wavefn", "--u0", "0", "--z", z,
+                             "--qmin", "0", "--qmax", repr(2 * dq),
+                             "--samples", "3")
+    assert code == 0, err
+    rows = list(csv.DictReader(
+        [l for l in out.splitlines() if not l.startswith("#")]))
+    abs2 = [float(r["abs2"]) for r in rows]
+    peak = 1.0 / math.sqrt(2 * math.pi * dq * dq)
+    assert abs2 == pytest.approx([peak, peak * math.exp(-0.5),
+                                  peak * math.exp(-2.0)], rel=1e-13, abs=0)
 
 
 def test_overlap_identical_states(capsys):

@@ -49,18 +49,6 @@ def test_position_momentum_commutator():
     assert np.max(np.abs(comm[:79, :79] - 1j * c.hbar * np.eye(79))) < 1e-12
 
 
-def test_su11_algebra():
-    k0, kp, km = fock.su11_generators(48)
-    block = slice(0, 40)
-
-    def comm(x, y):
-        return x @ y - y @ x
-
-    assert np.max(np.abs((comm(k0, kp) - kp)[block, block])) < 1e-12
-    assert np.max(np.abs((comm(k0, km) + km)[block, block])) < 1e-12
-    assert np.max(np.abs((comm(km, kp) - 2 * k0)[block, block])) < 1e-12
-
-
 def test_displacement_identity():
     d = fock.displacement(0.0, 16)
     assert np.array_equal(d, np.eye(16))

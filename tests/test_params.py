@@ -246,6 +246,69 @@ def test_thetabar_vs_mpmath(r, theta):
             assert abs(g - w) <= 4 * 2.0**-53 * math.pi / 2
 
 
+SLICE_R = [1.6e-8, 1e-4, 2.0, 4.0, 8.0, 12.0, 18.0, 40.0]
+SLICE_THETA = [0.0, math.pi / 3, math.pi / 2, 2.0, math.pi, -3.0]
+
+
+def _mp_moments(r, theta):
+    """(dq, dp, corr) of S(r e^{i theta})|0> (hbar = ell0 = 1) in mpmath.
+
+    From the Bogoliubov coefficients of S^dag a S: dq = |cosh r + e^{-i theta}
+    sinh r|/sqrt(2) and dp = |cosh r - e^{i theta} sinh r|/sqrt(2); at r = 40
+    their cancellation costs 35 digits, so callers work at 80.
+    """
+    rr, th = mpmath.mpf(r), mpmath.mpf(theta)
+    ch, sh = mpmath.cosh(rr), mpmath.sinh(rr)
+    return (abs(ch + mpmath.expj(-th) * sh) / mpmath.sqrt(2),
+            abs(ch - mpmath.expj(th) * sh) / mpmath.sqrt(2),
+            mpmath.sin(th) * mpmath.sinh(2 * rr))
+
+
+def _mp_theta_minus(sx, sy, t):
+    return mpmath.arg(sy - mpmath.expj(mpmath.atan(t)) * sx)
+
+
+@pytest.mark.parametrize("r", SLICE_R)
+@pytest.mark.parametrize("theta", SLICE_THETA)
+def test_moments_vs_mpmath(r, theta):
+    # the spreads are norms of two products of correctly rounded exp, cos and
+    # sin values: sums of positive terms, with condition 1 in those values,
+    # so a few ulp relative at any r; corr is one product.  The lab-frame
+    # cosh 2r -+ cos(theta) sinh 2r lost dp at r = 8 (8.6e-11 relative) and
+    # rounded it to 0 at r = 40.
+    m = labels_to_moments(Labels(u0=0.5 + 0.5j, r=r, theta=theta), C)
+    with mpmath.workdps(80):
+        want = _mp_moments(r, theta)
+    for got, w in zip((m.dq, m.dp, m.corr), want):
+        assert abs(got - w) <= 8 * 2.0**-53 * abs(w)
+
+
+@pytest.mark.parametrize("r", SLICE_R)
+@pytest.mark.parametrize("theta", SLICE_THETA)
+def test_theta_minus_vs_mpmath(r, theta):
+    # theta_minus = arg(sy - e^{i phi} sx) reads only the moments, so it is
+    # judged at the moments it received: within 8 ulp of its mixed condition
+    # in the labels (r, theta), with one ulp of 1 rad as the floor of an
+    # angle.  (The moments' own rounding, tested above, shifts the exact
+    # value by up to about eps/r at small r, where sy - sx is of order r.)
+    # sy - cos(phi) sx used to lose 3.6e-9 at r = 1.6e-8, theta = pi/2.
+    lab = Labels(u0=0.5 + 0.5j, r=r, theta=theta)
+    m = labels_to_moments(lab, C)
+    got = derived_angles(lab, m, C).theta_minus
+
+    def exact(rr, th):
+        return _mp_theta_minus(*_mp_moments(rr, th))
+
+    with mpmath.workdps(80):
+        want = _mp_theta_minus(mpmath.mpf(m.dq), mpmath.mpf(m.dp),
+                               mpmath.mpf(m.corr))
+        cond = (abs(want) + abs(r * mpmath.diff(lambda x: exact(x, theta), r))
+                + abs(theta * mpmath.diff(lambda x: exact(r, x), theta)))
+        err = abs(got - want)
+        err = min(err, abs(err - 2 * mpmath.pi))
+    assert err <= 8 * 2.0**-53 * (1 + cond)
+
+
 @pytest.mark.parametrize("lab", GRID)
 def test_rho_and_angle_identities(lab):
     m = labels_to_moments(lab, C)

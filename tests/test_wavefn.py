@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -137,6 +138,49 @@ def test_normalization(lab):
         scale=(3.0 * p.moments.dq, 1.0), rel_tol=1e-8)
     rep = quad.integrate_line(lambda q: np.abs(wavefn.psi(q, p)) ** 2, spec)
     assert rep.value == pytest.approx(1.0, abs=1e-10)
+
+
+def _mp_abs_psi(q, x0, r, theta):
+    """|psi(q)| of D(u0) S(r e^{i theta})|0> (hbar = ell0 = 1) in mpmath.
+
+    |psi|^2 = pi^{-1/2} |B|^{-1} exp(-(q - q0)^2 Re(w)) with q0 = sqrt(2) x0,
+    x0 = Re u0, B = cosh r + e^{i theta} sinh r and
+    w = (cosh r - e^{i theta} sinh r)/B; at r = 40 the cancellation in w
+    costs 35 digits, so callers work at 80.
+    """
+    rr, th = mpmath.mpf(r), mpmath.mpf(theta)
+    ch, e_sh = mpmath.cosh(rr), mpmath.expj(th) * mpmath.sinh(rr)
+    b = ch + e_sh
+    w = (ch - e_sh) / b
+    d = mpmath.mpf(q) - mpmath.sqrt(2) * x0
+    return (mpmath.pi ** -0.25 * abs(b) ** -0.5
+            * mpmath.exp(-mpmath.re(w) * d * d / 2))
+
+
+@pytest.mark.parametrize("r", [1.6e-8, 1e-4, 2.0, 4.0, 8.0, 12.0, 18.0, 40.0])
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2, 2.0, math.pi])
+def test_abs_psi_vs_mpmath(r, theta):
+    # |psi| at q0 + k dq (k = 0, 1, 2), relative to 8 ulp of 1 + |ln|psi||
+    # (psi is the exp of its log, whose own rounding is eps |ln|psi||) plus
+    # the mixed condition of ln|psi| in (q, Re u0, r, theta).  Compared in
+    # modulus: the phase there is about sin(theta) sinh(2r) k^2/4 rad, whose
+    # rounding is of that size times eps.  The lab-frame exponent lost
+    # 8.7e-11 at r = 8 and 0.10 at r = 18, theta = 0.3.
+    x0 = 0.5
+    p = wavefn.WavefnParams.from_labels(Labels(u0=x0 + 0.5j, r=r, theta=theta), C)
+    for k in range(3):
+        q = p.moments.q0 + k * p.moments.dq
+        got = abs(complex(wavefn.psi(q, p)))
+        args = (q, x0, r, theta)
+        with mpmath.workdps(80):
+            want = _mp_abs_psi(*args)
+            cond = 1 + abs(mpmath.log(want))
+            for i, x in enumerate(args):
+                def ln_abs(v, i=i):
+                    return mpmath.log(_mp_abs_psi(*args[:i], v, *args[i + 1:]))
+
+                cond += abs(x * mpmath.diff(ln_abs, x))
+        assert abs(got - want) <= 8 * 2.0**-53 * cond * want
 
 
 def test_hermite_functions_recurrence():
