@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-dim", dest="scan_dim", type=int, default=256)
     p.add_argument("--dim-check", dest="dim_check", type=int, default=16)
     p.add_argument("--only", action="append",
-                   help="glob pattern on check ids (repeatable)")
+                   help="glob pattern on check or result ids (repeatable)")
     p.add_argument("--bound", action="append",
                    help="override a bound: check_id=value (repeatable)")
     p.add_argument("--out", help="write the JSON report here")

@@ -6,7 +6,8 @@ package.  Operators are plain complex N x N arrays on the basis
 matrices for the reference mode, displacement and squeeze operators built
 both by matrix exponential (slow, generic) and by their normal-ordered
 factorizations (fast, exact triangular/diagonal entries).  States are
-FockVector amplitudes carrying their top-level tail mass; the saturating
+plain complex amplitude arrays, one state per 1-D array or one per row of a
+2-D block; tail_mass reads their weight in the top levels.  The saturating
 state |state(u0, z)> = D(u0) S(z) |0> comes from the two-photon recurrence
 in O(N) (the dense product D(u0) S(z)|0> is kept only as its oracle in
 verify).
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,27 +47,15 @@ class TruncationWarning(UserWarning):
     """State has non-negligible weight in the top Fock levels."""
 
 
-@dataclass(frozen=True, eq=False)
-class FockVector:
-    """Complex amplitude vector with a tail-mass convergence diagnostic.
+def tail_mass(amps: np.ndarray) -> float | np.ndarray:
+    """Probability weight in the top 8 levels, the last axis of amps.
 
-    tail_mass is the probability weight in the top 8 levels; it bounds how
-    much the truncation can corrupt identities involving this state.
+    A float for one state, one value per row for a (k, dim) block of
+    states.  It bounds how much the truncation can corrupt identities
+    involving the state.
     """
-
-    dim: int
-    amps: np.ndarray
-    tail_mass: float
-
-    @classmethod
-    def from_amps(cls, amps: np.ndarray) -> "FockVector":
-        amps = np.asarray(amps, dtype=complex)
-        tail = float(np.sum(np.abs(amps[-_TAIL_WINDOW:]) ** 2))
-        return cls(dim=amps.shape[0], amps=amps, tail_mass=tail)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+    tail = np.sum(np.abs(np.asarray(amps)[..., -_TAIL_WINDOW:]) ** 2, axis=-1)
+    return float(tail) if np.ndim(tail) == 0 else tail
 
 
 def _check_dim(dim: int) -> None:
@@ -100,11 +89,11 @@ def momentum(dim: int, c: Constants = Constants()) -> np.ndarray:
     return -1j * c.hbar * (a - adag) / (c.ell0 * math.sqrt(2.0))
 
 
-def basis_state(dim: int, n: int) -> FockVector:
+def basis_state(dim: int, n: int) -> np.ndarray:
     _check_dim(dim)
     amps = np.zeros(dim, dtype=complex)
     amps[n] = 1.0
-    return FockVector.from_amps(amps)
+    return amps
 
 
 def _exp_adag2_lower(half: complex, dim: int, dtype=complex) -> np.ndarray:
@@ -378,8 +367,19 @@ def _frame_start(us, t, omt, opt, log_ch, c, s, theta):
                         - 1j * phase.astype(float, copy=False))
 
 
-def _state_amplitudes(us, z, dim: int) -> np.ndarray:
-    """<m|D(u) S(z)|0> for m < dim, one column per u, by the two-photon recurrence.
+def saturating_state_batch(
+    u0s: np.ndarray,
+    z: complex | np.ndarray,
+    dim: int = 128,
+) -> np.ndarray:
+    """Amplitudes <m|D(u0) S(z)|0>, m < dim, for many u0: the two-photon recurrence.
+
+    u0s is an array of labels of any shape, and z any array of squeezes
+    that broadcasts to it: one squeeze for every node (a quadrature over
+    the u0 plane), one per node (many labelled states at once), or, for
+    (k, n) nodes, a (k, 1) array of one squeeze per row (the plane rules of
+    k squeezes in one call, as verify._plane_states builds them).  Each
+    node's amplitudes are bit-identical in every layout.
 
     With z = r e^{i theta}, S(z) = R S(r) R^dag and D(u) = R D(x + iy) R^dag
     for R = e^{i theta N/2} and x + iy = e^{-i theta/2} u, so row m is
@@ -390,15 +390,17 @@ def _state_amplitudes(us, z, dim: int) -> np.ndarray:
     This is the lab-frame c_0 = (cosh r)^{-1/2} exp(-|u|^2/2 + zeta conj(u)^2/2)
     with its phase, but nothing in it cancels: the real exponent is
     -(x Re beta + y Im beta)/2, a sum of two terms <= 0.
-    z is any array that broadcasts to the shape of us: one squeeze for every
-    u, one per u, or one per row of a (k, n) block of labels as a (k, 1)
-    array.  Each node's amplitudes are bit-identical in every layout.
     The amplitudes are exact for every m < dim (no truncation enters), and
     the forward sweep is stable: the wanted solution is the dominant one.
     |c_0| <= 1, so far nodes underflow to zeros, never to NaN.
-    Returns a (dim, us.size) array, its columns in the order of us.ravel().
+
+    Returns a (dim, u0s.size) array, one column per node of u0s.ravel(),
+    O(dim) per node; its columns are strided, so a caller that hands states
+    to BLAS products takes the rows of np.ascontiguousarray(amps.T).
     """
-    us = np.atleast_1d(np.asarray(us, dtype=complex))
+    if dim < 1:
+        raise BadDim(f"row count must be >= 1, got {dim}")
+    us = np.atleast_1d(np.asarray(u0s, dtype=complex))
     if np.broadcast_shapes(np.shape(z), us.shape) != us.shape:
         raise ValueError(f"squeezes of shape {np.shape(z)} do not broadcast "
                          f"to displacements of shape {us.shape}")
@@ -426,81 +428,57 @@ def _state_amplitudes(us, z, dim: int) -> np.ndarray:
     return out.reshape(dim, us.size)
 
 
-def saturating_state(
-    labels: Labels,
-    dim: int = 128,
-    tail_bound: float = DEFAULT_TAIL_BOUND,
-) -> FockVector:
+def saturating_state(labels: Labels, dim: int = 128) -> np.ndarray:
     """|state> = D(u0) S(z) |0>, its first dim amplitudes.
 
-    Warns with TruncationWarning when the top-level weight exceeds
-    tail_bound; identities checked against this state are then unreliable.
+    Warns with TruncationWarning when its tail_mass exceeds
+    DEFAULT_TAIL_BOUND; identities checked against this state are then
+    unreliable.
     """
     _check_dim(dim)
-    state = FockVector.from_amps(
-        _state_amplitudes(labels.u0, labels.z, dim)[:, 0])
-    if state.tail_mass > tail_bound:
+    amps = saturating_state_batch(labels.u0, labels.z, dim)[:, 0]
+    tail = tail_mass(amps)
+    if tail > DEFAULT_TAIL_BOUND:
         warnings.warn(
-            f"tail mass {state.tail_mass:.3e} exceeds {tail_bound:.3e} "
+            f"tail mass {tail:.3e} exceeds {DEFAULT_TAIL_BOUND:.3e} "
             f"at dim={dim}; increase the truncation",
             TruncationWarning,
             stacklevel=2,
         )
-    return state
+    return amps
 
 
-def saturating_state_batch(
-    u0s: np.ndarray,
-    z: complex | np.ndarray,
-    dim: int = 128,
-) -> np.ndarray:
-    """Amplitudes <m|D(u0) S(z)|0>, m < dim, for many u0.
-
-    u0s is an array of labels of any shape, and z any array of squeezes
-    that broadcasts to it: one squeeze for every node (a quadrature over
-    the u0 plane), one per node (many labelled states at once), or, for
-    (k, n) nodes, a (k, 1) array of one squeeze per row (the plane rules of
-    k squeezes in one call, as verify._plane_states builds them).  Returns
-    a (dim, u0s.size) array, one column per node of u0s.ravel(), from the
-    same recurrence as saturating_state, O(dim) per node; its columns are
-    strided, so a caller that hands states to BLAS products takes the rows
-    of np.ascontiguousarray(amps.T).
-    """
-    if dim < 1:
-        raise BadDim(f"row count must be >= 1, got {dim}")
-    return _state_amplitudes(u0s, z, dim)
-
-
-def expectations(q: np.ndarray, p: np.ndarray, state: FockVector) -> Moments:
+def expectations(q: np.ndarray, p: np.ndarray, amps: np.ndarray) -> Moments:
     """Moments of a state from the quadratic forms of the Q and P matrices.
 
-    q and p are position(state.dim, c) and momentum(state.dim, c), built
-    once by a caller that evaluates many states.
+    q and p are position(amps.size, c) and momentum(amps.size, c), built
+    once by a caller that evaluates many states.  Warns with
+    TruncationWarning when the state's tail_mass exceeds DEFAULT_TAIL_BOUND.
     """
-    if state.tail_mass > DEFAULT_TAIL_BOUND:
+    tail = tail_mass(amps)
+    if tail > DEFAULT_TAIL_BOUND:
         warnings.warn(
-            f"computing moments of a state with tail mass {state.tail_mass:.3e}",
+            f"computing moments of a state with tail mass {tail:.3e}",
             TruncationWarning,
             stacklevel=2,
         )
-    return _second_moments(q, p, state.amps).as_moments()
+    return _second_moments(q, p, amps).as_moments()
 
 
 def defining_residual(
     q: np.ndarray,
     p: np.ndarray,
-    state: FockVector,
+    psi: np.ndarray,
     m: Moments,
     c: Constants = Constants(),
 ) -> float:
-    """Norm of [(Q - q0) - lambda0 (P - p0)] |state>.
+    """Norm of [(Q - q0) - lambda0 (P - p0)] |psi>.
 
-    q and p are the Q and P matrices at state.dim for the constants c.
+    q and p are the Q and P matrices at psi.size for the constants c.
     Zero (up to truncation) exactly when the state saturates the SR bound
     with the given moments.
     """
     lam = lambda0(m, c)
-    psi = state.amps
     qpsi = q @ psi - m.q0 * psi
     ppsi = p @ psi - m.p0 * psi
     return float(np.linalg.norm(qpsi - lam * ppsi))
@@ -554,20 +532,21 @@ class SrUrResult:
 def sr_ur_check(
     A: np.ndarray,
     B: np.ndarray,
-    states: Sequence[FockVector],
-    herm_tol: float = 1e-12,
+    states: Iterable[np.ndarray],
 ) -> list[SrUrResult]:
     """Evaluate (dA)^2 (dB)^2 >= <(-i)[A,B]>^2/4 + <{Abar,Bbar}>^2/4 per state.
 
-    Raises NotHermitian unless A and B are Hermitian to herm_tol; the test
-    runs once for all states.  Each returned slack is lhs - rhs and is >= 0
-    for every normalized state, vanishing exactly on saturating states.
+    states are amplitude vectors: a sequence of them, or the rows of a 2-D
+    block.  Raises NotHermitian unless A and B are Hermitian to 1e-12 times
+    max(1, largest entry); the test runs once for all states.  Each
+    returned slack is lhs - rhs and is >= 0 for every normalized state,
+    vanishing exactly on saturating states.
     """
     for name, op in (("A", A), ("B", B)):
         dev = np.max(np.abs(op - op.conj().T))
-        if dev > herm_tol * max(1.0, float(np.max(np.abs(op)))):
+        if dev > 1e-12 * max(1.0, float(np.max(np.abs(op)))):
             raise NotHermitian(f"operator {name} deviates from Hermitian by {dev:.3e}")
-    return [_sr_ur_one(A, B, state.amps) for state in states]
+    return [_sr_ur_one(A, B, psi) for psi in states]
 
 
 def _sr_ur_one(A: np.ndarray, B: np.ndarray, psi: np.ndarray) -> SrUrResult:

@@ -193,6 +193,15 @@ def reproducing_compose(z2: complex, u2: complex, z1: complex, u1: complex,
     return report.value
 
 
+def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b of two coefficient tables, each zero-padded to the larger shape."""
+    out = np.zeros((max(a.shape[0], b.shape[0]),
+                    max(a.shape[1], b.shape[1])), dtype=complex)
+    out[:a.shape[0], :a.shape[1]] += a
+    out[:b.shape[0], :b.shape[1]] += b
+    return out
+
+
 class PolySymbol:
     """Complex polynomial in (w, wbar) with w = u0(z), as a dense table.
 
@@ -218,12 +227,7 @@ class PolySymbol:
         return PolySymbol(arr)
 
     def __add__(self, other: "PolySymbol") -> "PolySymbol":
-        a, b = self.coeffs, other.coeffs
-        out = np.zeros((max(a.shape[0], b.shape[0]),
-                        max(a.shape[1], b.shape[1])), dtype=complex)
-        out[:a.shape[0], :a.shape[1]] += a
-        out[:b.shape[0], :b.shape[1]] += b
-        return PolySymbol(out)
+        return PolySymbol(_padded_sum(self.coeffs, other.coeffs))
 
     def __mul__(self, other):
         if np.isscalar(other):
@@ -237,14 +241,19 @@ class PolySymbol:
 
     __rmul__ = __mul__
 
-    def mixed_derivative(self) -> "PolySymbol":
-        """d_w d_wbar applied once."""
+    def derivative(self, dw: int, dwbar: int) -> "PolySymbol":
+        """d_w^dw d_wbar^dwbar, one falling factor at a time (w's first)."""
         a = self.coeffs
-        if a.shape[0] < 2 or a.shape[1] < 2:
+        if a.shape[0] <= dw or a.shape[1] <= dwbar:
             return PolySymbol(np.zeros((1, 1)))
-        j = np.arange(1, a.shape[0])[:, None]
-        k = np.arange(1, a.shape[1])[None, :]
-        return PolySymbol(a[1:, 1:] * j * k)
+        out = a[dw:, dwbar:]
+        j = np.arange(dw, a.shape[0])[:, None]
+        k = np.arange(dwbar, a.shape[1])[None, :]
+        for i in range(dw):
+            out = out * (j - i)
+        for i in range(dwbar):
+            out = out * (k - i)
+        return PolySymbol(out)
 
     def heat_transform(self) -> "PolySymbol":
         """e^{-d_w d_wbar} as the finite sum over polynomial degree."""
@@ -253,7 +262,7 @@ class PolySymbol:
         sign = 1.0
         fact = 1.0
         for m in range(1, max(self.coeffs.shape)):
-            term = term.mixed_derivative()
+            term = term.derivative(1, 1)
             if not np.any(term.coeffs):
                 break
             sign = -sign
@@ -323,12 +332,7 @@ class NormalOrderedOp:
         return cls(arr)
 
     def __add__(self, other: "NormalOrderedOp") -> "NormalOrderedOp":
-        a, b = self.coeffs, other.coeffs
-        out = np.zeros((max(a.shape[0], b.shape[0]),
-                        max(a.shape[1], b.shape[1])), dtype=complex)
-        out[:a.shape[0], :a.shape[1]] += a
-        out[:b.shape[0], :b.shape[1]] += b
-        return NormalOrderedOp(out)
+        return NormalOrderedOp(_padded_sum(self.coeffs, other.coeffs))
 
     def __mul__(self, other: "NormalOrderedOp") -> "NormalOrderedOp":
         a, b = self.coeffs, other.coeffs

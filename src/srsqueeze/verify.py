@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -105,6 +105,9 @@ DEFAULT_BOUNDS = {
 
 _CANARY_THRESHOLD = 1e-3
 
+# width of the Gaussian z-measure in mu_weighted_identity
+_MU_SIGMA = 0.5
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -124,7 +127,6 @@ class VerifyConfig:
     fock_dim: int = 128
     scan_dim: int = 256
     dim_check: int = 16
-    mu_sigma: float = 0.5
     mu_outer_order: int = 10
     seed: int = 20240817
     bounds: dict = field(default_factory=dict)
@@ -135,15 +137,11 @@ class VerifyConfig:
         return DEFAULT_BOUNDS[check_id]
 
 
-def standard_labels(rmax: float = None, umax: float = None):
+def standard_labels():
     """The standard verification grid as Labels objects."""
     out = []
     for u0 in STANDARD_U0:
-        if umax is not None and abs(u0) > umax:
-            continue
         for r in STANDARD_R:
-            if rmax is not None and r > rmax:
-                continue
             for theta in STANDARD_THETA:
                 if r == 0 and theta != 0.0:
                     continue
@@ -163,11 +161,15 @@ def _state_rows(labels, dim: int) -> np.ndarray:
 
 
 _REGISTRY: list = []
+# the result ids each registered check reports, keyed by its check_id
+_RESULT_IDS: dict = {}
 
 
-def register(check_id: str):
+def register(check_id: str, *result_ids: str):
+    """Register a check under check_id, reporting result_ids (default: check_id)."""
     def deco(fn):
         _REGISTRY.append((check_id, fn))
+        _RESULT_IDS[check_id] = result_ids or (check_id,)
         return fn
 
     return deco
@@ -616,9 +618,9 @@ def saturation_scan(cfg: VerifyConfig):
     q = fock.position(n, c)
     p = fock.momentum(n, c)
     labs = standard_labels()
-    states = [fock.FockVector.from_amps(row) for row in _state_rows(labs, n)]
+    states = _state_rows(labs, n)
     one = fock.basis_state(n, 1)
-    *recs, rec1 = fock.sr_ur_check(q, p, states + [one])
+    *recs, rec1 = fock.sr_ur_check(q, p, [*states, one])
     ms = [labels_to_moments(lab, c) for lab in labs]
     residuals = [fock.defining_residual(q, p, st, m, c)
                  for st, m in zip(states, ms)]
@@ -642,12 +644,15 @@ def saturation_scan(cfg: VerifyConfig):
     ]
 
 
-@register("verify.saturation_scan")
+@register("verify.saturation_scan", "verify.defining_residual",
+          "verify.srur_saturating", "verify.moment_agreement",
+          "verify.nonsaturating_probe")
 def _check_saturation_scan(cfg):
     return saturation_scan(cfg)
 
 
-@register("verify.srur_positivity")
+@register("verify.srur_positivity", "verify.srur_positivity",
+          "verify.srur_fock_one")
 def _check_srur_positivity(cfg):
     c, n = cfg.constants, 48
     q = fock.position(n, c)
@@ -657,7 +662,7 @@ def _check_srur_positivity(cfg):
     for _ in range(100):
         amps = rng.normal(size=n) + 1j * rng.normal(size=n)
         amps /= np.linalg.norm(amps)
-        states.append(fock.FockVector.from_amps(amps))
+        states.append(amps)
     *recs, rec1 = fock.sr_ur_check(q, p, states + [fock.basis_state(n, 1)])
     return [
         _worst(cfg, "verify.srur_positivity",
@@ -694,7 +699,7 @@ def _plane_states(zs, order: int, dim: int):
     In the frame of z = r e^{i theta} a label is x + iy = e^{-i theta/2} u,
     and each projector entry <m|u, z><u, z|n> is exp(-x^2(1 - t)
     - y^2(1 + t)) (t = tanh r) times a polynomial of degree <= m + n in x
-    and in y (fock._state_amplitudes).  The tensor rule on the widths
+    and in y (fock.saturating_state_batch).  The tensor rule on the widths
     s_x = (1 - t)^{-1/2} and s_y = (1 + t)^{-1/2}, weighted s_x s_y/pi,
     therefore integrates every entry with m + n <= 2 order - 1 exactly: the
     whole dim x dim block once order >= dim.
@@ -794,7 +799,6 @@ def resolution_of_identity(z: complex, dim_check: int, cfg: VerifyConfig,
     when n >= dim_check.  Raises BadSpec for an order outside 2..185 and
     for |z| past _FRAME_MAX_R.
     """
-    t0 = time.perf_counter()
     n = max(2, dim_check) if order is None else order
     if not 2 <= n <= _FRAME_MAX_ORDER:
         raise quadmod.BadSpec(
@@ -802,13 +806,9 @@ def resolution_of_identity(z: complex, dim_check: int, cfg: VerifyConfig,
     coarse, fine = (_identity_sums([z], m, dim_check)[0] for m in (n, n + 1))
     est = float(np.max(np.abs(fine - coarse)))
     dev = float(np.max(np.abs(fine - np.eye(dim_check))))
-    bound = cfg.bound("verify.resolution_identity")
-    return CheckResult(
-        check_id="verify.resolution_identity",
-        params={"z": repr(z), "dim_check": dim_check, "order": n,
-                "quad_est_error": est},
-        measured=dev, bound=bound, passed=dev <= bound,
-        runtime_ms=1e3 * (time.perf_counter() - t0))
+    return _result(cfg, "verify.resolution_identity", dev,
+                   {"z": repr(z), "dim_check": dim_check, "order": n,
+                    "quad_est_error": est})
 
 
 @register("verify.resolution_identity")
@@ -832,14 +832,14 @@ def mu_weighted_identity(cfg: VerifyConfig) -> CheckResult:
     order = max(2, dim_check)
     spec = quadmod.QuadratureSpec(
         quadmod.QuadKind.TENSOR_GAUSS_HERMITE_2D, cfg.mu_outer_order,
-        scale=(cfg.mu_sigma, cfg.mu_sigma), rel_tol=1e-2)
+        scale=(_MU_SIGMA, _MU_SIGMA), rel_tol=1e-2)
     report = quadmod.integrate_z(
         lambda zs: _identity_sums(zs, order, dim_check), spec,
-        sigma=cfg.mu_sigma, check=False)
+        sigma=_MU_SIGMA, check=False)
     err = np.abs(report.value - np.eye(dim_check))
     worst = np.unravel_index(np.argmax(err), err.shape)
     return _result(cfg, "verify.mu_weighted_identity", float(err[worst]),
-                   {"sigma": cfg.mu_sigma, "outer_order": cfg.mu_outer_order,
+                   {"sigma": _MU_SIGMA, "outer_order": cfg.mu_outer_order,
                     "quad_est_error": report.est_error,
                     "worst_at": repr(tuple(map(int, worst))),
                     "nodes": report.nodes_used * ((order * order + 1) // 2)})
@@ -860,8 +860,7 @@ def _check_convergence(cfg):
     res = []
     for n in (64, 128):
         q, p = fock.position(n, c), fock.momentum(n, c)
-        res.append([fock.defining_residual(q, p, fock.FockVector.from_amps(row),
-                                           m, c)
+        res.append([fock.defining_residual(q, p, row, m, c)
                     for row, m in zip(_state_rows(labs, n), ms)])
     detail = {repr(lab): [r64, r128] for lab, r64, r128 in zip(labs, *res)}
     return [_worst(cfg, "verify.convergence_monotonic",
@@ -1096,7 +1095,8 @@ def _check_disp_composition(cfg):
         yield fock.top_block_norm(lhs - rhs, n // 2), (u2, u1)
 
 
-@register("kernels.compose")
+@register("kernels.compose", "kernels.compose_coherent",
+          "kernels.compose_squeezed")
 def _check_compose(cfg):
     coh = abs(kernels.reproducing_compose(0.0, 1 + 0.5j, 0.0, -0.3j, 0.0)
               - kernels.coherent_overlap(1 + 0.5j, -0.3j).value)
@@ -1132,7 +1132,8 @@ def _check_diag_kernel(cfg):
             yield np.abs(rec - direct[:block, :block]), (name, z)
 
 
-@register("kernels.variable_change")
+@register("kernels.variable_change", "kernels.variable_change",
+          "kernels.jacobian_unit")
 def _check_variable_change(cfg):
     """Mixed second derivative re-expressed across the frame change."""
     rng = np.random.Generator(np.random.Philox(cfg.seed + 1))
@@ -1144,12 +1145,12 @@ def _check_variable_change(cfg):
         poly = kernels.PolySymbol(coeffs)
         # to the squeezed frame: w = ch u - s ubar, wbar = -conj(s) u + ch ubar
         in_frame = poly.substitute_linear(ch, s, np.conj(s), ch)
-        lhs = in_frame.mixed_derivative().substitute_linear(
+        lhs = in_frame.derivative(1, 1).substitute_linear(
             ch, -s, -np.conj(s), ch)
         half = cmath.exp(1j * th) * math.sinh(2 * r) / 2.0
-        d_uu = poly_second(poly, "uu")
-        d_bb = poly_second(poly, "bb")
-        d_ub = poly.mixed_derivative()
+        d_uu = poly.derivative(2, 0)
+        d_bb = poly.derivative(0, 2)
+        d_ub = poly.derivative(1, 1)
         rhs = d_uu * half + d_bb * np.conj(half) \
             + d_ub * math.cosh(2 * r)
         scale = float(np.max(np.abs(rhs.coeffs))) + 1.0
@@ -1160,20 +1161,6 @@ def _check_variable_change(cfg):
         _worst(cfg, "kernels.variable_change", ((d, at) for d, _, at in rows)),
         _worst(cfg, "kernels.jacobian_unit", ((j, at) for _, j, at in rows)),
     ]
-
-
-def poly_second(poly: kernels.PolySymbol, which: str) -> kernels.PolySymbol:
-    """d^2/dw^2 ("uu") or d^2/dwbar^2 ("bb") of a PolySymbol."""
-    a = poly.coeffs
-    if which == "uu":
-        if a.shape[0] < 3:
-            return kernels.PolySymbol(np.zeros((1, 1)))
-        j = np.arange(2, a.shape[0])[:, None]
-        return kernels.PolySymbol(a[2:, :] * j * (j - 1))
-    if a.shape[1] < 3:
-        return kernels.PolySymbol(np.zeros((1, 1)))
-    k = np.arange(2, a.shape[1])[None, :]
-    return kernels.PolySymbol(a[:, 2:] * k * (k - 1))
 
 
 # ------------------------------------------------------------- quadrature
@@ -1314,28 +1301,29 @@ def run_suite(cfg: VerifyConfig | None = None,
               only: list[str] | None = None) -> list[CheckResult]:
     """Execute registered checks (optionally filtered by glob patterns).
 
-    Exceptions inside a check become failed results; the suite always runs
-    to completion.  Results are sorted by check_id.
+    A check runs when a pattern matches its check_id or one of the result
+    ids it reports.  A check that raises reports one failed result per
+    result id; the suite always runs to completion.  Results are sorted by
+    check_id.
     """
     cfg = cfg or VerifyConfig()
     results: list[CheckResult] = []
     for check_id, fn in _REGISTRY:
-        if only and not any(fnmatch.fnmatch(check_id, pat) for pat in only):
+        ids = _RESULT_IDS[check_id]
+        if only and not any(fnmatch.fnmatch(cid, pat) for pat in only
+                            for cid in (check_id, *ids)):
             continue
         t0 = time.perf_counter()
         try:
             partial = fn(cfg)
         except Exception as exc:  # noqa: BLE001 - report, never abort
-            partial = [CheckResult(check_id=check_id,
-                                   params={"error": repr(exc)},
+            partial = [CheckResult(check_id=rid, params={"error": repr(exc)},
                                    measured=math.inf, bound=0.0,
-                                   passed=False, runtime_ms=0.0)]
+                                   passed=False, runtime_ms=0.0)
+                       for rid in ids]
         dt = 1e3 * (time.perf_counter() - t0)
-        for res in partial:
-            results.append(CheckResult(
-                check_id=res.check_id, params=res.params,
-                measured=res.measured, bound=res.bound, passed=res.passed,
-                runtime_ms=res.runtime_ms or dt / len(partial)))
+        results += [replace(res, runtime_ms=dt / len(partial))
+                    for res in partial]
     return sorted(results, key=lambda r: r.check_id)
 
 

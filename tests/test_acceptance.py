@@ -192,14 +192,16 @@ def test_criterion_9_sr_ur_checker():
         for _ in range(100):
             amps = rng.normal(size=n) + 1j * rng.normal(size=n)
             amps /= np.linalg.norm(amps)
-            rec, = fock.sr_ur_check(q, p, [fock.FockVector.from_amps(amps)])
+            rec, = fock.sr_ur_check(q, p, [amps])
             worst_neg = max(worst_neg, -rec.slack)
         crit.require("positivity over 100 random states", worst_neg, 1e-10)
         worst_sat = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", fock.TruncationWarning)
             qn, pn = fock.position(192, C), fock.momentum(192, C)
-            for lab in verify.standard_labels(rmax=1.0):
+            for lab in verify.standard_labels():
+                if lab.r > 1.0:
+                    continue
                 st = fock.saturating_state(lab, 192)
                 rec, = fock.sr_ur_check(qn, pn, [st])
                 worst_sat = max(worst_sat, abs(rec.slack))

@@ -303,6 +303,14 @@ def test_verify_bound_override_reaches_synthesis(capsys):
     assert "1.0e-02" in out
 
 
+def test_verify_only_a_result_id(capsys):
+    # jacobian_unit is reported by the kernels.variable_change check
+    code, out, _ = run_cli(capsys, "verify", "--only", "kernels.jacobian_unit")
+    assert code == 0
+    assert any(line.startswith("kernels.jacobian_unit ")
+               and line.endswith("PASS") for line in out.splitlines())
+
+
 def test_verify_bad_filter(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "nothing.matches")
     assert code == 2

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -233,11 +234,11 @@ def test_exponential_oracles_match_dense_expm_block():
 
 def test_saturating_state_trivials():
     st = fock.saturating_state(Labels(), 32)
-    assert st.amps[0] == pytest.approx(1.0)
-    assert np.max(np.abs(st.amps[1:])) < 1e-15
+    assert st[0] == pytest.approx(1.0)
+    assert np.max(np.abs(st[1:])) < 1e-15
     u0 = 0.9 + 0.2j
     st = fock.saturating_state(Labels(u0=u0), 96)
-    assert np.max(np.abs(st.amps - coherent_amps(u0, 96))) < 1e-13
+    assert np.max(np.abs(st - coherent_amps(u0, 96))) < 1e-13
 
 
 def test_saturating_state_annihilation_eigenvalue():
@@ -247,7 +248,7 @@ def test_saturating_state_annihilation_eigenvalue():
     st = fock.saturating_state(lab, 128)
     az = fock.squeezed_annihilator(lab.z, 128)
     u0z = squeezed_frame_label(lab.u0, lab.z)
-    res = az @ st.amps - u0z * st.amps
+    res = az @ st - u0z * st
     assert np.linalg.norm(res[:64]) < 1e-12
 
 
@@ -283,7 +284,9 @@ def test_batch_per_node_squeeze_is_exact():
                                         np.array([lab.z for lab in labs]), 256)
     assert batch.shape == (256, len(labs))
     for k, lab in enumerate(labs):
-        single = fock.saturating_state(lab, 256, tail_bound=math.inf).amps
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fock.TruncationWarning)
+            single = fock.saturating_state(lab, 256)
         assert np.array_equal(batch[:, k], single)
 
 
@@ -470,8 +473,7 @@ def test_moments_from_passed_matrices_equal_dense_mat_vecs():
     lab = Labels(u0=0.7 - 0.4j, r=0.6, theta=1.1)
     n = 96
     q, p = qp(n, c)
-    st = fock.saturating_state(lab, n)
-    psi = st.amps
+    psi = fock.saturating_state(lab, n)
     nrm2 = float(np.vdot(psi, psi).real)
     qpsi, ppsi = q @ psi, p @ psi
     q0 = float(np.vdot(psi, qpsi).real) / nrm2
@@ -480,13 +482,13 @@ def test_moments_from_passed_matrices_equal_dense_mat_vecs():
     want = (q0, p0, math.sqrt(float(np.vdot(qbar, qbar).real) / nrm2),
             math.sqrt(float(np.vdot(pbar, pbar).real) / nrm2),
             2.0 * float(np.vdot(qbar, pbar).real) / nrm2)
-    got = fock.expectations(q, p, st)
+    got = fock.expectations(q, p, psi)
     assert (got.q0, got.p0, got.dq, got.dp, got.corr) == want
     m = labels_to_moments(lab, c)
     lam = lambda0(m, c)
     res = float(np.linalg.norm((qpsi - m.q0 * psi)
                                - lam * (ppsi - m.p0 * psi)))
-    assert fock.defining_residual(q, p, st, m, c) == res
+    assert fock.defining_residual(q, p, psi, m, c) == res
 
 
 def test_sr_ur_vacuum_saturates():
@@ -564,8 +566,38 @@ def test_bogoliubov_closure_and_invariant_combination():
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
+def test_tail_mass_of_a_block_is_per_row():
+    from srsqueeze.verify import _state_rows, standard_labels
+
+    rows = _state_rows(standard_labels(), 48)
+    tails = fock.tail_mass(rows)
+    assert tails.shape == (rows.shape[0],)
+    singles = [fock.tail_mass(row) for row in rows]
+    assert all(isinstance(t, float) for t in singles)
+    assert np.array_equal(tails, singles)
+
+
+def test_sr_ur_on_a_row_block_matches_one_call_per_row():
+    from srsqueeze.verify import _state_rows, standard_labels
+
+    n = 96
+    q, p = fock.position(n, C), fock.momentum(n, C)
+    rows = _state_rows(standard_labels(), n)
+    assert fock.sr_ur_check(q, p, rows) == [fock.sr_ur_check(q, p, [row])[0]
+                                            for row in rows]
+
+
+def test_expectations_of_a_truncated_state_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fock.TruncationWarning)
+        st = fock.saturating_state(Labels(u0=3.0, r=0.8, theta=0.0), 24)
+    assert fock.tail_mass(st) > fock.DEFAULT_TAIL_BOUND
+    with pytest.warns(fock.TruncationWarning):
+        fock.expectations(*qp(24), st)
+
+
 def test_tail_mass_diagnostic():
     st = fock.saturating_state(Labels(u0=0.5, r=0.3, theta=0.1), 64)
-    assert st.tail_mass == pytest.approx(
-        float(np.sum(np.abs(st.amps[-8:]) ** 2)))
-    assert st.norm == pytest.approx(1.0, abs=1e-12)
+    assert fock.tail_mass(st) == pytest.approx(
+        float(np.sum(np.abs(st[-8:]) ** 2)))
+    assert np.linalg.norm(st) == pytest.approx(1.0, abs=1e-12)

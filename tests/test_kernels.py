@@ -15,7 +15,7 @@ C = Constants()
 def fock_overlap(z2, u2, z1, u1, dim=160):
     s2 = fock.saturating_state(Labels.from_z(u2, z2), dim)
     s1 = fock.saturating_state(Labels.from_z(u1, z1), dim)
-    return complex(np.vdot(s2.amps, s1.amps))
+    return complex(np.vdot(s2, s1))
 
 
 def test_coherent_overlap_trivials():
@@ -221,9 +221,22 @@ def test_reproducing_compose_not_converged():
         kernels.reproducing_compose(0.4, 2.0, 0.2j, -2j, 0.3, spec=bad)
 
 
+def test_poly_symbol_derivative():
+    a = np.arange(12.0).reshape(3, 4) + 1j
+    p = kernels.PolySymbol(a)
+    # d_w^2 of w^j wbar^k is j (j - 1) w^{j-2} wbar^k
+    assert np.array_equal(p.derivative(2, 0).coeffs, 2 * a[2:, :])
+    j = np.arange(3)[:, None]
+    k = np.arange(1, 4)[None, :]
+    assert np.array_equal(p.derivative(1, 1).coeffs, a[1:, 1:] * j[1:] * k)
+    assert np.array_equal(p.derivative(0, 2).coeffs,
+                          a[:, 2:] * np.array([2, 6]))
+    assert np.array_equal(p.derivative(3, 0).coeffs, [[0]])
+
+
 def test_poly_symbol_ops():
     p = kernels.PolySymbol([[0, 0], [0, 1.0]])  # w wbar
-    d = p.mixed_derivative()
+    d = p.derivative(1, 1)
     assert d.coeffs[0, 0] == 1.0
     k = p.heat_transform()  # w wbar - 1
     assert k.coeffs[0, 0] == -1.0 and k.coeffs[1, 1] == 1.0

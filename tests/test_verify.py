@@ -196,7 +196,9 @@ def test_synthesis_budget_counts_mass_past_truncation():
     # budget 1e-11 against a 2.5e-11 synthesis defect (ratio 2.48)
     lab = Labels(u0=2j, r=0.7, theta=math.pi)
     qs = np.linspace(-6.0, 6.0, 129)
-    amps = fock.saturating_state(lab, 256, tail_bound=math.inf).amps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fock.TruncationWarning)
+        amps = fock.saturating_state(lab, 256)
     assert verify.synthesis_ratio(lab, Constants(), amps, qs) <= 1.0
 
 
@@ -402,10 +404,15 @@ def test_unnormalized_vacuum_canary_is_flagged(cfg):
 
 
 def test_mu_weighted_identity_narrow_measure():
-    cfg = verify.VerifyConfig(mu_sigma=0.3, mu_outer_order=8)
-    res = verify.mu_weighted_identity(cfg)
-    assert res.measured <= 1e-4
-    assert res.params["sigma"] == 0.3
+    # the double integral of mu_weighted_identity at sigma = 0.3
+    dim = verify.VerifyConfig().dim_check
+    spec = quadmod.QuadratureSpec(quadmod.QuadKind.TENSOR_GAUSS_HERMITE_2D, 8,
+                                  scale=(0.3, 0.3), rel_tol=1e-2)
+    report = quadmod.integrate_z(
+        lambda zs: verify._identity_sums(zs, dim, dim), spec, sigma=0.3,
+        check=False)
+    measured = float(np.max(np.abs(report.value - np.eye(dim))))
+    assert measured <= 1e-4
 
 
 def test_suite_with_physical_units():
@@ -472,6 +479,23 @@ def test_saturation_scan_reads_moments_from_the_sr_pass(monkeypatch):
     assert len(results) == 4 and all(r.passed for r in results)
 
 
+def test_declared_result_ids_are_the_documented_bounds():
+    declared = [rid for cid, _ in verify._REGISTRY
+                for rid in verify._RESULT_IDS[cid]]
+    assert len(declared) == len(set(declared))
+    assert set(declared) == set(verify.DEFAULT_BOUNDS)
+
+
+def test_raising_check_fails_each_declared_result():
+    # a result id selects its check; a check that raises fails every result
+    # it would have reported
+    bad = verify.VerifyConfig(scan_dim=-3)
+    results = verify.run_suite(bad, only=["verify.moment_agreement"])
+    assert [r.check_id for r in results] == sorted(
+        verify._RESULT_IDS["verify.saturation_scan"])
+    assert all(not r.passed and "error" in r.params for r in results)
+
+
 def test_registry_ids_unique():
     ids = [cid for cid, _ in verify._REGISTRY]
     assert len(ids) == len(set(ids))
@@ -480,5 +504,3 @@ def test_registry_ids_unique():
 def test_standard_grid_shape():
     labs = verify.standard_labels()
     assert len(labs) == 5 * (1 + 3 * 4)
-    assert len(verify.standard_labels(rmax=0.5)) < len(labs)
-    assert all(abs(l.u0) <= 1.5 for l in verify.standard_labels(umax=1.5))

@@ -50,7 +50,7 @@ def test_fock_synthesis_pointwise():
     st = fock.saturating_state(lab, 160)
     p = wavefn.WavefnParams.from_labels(lab, C)
     qs = np.linspace(-6, 6, 121)
-    diff = wavefn.synthesize(qs, st.amps, C) - wavefn.psi(qs, p)
+    diff = wavefn.synthesize(qs, st, C) - wavefn.psi(qs, p)
     assert np.max(np.abs(diff)) < 1e-10
 
 
