@@ -12,6 +12,7 @@ from .params import (
     Labels,
     Moments,
     NotSaturated,
+    OutOfDomain,
     derived_angles,
     labels_to_moments,
     lambda0,
@@ -25,6 +26,7 @@ __all__ = [
     "Labels",
     "Moments",
     "NotSaturated",
+    "OutOfDomain",
     "derived_angles",
     "labels_to_moments",
     "lambda0",

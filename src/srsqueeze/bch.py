@@ -21,14 +21,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .params import squeeze_axes, squeeze_zeta
+from .params import OutOfDomain, squeeze_axes, squeeze_zeta
 
 _DIAG_SWITCH = 3e-3
 _SERIES_SWITCH = 1e-4
-
-
-class DomainError(ValueError):
-    """Argument on a branch cut or outside the function's domain."""
 
 
 @dataclass(frozen=True)
@@ -55,12 +51,12 @@ def phi(x: complex) -> complex:
 def psi(x: complex) -> complex:
     """Psi(x) = x ln(x)/(x - 1) on the principal branch, with Psi(1) = 1.
 
-    Raises DomainError on the cut (-inf, 0].  Satisfies
+    Raises OutOfDomain on the cut (-inf, 0].  Satisfies
     Phi(-ln x) Psi(x) = 1.
     """
     x = complex(x)
     if x.imag == 0.0 and x.real <= 0.0:
-        raise DomainError(f"psi is undefined on the branch cut (-inf, 0], got {x}")
+        raise OutOfDomain(f"psi is undefined on the branch cut (-inf, 0], got {x}")
     w = x - 1.0
     if abs(w) < 1e-3:
         # Psi(1+w) = (1+w) sum_{n>=0} (-w)^n/(n+1)

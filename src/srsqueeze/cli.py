@@ -5,8 +5,9 @@ Complex labels are accepted as Cartesian "a+bi" or polar "r@theta".
 Output formats: json (fixed field names, full round-trip float precision),
 csv (RFC-4180 quoting), table (human).
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 numeric
-non-convergence.
+Exit codes: 0 success; 1 a failed check or NotSaturated moments; 2 a
+usage error, params.OutOfDomain or a math OverflowError; 3 numeric
+non-convergence, quadrature.QuadratureNotConverged.
 """
 
 from __future__ import annotations
@@ -21,17 +22,18 @@ import sys
 
 import numpy as np
 
-from . import fock, kernels, verify, wavefn
-from . import quadrature as quadmod
+from . import kernels, verify, wavefn
 from .params import (
     Constants,
     Labels,
     Moments,
     NotSaturated,
+    OutOfDomain,
     derived_angles,
     labels_to_moments,
     moments_to_labels,
 )
+from .quadrature import QuadratureNotConverged
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -39,15 +41,11 @@ EXIT_USAGE = 2
 EXIT_NOT_CONVERGED = 3
 
 
-class UsageError(ValueError):
-    pass
-
-
 def parse_complex(text: str) -> complex:
     """Accept Cartesian 'a+bi' (or with j) and polar 'r@theta' literals."""
     s = text.strip().replace(" ", "")
     if not s:
-        raise UsageError("empty complex literal")
+        raise OutOfDomain("empty complex literal")
     try:
         if "@" in s:
             rpart, thpart = s.split("@", 1)
@@ -55,9 +53,9 @@ def parse_complex(text: str) -> complex:
         else:
             val = complex(s.replace("i", "j"))
     except ValueError as exc:
-        raise UsageError(f"malformed complex literal {text!r}: {exc}") from exc
+        raise OutOfDomain(f"malformed complex literal {text!r}: {exc}") from exc
     if not cmath.isfinite(val):
-        raise UsageError(f"non-finite complex literal {text!r}")
+        raise OutOfDomain(f"non-finite complex literal {text!r}")
     return val
 
 
@@ -68,14 +66,14 @@ def parse_keyvals(text: str) -> dict:
         if not part.strip():
             continue
         if "=" not in part:
-            raise UsageError(f"expected key=value, got {part!r}")
+            raise OutOfDomain(f"expected key=value, got {part!r}")
         key, val = part.split("=", 1)
         try:
             out[key.strip()] = float(val)
         except ValueError as exc:
-            raise UsageError(f"bad numeric value in {part!r}") from exc
+            raise OutOfDomain(f"bad numeric value in {part!r}") from exc
         if not math.isfinite(out[key.strip()]):
-            raise UsageError(f"non-finite value in {part!r}")
+            raise OutOfDomain(f"non-finite value in {part!r}")
     return out
 
 
@@ -102,15 +100,6 @@ def _constants(args) -> Constants:
     return Constants(hbar=args.hbar, ell0=args.ell0)
 
 
-def _in_domain(fn, *args, **kwargs):
-    """fn(*args, **kwargs), with the errors of labels its closed forms cannot
-    handle (moments that cancel to 0, cosh r overflowing) as a usage error."""
-    try:
-        return fn(*args, **kwargs)
-    except (ValueError, OverflowError) as exc:
-        raise UsageError(f"labels outside the supported domain: {exc}") from exc
-
-
 def cmd_moments(args) -> int:
     c = _constants(args)
     if args.from_moments:
@@ -120,9 +109,7 @@ def cmd_moments(args) -> int:
                         dq=vals["dq"], dp=vals["dp"],
                         corr=vals.get("corr", 0.0))
         except KeyError as exc:
-            raise UsageError(f"--from-moments needs dq and dp ({exc} missing)")
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+            raise OutOfDomain(f"--from-moments needs dq and dp ({exc} missing)")
         try:
             lab = moments_to_labels(m, c, rel_tol=args.saturation_tol)
         except NotSaturated as exc:
@@ -133,7 +120,7 @@ def cmd_moments(args) -> int:
         emit([row], args.format, sys.stdout)
         return EXIT_OK
     lab = Labels.from_z(parse_complex(args.u0), parse_complex(args.z))
-    m = _in_domain(labels_to_moments, lab, c)
+    m = labels_to_moments(lab, c)
     ang = derived_angles(lab, m, c)
     row = {"q0": m.q0, "p0": m.p0, "dq": m.dq, "dp": m.dp, "corr": m.corr,
            "phi": ang.phi, "theta_bar_plus": ang.thetabar_plus,
@@ -146,14 +133,13 @@ def cmd_overlap(args) -> int:
     c = _constants(args)
     z2, u2 = parse_complex(args.z2), parse_complex(args.u2)
     z1, u1 = parse_complex(args.z1), parse_complex(args.u1)
-    res = _in_domain(kernels.squeezed_overlap, z2, u2, z1, u1)
+    res = kernels.squeezed_overlap(z2, u2, z1, u1)
     row = {"value_re": res.value.real, "value_im": res.value.imag,
            "modulus": res.modulus, "phase": res.phase}
     if args.oracle == "fock":
         oracle = verify.fock_overlaps([(z2, u2, z1, u1)], args.fock_dim)[0]
     elif args.oracle == "quad":
-        oracle = _in_domain(verify.quad_overlap, z2, u2, z1, u1, c,
-                            check=True).value
+        oracle = verify.quad_overlap(z2, u2, z1, u1, c, check=True).value
     if args.oracle != "none":
         row.update(oracle_re=oracle.real, oracle_im=oracle.imag,
                    abs_diff=abs(res.value - oracle))
@@ -163,8 +149,12 @@ def cmd_overlap(args) -> int:
 
 def cmd_wavefn(args) -> int:
     c = _constants(args)
+    if not (math.isfinite(args.qmin) and math.isfinite(args.qmax)
+            and args.samples >= 0):
+        raise OutOfDomain(f"--qmin and --qmax must be finite and --samples "
+                          f">= 0, got {args.qmin}, {args.qmax}, {args.samples}")
     lab = Labels.from_z(parse_complex(args.u0), parse_complex(args.z))
-    p = _in_domain(wavefn.WavefnParams.from_labels, lab, c)
+    p = wavefn.WavefnParams.from_labels(lab, c)
     qs = np.linspace(args.qmin, args.qmax, args.samples)
     vals = wavefn.psi(qs, p)
     out = io.StringIO()
@@ -200,7 +190,7 @@ def cmd_verify(args) -> int:
             try:
                 cfg.bounds[name] = float(val)
             except ValueError:
-                raise UsageError(f"--bound expects id=value, got {spec!r}")
+                raise OutOfDomain(f"--bound expects id=value, got {spec!r}")
     results = verify.run_suite(cfg, only=args.only or None)
     if not results:
         print("error: no checks matched the --only filter", file=sys.stderr)
@@ -369,11 +359,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, kernels.DegreeTooHigh, quadmod.BadSpec,
-            fock.BadDim) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except (OutOfDomain, OverflowError) as exc:
+        # an OverflowError is a math function leaving the float range
+        what = "" if isinstance(exc, OutOfDomain) else "outside the float range: "
+        print(f"usage error: {what}{exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (quadmod.QuadratureNotConverged, quadmod.BadMeasure) as exc:
+    except QuadratureNotConverged as exc:
         print(f"numeric non-convergence: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
 

@@ -27,20 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (Constants, Labels, Moments, lambda0, squeeze_axes,
-                     squeeze_frame, squeeze_zeta)
+from .params import (Constants, Labels, Moments, OutOfDomain, lambda0,
+                     squeeze_axes, squeeze_frame, squeeze_zeta)
 
 DEFAULT_TAIL_BOUND = 1e-10
 
 _TAIL_WINDOW = 8
-
-
-class BadDim(ValueError):
-    """Fock truncation dimension too small."""
-
-
-class NotHermitian(ValueError):
-    """Operator expected to be Hermitian is not, beyond tolerance."""
 
 
 class TruncationWarning(UserWarning):
@@ -60,7 +52,7 @@ def tail_mass(amps: np.ndarray) -> float | np.ndarray:
 
 def _check_dim(dim: int) -> None:
     if dim < 2:
-        raise BadDim(f"Fock dimension must be >= 2, got {dim}")
+        raise OutOfDomain(f"Fock dimension must be >= 2, got {dim}")
 
 
 def _lgfact(n: int) -> np.ndarray:
@@ -192,7 +184,7 @@ def displacement(u0: complex, dim: int) -> np.ndarray:
     return np.array(powers)[diff + dim - 1] * mag
 
 
-def displacement_exp(u0: complex, dim: int, inner_dim: int | None = None) -> np.ndarray:
+def displacement_exp(u0: complex, dim: int) -> np.ndarray:
     """Oracle path: matrix exponential of u0 a^dag - conj(u0) a.
 
     Evaluated by eigendecomposition of the (tridiagonal, anti-Hermitian)
@@ -201,13 +193,13 @@ def displacement_exp(u0: complex, dim: int, inner_dim: int | None = None) -> np.
     """
     _check_dim(dim)
     u0 = complex(u0)
-    inner = inner_dim or _displacement_inner_dim(u0, dim)
+    inner = _displacement_inner_dim(u0, dim)
     # i (u0 a^dag - conj(u0) a) is Hermitian tridiagonal
     off = 1j * u0 * np.sqrt(np.arange(1, inner, dtype=float))
     return _exp_neg_i_tridiag(np.zeros(inner), off, dim)
 
 
-def squeeze_exp(z: complex, dim: int, inner_dim: int | None = None) -> np.ndarray:
+def squeeze_exp(z: complex, dim: int) -> np.ndarray:
     """Oracle path: matrix exponential of (z a^dag^2 - conj(z) a^2)/2.
 
     The generator splits over even/odd parity into Hermitian tridiagonal
@@ -219,7 +211,7 @@ def squeeze_exp(z: complex, dim: int, inner_dim: int | None = None) -> np.ndarra
     z = complex(z)
     if z == 0:
         return np.eye(dim, dtype=complex)
-    inner = inner_dim or _squeeze_inner_dim(z, dim)
+    inner = _squeeze_inner_dim(z, dim)
     out = np.zeros((dim, dim), dtype=complex)
     n = np.arange(inner, dtype=float)
     coupling = 0.5j * z * np.sqrt((n + 1) * (n + 2))  # i G at [n+2, n]
@@ -399,11 +391,13 @@ def saturating_state_batch(
     to BLAS products takes the rows of np.ascontiguousarray(amps.T).
     """
     if dim < 1:
-        raise BadDim(f"row count must be >= 1, got {dim}")
+        raise OutOfDomain(f"row count must be >= 1, got {dim}")
     us = np.atleast_1d(np.asarray(u0s, dtype=complex))
-    if np.broadcast_shapes(np.shape(z), us.shape) != us.shape:
-        raise ValueError(f"squeezes of shape {np.shape(z)} do not broadcast "
-                         f"to displacements of shape {us.shape}")
+    zshape = np.shape(z)
+    if len(zshape) > us.ndim or any(
+            n not in (1, m) for n, m in zip(zshape[::-1], us.shape[::-1])):
+        raise OutOfDomain(f"squeezes of shape {zshape} do not broadcast "
+                          f"to displacements of shape {us.shape}")
     params = _frame_params(z)
     t, theta = params[0], params[-1]
     out = np.empty((dim, *us.shape), dtype=complex)
@@ -537,7 +531,7 @@ def sr_ur_check(
     """Evaluate (dA)^2 (dB)^2 >= <(-i)[A,B]>^2/4 + <{Abar,Bbar}>^2/4 per state.
 
     states are amplitude vectors: a sequence of them, or the rows of a 2-D
-    block.  Raises NotHermitian unless A and B are Hermitian to 1e-12 times
+    block.  Raises OutOfDomain unless A and B are Hermitian to 1e-12 times
     max(1, largest entry); the test runs once for all states.  Each
     returned slack is lhs - rhs and is >= 0 for every normalized state,
     vanishing exactly on saturating states.
@@ -545,7 +539,7 @@ def sr_ur_check(
     for name, op in (("A", A), ("B", B)):
         dev = np.max(np.abs(op - op.conj().T))
         if dev > 1e-12 * max(1.0, float(np.max(np.abs(op)))):
-            raise NotHermitian(f"operator {name} deviates from Hermitian by {dev:.3e}")
+            raise OutOfDomain(f"operator {name} deviates from Hermitian by {dev:.3e}")
     return [_sr_ur_one(A, B, psi) for psi in states]
 
 

@@ -31,13 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import DomainError
-from .params import TWO_PI, Constants, squeeze_ellipse, squeeze_frame
+from .params import TWO_PI, Constants, OutOfDomain, squeeze_ellipse, squeeze_frame
 from . import quadrature as quadmod
-
-
-class DegreeTooHigh(ValueError):
-    """Polynomial degree above the configured kernel limit."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +91,7 @@ def _overlap_exponent(z2: complex, u2, z1: complex, u1):
 def _result(logpre: complex, sym: complex, gauss: complex) -> OverlapResult:
     value = cmath.exp(logpre + sym + gauss)
     if cmath.isnan(value):
-        raise ValueError("the overlap exponent overflows at these labels")
+        raise OutOfDomain("the overlap exponent overflows at these labels")
     return OverlapResult(
         value=value,
         modulus=abs(value),
@@ -120,7 +115,7 @@ def squeezed_overlap(z2: complex, u2: complex,
             e^{-(u2 conj(u1) - conj(u2) u1)/2} e^{-G/4}
     with the quadratic form
         G/2 = conj(d - zeta2 conj(d)) (d - zeta1 conj(d)) / (1 - conj(zeta2) zeta1),
-        d = u2 - u1.  Raises ValueError where the exponent overflows.
+        d = u2 - u1.  Raises OutOfDomain where the exponent overflows.
     """
     logpre, sym, gre, gim = _overlap_exponent(z2, complex(u2), z1, complex(u1))
     return _result(logpre, complex(0.0, sym), complex(gre, gim))
@@ -146,7 +141,7 @@ def general_matrix_element(zeta2: complex, u: complex, zeta1: complex) -> comple
     """
     zeta2, zeta1, u = complex(zeta2), complex(zeta1), complex(u)
     if abs(zeta2) >= 1 or abs(zeta1) >= 1:
-        raise DomainError(
+        raise OutOfDomain(
             f"matrix element requires |zeta| < 1, got |{zeta2}|, |{zeta1}|")
     den = 1.0 - zeta2.conjugate() * zeta1
     expo = -(u - zeta2 * u.conjugate()).conjugate() * (u - zeta1 * u.conjugate()) \
@@ -403,7 +398,7 @@ def quadrature_observable(name: str, z: complex,
         "QP": lambda: q_op * p_op + p_op * q_op,
     }
     if name not in table:
-        raise ValueError(f"unknown observable {name!r}; choose from {sorted(table)}")
+        raise OutOfDomain(f"unknown observable {name!r}; choose from {sorted(table)}")
     return table[name]()
 
 
@@ -417,6 +412,6 @@ def diagonal_kernel(op: NormalOrderedOp, z: complex,
     """
     sym = op.diagonal_symbol()
     if sym.degree > max_degree:
-        raise DegreeTooHigh(
+        raise OutOfDomain(
             f"diagonal symbol degree {sym.degree} exceeds limit {max_degree}")
     return sym.heat_transform()

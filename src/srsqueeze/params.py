@@ -22,6 +22,15 @@ TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 
 
+class OutOfDomain(ValueError):
+    """An input outside the domain the package accepts.
+
+    Labels, constants, options or rule sizes that no closed form or oracle
+    is defined at, or at which its exponents leave the float range.  The
+    CLI maps it to exit code 2.
+    """
+
+
 class NotSaturated(ValueError):
     """Moments violate dq^2 dp^2 = (hbar^2 + corr^2)/4 beyond tolerance.
 
@@ -52,10 +61,10 @@ class Constants:
     ell0: float = 1.0
 
     def __post_init__(self):
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if not self.ell0 > 0:
-            raise ValueError(f"ell0 must be positive, got {self.ell0}")
+        if not 0 < self.hbar < math.inf:
+            raise OutOfDomain(f"hbar must be finite and positive, got {self.hbar}")
+        if not 0 < self.ell0 < math.inf:
+            raise OutOfDomain(f"ell0 must be finite and positive, got {self.ell0}")
 
 
 @dataclass(frozen=True)
@@ -72,7 +81,7 @@ class Labels:
 
     def __post_init__(self):
         if not self.r >= 0:
-            raise ValueError(f"squeeze magnitude r must be >= 0, got {self.r}")
+            raise OutOfDomain(f"squeeze magnitude r must be >= 0, got {self.r}")
         theta = wrap_angle(self.theta) if self.r > 0 else 0.0
         object.__setattr__(self, "u0", complex(self.u0))
         object.__setattr__(self, "theta", theta)
@@ -107,9 +116,9 @@ class Moments:
 
     def __post_init__(self):
         if not self.dq > 0:
-            raise ValueError(f"dq must be positive, got {self.dq}")
+            raise OutOfDomain(f"dq must be positive, got {self.dq}")
         if not self.dp > 0:
-            raise ValueError(f"dp must be positive, got {self.dp}")
+            raise OutOfDomain(f"dp must be positive, got {self.dp}")
 
 
 @dataclass(frozen=True)
@@ -173,7 +182,10 @@ def moments_to_labels(
     than rel_tol (relative), since only saturating moments label a state.
     The squeeze phase is recovered on the canonical branch (-pi, pi]; when
     sinh r is below 1e-14 the state is unsqueezed and theta is set to 0.
+    Raises OutOfDomain unless rel_tol > 0.
     """
+    if not rel_tol > 0:
+        raise OutOfDomain(f"rel_tol must be positive, got {rel_tol}")
     defect = saturation_defect(m, c)
     if defect > rel_tol:
         raise NotSaturated(

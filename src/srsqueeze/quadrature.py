@@ -22,25 +22,20 @@ from functools import lru_cache
 
 import numpy as np
 
+from .params import OutOfDomain
+
 # numpy's hermgauss returns all-zero weights at order 371 and NaN weights
 # from 372 on, which would turn every rule silently into 0 or NaN
 _MAX_ORDER = 370
 
 
 class QuadratureNotConverged(RuntimeError):
-    """Order-doubled estimates disagree beyond the requested tolerance."""
+    """A rule's estimate misses its tolerance: order-doubled estimates that
+    disagree, or a z-plane measure that fails its normalization."""
 
     def __init__(self, message: str, report: "QuadratureReport"):
         super().__init__(message)
         self.report = report
-
-
-class BadSpec(ValueError):
-    """Rule order or tolerance outside the range the rules support."""
-
-
-class BadMeasure(ValueError):
-    """The z-plane measure fails its own normalization check."""
 
 
 class QuadKind(enum.Enum):
@@ -66,13 +61,13 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if self.order_or_nodes < 2:
-            raise BadSpec(f"order_or_nodes must be >= 2, got {self.order_or_nodes}")
+            raise OutOfDomain(f"order_or_nodes must be >= 2, got {self.order_or_nodes}")
         if 2 * self.order_or_nodes > _MAX_ORDER:
-            raise BadSpec(f"Gauss-Hermite order must be <= {_MAX_ORDER // 2} "
-                          f"(doubled for the error estimate), "
-                          f"got {self.order_or_nodes}")
+            raise OutOfDomain(f"Gauss-Hermite order must be <= {_MAX_ORDER // 2} "
+                              f"(doubled for the error estimate), "
+                              f"got {self.order_or_nodes}")
         if not self.rel_tol > 0:
-            raise BadSpec(f"rel_tol must be positive, got {self.rel_tol}")
+            raise OutOfDomain(f"rel_tol must be positive, got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +82,7 @@ class QuadratureReport:
 def _gh_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and total weights w_i e^{x_i^2} for plain integrals."""
     if order > _MAX_ORDER:
-        raise BadSpec(f"Gauss-Hermite order {order} exceeds limit {_MAX_ORDER}")
+        raise OutOfDomain(f"Gauss-Hermite order {order} exceeds limit {_MAX_ORDER}")
     x, w = np.polynomial.hermite.hermgauss(order)
     return x, w * np.exp(x * x)
 
@@ -132,7 +127,7 @@ def integrate_line(f, spec: QuadratureSpec, check: bool = True) -> QuadratureRep
     Gaussian tails.
     """
     if spec.kind != QuadKind.GAUSS_HERMITE:
-        raise ValueError(f"unsupported line-integral kind {spec.kind}")
+        raise OutOfDomain(f"unsupported line-integral kind {spec.kind}")
     n = spec.order_or_nodes
     coarse = _line_gh(f, n, spec.center[0], spec.scale[0])
     fine = _line_gh(f, 2 * n, spec.center[0], spec.scale[0])
@@ -172,7 +167,7 @@ def integrate_plane(f, spec: QuadratureSpec, check: bool = True) -> QuadratureRe
     axis.  Matrix-valued integrands converge elementwise.
     """
     if spec.kind != QuadKind.TENSOR_GAUSS_HERMITE_2D:
-        raise ValueError(f"unsupported plane-integral kind {spec.kind}")
+        raise OutOfDomain(f"unsupported plane-integral kind {spec.kind}")
     n = spec.order_or_nodes
     coarse = _plane_gh(f, n, spec)
     fine = _plane_gh(f, 2 * n, spec)
@@ -193,16 +188,18 @@ def integrate_z(f, spec: QuadratureSpec, sigma: float = 0.5,
 
     f maps a flat array of z values as in integrate_plane.  mu is the
     Gaussian mu_gaussian(z, sigma), normalized so that f = 1 integrates
-    to 1; that normalization is verified with the same rule first and
-    BadMeasure is raised if it fails.
+    to 1; that normalization is verified with the same rule first, and
+    QuadratureNotConverged is raised, with check or not, if it fails.
     """
     if spec.kind != QuadKind.TENSOR_GAUSS_HERMITE_2D:
-        raise ValueError(f"unsupported z-integral kind {spec.kind}")
+        raise OutOfDomain(f"unsupported z-integral kind {spec.kind}")
     norm = _plane_gh(lambda zs: mu_gaussian(zs, sigma), spec.order_or_nodes, spec)
-    if abs(norm - 1.0) > max(1e-8, 10 * spec.rel_tol):
-        raise BadMeasure(
+    miss = abs(norm - 1.0)
+    if miss > max(1e-8, 10 * spec.rel_tol):
+        raise QuadratureNotConverged(
             f"measure normalization integrates to {norm}, expected 1; "
-            f"widen the rule (scale {spec.scale}, order {spec.order_or_nodes})")
+            f"widen the rule (scale {spec.scale}, order {spec.order_or_nodes})",
+            QuadratureReport(norm, miss, spec.order_or_nodes ** 2, False))
 
     def weighted(zs):
         vals = np.asarray(f(zs), dtype=complex)

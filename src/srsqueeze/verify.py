@@ -28,6 +28,7 @@ from . import quadrature as quadmod
 from .params import (
     Constants,
     Labels,
+    OutOfDomain,
     derived_angles,
     labels_to_moments,
     lambda0,
@@ -714,12 +715,12 @@ def _plane_states(zs, order: int, dim: int):
     and tw[k, size-1-i] = tw[k, i] exactly, and |-u, z> = (-1)^N |u, z>
     exactly in the two-photon recurrence, so _projector(psi, w) gives every
     fixed-z projector sum sum_i w_i |psi_i><psi_i| from these columns.
-    Raises BadSpec, before any amplitude is built, if any |z| is past
+    Raises OutOfDomain, before any amplitude is built, if any |z| is past
     _FRAME_MAX_R.
     """
     rs = [abs(complex(z)) for z in np.ravel(zs)]
     if max(rs) > _FRAME_MAX_R:
-        raise quadmod.BadSpec(
+        raise OutOfDomain(
             f"|z| = {max(rs):g} is past {_FRAME_MAX_R:.1f}, where 1 - tanh|z| "
             f"and the frame rule's width (1 - tanh|z|)^(-1/2) leave the float "
             f"range")
@@ -796,12 +797,14 @@ def resolution_of_identity(z: complex, dim_check: int, cfg: VerifyConfig,
     for the block once n >= dim_check, so the sum is measured against the
     identity at order n + 1, and the largest entry of its difference from
     the sum at order n is the quadrature error estimate: both are rounding
-    when n >= dim_check.  Raises BadSpec for an order outside 2..185 and
-    for |z| past _FRAME_MAX_R.
+    when n >= dim_check.  Raises OutOfDomain for a dim_check below 1, an
+    order outside 2..185 and a |z| past _FRAME_MAX_R.
     """
+    if dim_check < 1:
+        raise OutOfDomain(f"dim_check must be >= 1, got {dim_check}")
     n = max(2, dim_check) if order is None else order
     if not 2 <= n <= _FRAME_MAX_ORDER:
-        raise quadmod.BadSpec(
+        raise OutOfDomain(
             f"order must be in 2..{_FRAME_MAX_ORDER}, got {n}")
     coarse, fine = (_identity_sums([z], m, dim_check)[0] for m in (n, n + 1))
     est = float(np.max(np.abs(fine - coarse)))
@@ -1045,11 +1048,15 @@ def quad_overlap(z2, u2, z1, u1, c: Constants = Constants(),
     weight; the order grows with the e^{i q (p1 - p2)/hbar} oscillation the
     rule must resolve, and stays within the finite Gauss-Hermite orders.
     With check, an error estimate above 1e-6 |value| raises
-    QuadratureNotConverged.
+    QuadratureNotConverged.  Raises OutOfDomain where a state's dq^2
+    underflows to 0.
     """
     p2 = wavefn.WavefnParams.from_labels(Labels.from_z(u2, z2), c)
     p1 = wavefn.WavefnParams.from_labels(Labels.from_z(u1, z1), c)
-    w2, w1 = 1.0 / p2.moments.dq**2, 1.0 / p1.moments.dq**2
+    var2, var1 = p2.moments.dq**2, p1.moments.dq**2
+    if not (var2 > 0 and var1 > 0):
+        raise OutOfDomain("dq^2 underflows to 0 at these labels")
+    w2, w1 = 1.0 / var2, 1.0 / var1
     center = (w2 * p2.moments.q0 + w1 * p1.moments.q0) / (w2 + w1)
     width = math.sqrt(2.0 / (w2 + w1))
     dp = abs(p2.moments.p0 - p1.moments.p0) / c.hbar

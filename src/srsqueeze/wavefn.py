@@ -25,6 +25,7 @@ from .params import (
     DerivedAngles,
     Labels,
     Moments,
+    OutOfDomain,
     derived_angles,
     labels_to_moments,
 )
@@ -93,7 +94,7 @@ def psi_form(q, p: WavefnParams, form: str):
         pre = 1.0 / cmath.sqrt(ch + ph * sh)
         expo = -0.5 * (ch - ph * sh) / (ch + ph * sh) * dq2
     else:
-        raise ValueError(f"unknown form {form!r}")
+        raise OutOfDomain(f"unknown form {form!r}")
     return common * pre * np.exp(expo)
 
 

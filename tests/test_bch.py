@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm, logm
 
 from srsqueeze import bch, fock
+from srsqueeze.params import OutOfDomain
 
 
 def test_phi_basics():
@@ -35,9 +36,9 @@ def test_psi_basics():
 
 
 def test_psi_branch_cut():
-    with pytest.raises(bch.DomainError):
+    with pytest.raises(OutOfDomain):
         bch.psi(-0.5)
-    with pytest.raises(bch.DomainError):
+    with pytest.raises(OutOfDomain):
         bch.psi(0.0)
     bch.psi(-0.5 + 1e-6j)  # off the cut is fine
 

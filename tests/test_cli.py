@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from srsqueeze import cli
+from srsqueeze.params import OutOfDomain
 
 
 def run_cli(capsys, *argv):
@@ -26,9 +27,9 @@ def test_parse_complex_forms():
     polar = cli.parse_complex("0.5@1.5708")
     assert abs(polar) == pytest.approx(0.5)
     assert np.angle(polar) == pytest.approx(1.5708)
-    with pytest.raises(cli.UsageError):
+    with pytest.raises(OutOfDomain):
         cli.parse_complex("nope")
-    with pytest.raises(cli.UsageError):
+    with pytest.raises(OutOfDomain):
         cli.parse_complex("1@@2")
 
 
@@ -90,6 +91,16 @@ def test_moments_bad_input_is_usage_error(capsys, argv):
     assert err.startswith("usage error:")
 
 
+# one command of each subcommand that takes --hbar and --ell0
+_CONSTANTS_ARGV = (
+    ("moments", "--u0", "1+1i", "--z", "0.5@1"),
+    ("wavefn", "--u0", "1+1i", "--z", "0.5@1", "--samples", "5"),
+    ("overlap", "--z2", "0.5@1", "--u2", "1+1i", "--z1", "0.3"),
+    ("kernel", "--op", "QP", "--z", "0.4"),
+    ("verify", "--only", "params.roundtrip"),
+)
+
+
 @pytest.mark.parametrize("argv", [
     # sinh 2r overflows in the correlation
     ("wavefn", "--u0", "0", "--z", "400"),
@@ -105,12 +116,45 @@ def test_moments_bad_input_is_usage_error(capsys, argv):
     ("overlap", "--oracle", "fock", "--fock-dim", "0"),
     ("overlap", "--oracle", "fock", "--fock-dim", "1"),
     ("overlap", "--z2", "400", "--u2", "2", "--z1", "400@1.5708", "--u1", "1"),
+    # constants that are not finite and > 0, on every subcommand taking them
+    *(base + (flag, val) for base in _CONSTANTS_ARGV
+      for flag, val in (("--hbar", "0"), ("--hbar", "-1"), ("--hbar", "nan"),
+                        ("--ell0", "nan"))),
+    ("moments", "--u0", "1+1i", "--z", "0.5@1", "--hbar", "inf"),
+    # a NaN tolerance passes any defect, a negative one none
+    ("moments", "--from-moments", "dq=1,dp=1", "--saturation-tol", "nan"),
+    ("moments", "--from-moments", "dq=1,dp=1", "--saturation-tol", "-1"),
+    ("wavefn", "--samples", "-1"),
+    ("wavefn", "--qmin", "nan"),
+    ("wavefn", "--qmax", "inf"),
+    ("resolve-identity", "--z", "0.5", "--dim-check", "-5"),
+    # dq^2 underflows to 0 in the line rule's width
+    ("overlap", "--ell0", "1e-200", "--oracle", "quad"),
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv,code", [
+    # sinh 2r in the correlation overflows between these two
+    (("moments", "--u0", "1", "--z", "355.2"), 0),
+    (("moments", "--u0", "1", "--z", "355.3"), 2),
+    # past the frame rule's limit of about 354.5
+    (("resolve-identity", "--z", "354.6", "--dim-check", "4"), 2),
+    # the self-overlap never overflows; a displaced pair's exponent does
+    (("overlap", "--z2", "400", "--u2", "0", "--z1", "400", "--u1", "0"), 0),
+    (("overlap", "--z2", "400", "--u2", "1", "--z1", "400@1.5", "--u1", "0"),
+     2),
+    (("overlap", "--z2", "800", "--u2", "1", "--z1", "800@1.5", "--u1", "0"),
+     2),
+])
+def test_domain_edges(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code, err
+    assert (out == "") == (code == 2)
 
 
 def test_moments_large_squeezing(capsys):

@@ -9,6 +9,7 @@ from srsqueeze.params import (
     Labels,
     Moments,
     NotSaturated,
+    OutOfDomain,
     derived_angles,
     labels_to_moments,
     lambda0,
@@ -31,17 +32,19 @@ GRID = [
 
 
 def test_constants_validation():
-    with pytest.raises(ValueError):
-        Constants(hbar=0.0)
-    with pytest.raises(ValueError):
-        Constants(ell0=-1.0)
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfDomain):
+            Constants(hbar=bad)
+        with pytest.raises(OutOfDomain):
+            Constants(ell0=bad)
+    assert Constants(hbar=1e-300, ell0=1e300).hbar == 1e-300
 
 
 def test_labels_canonicalization():
     lab = Labels(u0=1j, r=0.5, theta=3 * math.pi)
     assert lab.theta == pytest.approx(math.pi)
     assert Labels(u0=0, r=0.0, theta=2.3).theta == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         Labels(u0=0, r=-0.1)
     assert Labels.from_z(1j, 0.5j).theta == pytest.approx(math.pi / 2)
 
@@ -164,8 +167,16 @@ def test_not_saturated_raises():
     moments_to_labels(noisy, C, rel_tol=1e-6)
 
 
+def test_saturation_tolerance_must_be_positive():
+    # a NaN tolerance would pass any defect, a negative one none
+    m = labels_to_moments(Labels(u0=1, r=0.4, theta=1.0), C)
+    for bad in (math.nan, -1.0, 0.0):
+        with pytest.raises(OutOfDomain):
+            moments_to_labels(m, C, rel_tol=bad)
+
+
 def test_moments_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         Moments(q0=0, p0=0, dq=0.0, dp=1.0, corr=0)
 
 
@@ -353,3 +364,20 @@ def test_squeezed_frame_label():
     zeta = np.exp(1j * 1.1) * math.tanh(0.7)
     expected = math.cosh(0.7) * (u0 - zeta * np.conj(u0))
     assert squeezed_frame_label(u0, z) == pytest.approx(expected, rel=1e-14)
+
+
+def test_one_error_class_per_exit_code():
+    # exit 2 OutOfDomain, exit 1 NotSaturated, exit 3 QuadratureNotConverged
+    import importlib
+
+    from srsqueeze.quadrature import QuadratureNotConverged
+
+    found = set()
+    for name in ("params", "bch", "fock", "kernels", "quadrature", "wavefn",
+                 "verify", "cli"):
+        module = importlib.import_module(f"srsqueeze.{name}")
+        found |= {obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, Exception)
+                  and not issubclass(obj, Warning)
+                  and obj.__module__.startswith("srsqueeze")}
+    assert found == {OutOfDomain, NotSaturated, QuadratureNotConverged}

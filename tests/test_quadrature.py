@@ -5,7 +5,7 @@ import pytest
 
 from srsqueeze import kernels, quadrature as quad
 from srsqueeze import wavefn
-from srsqueeze.params import Constants, Labels
+from srsqueeze.params import Constants, Labels, OutOfDomain
 
 C = Constants()
 
@@ -20,16 +20,16 @@ def plane_spec(order, **kw):
 
 
 def test_spec_validation():
-    with pytest.raises(quad.BadSpec):
+    with pytest.raises(OutOfDomain):
         quad.QuadratureSpec(quad.QuadKind.GAUSS_HERMITE, 1)
-    with pytest.raises(quad.BadSpec):
+    with pytest.raises(OutOfDomain):
         quad.QuadratureSpec(quad.QuadKind.GAUSS_HERMITE, 8, rel_tol=0.0)
     # the Gauss-Hermite kinds also run the rule at twice the order
     for kind in (quad.QuadKind.GAUSS_HERMITE,
                  quad.QuadKind.TENSOR_GAUSS_HERMITE_2D):
-        with pytest.raises(quad.BadSpec):
+        with pytest.raises(OutOfDomain):
             quad.QuadratureSpec(kind, 186)
-    with pytest.raises(quad.BadSpec):
+    with pytest.raises(OutOfDomain):
         quad._gh_rule(371)
 
 
@@ -143,8 +143,13 @@ def test_z_measure_normalization_and_moment():
 def test_bad_measure():
     # a rule far too narrow for the measure fails its self-normalization
     spec = plane_spec(4, scale=(0.01, 0.01), rel_tol=1e-8)
-    with pytest.raises(quad.BadMeasure):
-        quad.integrate_z(lambda z: np.ones_like(z), spec, sigma=0.5)
+    for check in (True, False):
+        with pytest.raises(quad.QuadratureNotConverged) as exc:
+            quad.integrate_z(lambda z: np.ones_like(z), spec, sigma=0.5,
+                             check=check)
+        rep = exc.value.report
+        assert not rep.converged and rep.nodes_used == 16
+        assert rep.est_error == abs(rep.value - 1.0) > 1e-8
 
 
 @pytest.mark.parametrize("order", [1, 2, 7, 16, 41])

@@ -7,7 +7,7 @@ import pytest
 
 from srsqueeze import fock, wavefn
 from srsqueeze import quadrature as quad
-from srsqueeze.params import Constants, Labels
+from srsqueeze.params import Constants, Labels, OutOfDomain
 
 C = Constants()
 
@@ -66,7 +66,7 @@ def test_three_forms_agree(lab):
 def test_unknown_form_rejected():
     p = wavefn.WavefnParams.from_labels(Labels(), C)
     for form in ("bogus", "ratio"):  # "ratio" was psi's own code path
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfDomain):
             wavefn.psi_form(0.0, p, form)
 
 
