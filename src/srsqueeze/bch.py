@@ -69,11 +69,11 @@ def psi(x: complex) -> complex:
     return x * cmath.log(x) / w
 
 
-def _phi_minus_deriv(v: complex, k: int, max_terms: int = 250) -> complex:
+def _phi_minus_deriv(v: complex, k: int) -> complex:
     """Phi(v) - Phi^(k)(v) = sum_n v^n k / (n! (n+1) (n+k+1))."""
     s = 0j
     term = 1.0 + 0j  # v^n / n!
-    for n in range(max_terms):
+    for n in range(250):
         inc = term * k / ((n + 1) * (n + k + 1))
         s += inc
         if abs(inc) < 1e-18 * max(1.0, abs(s)) and n > abs(v):

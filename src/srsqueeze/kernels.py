@@ -36,20 +36,12 @@ from . import quadrature as quadmod
 
 
 @dataclass(frozen=True)
-class OverlapParts:
-    prefactor: complex
-    symplectic_phase: complex
-    gaussian: complex
-
-
-@dataclass(frozen=True)
 class OverlapResult:
-    """Overlap value with its factorization; value = product of parts."""
+    """Overlap value with its modulus and phase."""
 
     value: complex
     modulus: float
     phase: float
-    parts: OverlapParts
 
 
 def _overlap_exponent(z2: complex, u2, z1: complex, u1):
@@ -88,20 +80,6 @@ def _overlap_exponent(z2: complex, u2, z1: complex, u1):
             kappa.real * nr - kappa.imag * ni, kappa.real * ni + kappa.imag * nr)
 
 
-def _result(logpre: complex, sym: complex, gauss: complex) -> OverlapResult:
-    value = cmath.exp(logpre + sym + gauss)
-    if cmath.isnan(value):
-        raise OutOfDomain("the overlap exponent overflows at these labels")
-    return OverlapResult(
-        value=value,
-        modulus=abs(value),
-        phase=cmath.phase(value),
-        parts=OverlapParts(prefactor=cmath.exp(logpre),
-                           symplectic_phase=cmath.exp(sym),
-                           gaussian=cmath.exp(gauss)),
-    )
-
-
 def coherent_overlap(u2: complex, u1: complex) -> OverlapResult:
     """<state(u2, 0)|state(u1, 0)> = e^{-(u2 conj(u1) - conj(u2) u1)/2} e^{-|u2-u1|^2/2}."""
     return squeezed_overlap(0j, u2, 0j, u1)
@@ -118,7 +96,10 @@ def squeezed_overlap(z2: complex, u2: complex,
         d = u2 - u1.  Raises OutOfDomain where the exponent overflows.
     """
     logpre, sym, gre, gim = _overlap_exponent(z2, complex(u2), z1, complex(u1))
-    return _result(logpre, complex(0.0, sym), complex(gre, gim))
+    value = cmath.exp(logpre + complex(0.0, sym) + complex(gre, gim))
+    if cmath.isnan(value):
+        raise OutOfDomain("the overlap exponent overflows at these labels")
+    return OverlapResult(value=value, modulus=abs(value), phase=cmath.phase(value))
 
 
 def overlap_values(z2: complex, u2, z1: complex, u1) -> np.ndarray:
@@ -165,8 +146,7 @@ def displacement_composition(u2: complex, u1: complex) -> CompositionResult:
 
 
 def reproducing_compose(z2: complex, u2: complex, z1: complex, u1: complex,
-                        z3: complex,
-                        spec: quadmod.QuadratureSpec | None = None) -> complex:
+                        z3: complex) -> complex:
     """Compose two kernels through the fixed-z3 resolution of identity.
 
     Integrates K(2;3) K(3;1) over the intermediate label u3 with measure
@@ -174,12 +154,11 @@ def reproducing_compose(z2: complex, u2: complex, z1: complex, u1: complex,
     direct overlap K(2;1).  Raises QuadratureNotConverged when the
     order-doubled estimates disagree.
     """
-    if spec is None:
-        mid = 0.5 * (complex(u2) + complex(u1))
-        width = math.exp(max(abs(complex(z2)), abs(complex(z1)), abs(complex(z3))))
-        spec = quadmod.QuadratureSpec(
-            quadmod.QuadKind.TENSOR_GAUSS_HERMITE_2D, 60,
-            center=(mid.real, mid.imag), scale=(width, width), rel_tol=1e-7)
+    mid = 0.5 * (complex(u2) + complex(u1))
+    width = math.exp(max(abs(complex(z2)), abs(complex(z1)), abs(complex(z3))))
+    spec = quadmod.QuadratureSpec(
+        quadmod.QuadKind.TENSOR_GAUSS_HERMITE_2D, 60,
+        center=(mid.real, mid.imag), scale=(width, width), rel_tol=1e-7)
 
     def kernel_product(u3):
         return overlap_values(z2, u2, z3, u3) * overlap_values(z3, u3, z1, u1)
@@ -265,9 +244,9 @@ class PolySymbol:
             out = out + term * (sign / fact)
         return out.trim()
 
-    def evaluate(self, w, wbar=None):
+    def evaluate(self, w):
         w = np.asarray(w, dtype=complex)
-        wbar = np.conj(w) if wbar is None else np.asarray(wbar, dtype=complex)
+        wbar = np.conj(w)
         out = np.zeros_like(w)
         for j in range(self.coeffs.shape[0]):
             for k in range(self.coeffs.shape[1]):
@@ -318,10 +297,8 @@ class NormalOrderedOp:
         return cls(np.ones((1, 1)))
 
     @classmethod
-    def linear(cls, c_adag: complex, c_a: complex,
-               c_id: complex = 0.0) -> "NormalOrderedOp":
+    def linear(cls, c_adag: complex, c_a: complex) -> "NormalOrderedOp":
         arr = np.zeros((2, 2), dtype=complex)
-        arr[0, 0] = c_id
         arr[1, 0] = c_adag
         arr[0, 1] = c_a
         return cls(arr)
@@ -379,7 +356,8 @@ def quadrature_observable(name: str, z: complex,
     Uses the inverse Bogoliubov relations
         Q/ell0      = [(ch + conj(s)) a(z) + (ch + s) a(z)^dag]/sqrt(2),
         ell0 P/hbar = i[(ch - s) a(z)^dag - (ch - conj(s)) a(z)]/sqrt(2),
-    with ch = cosh r, s = e^{i theta} sinh r.
+    with ch = cosh r, s = e^{i theta} sinh r.  Raises OutOfDomain where a
+    coefficient overflows.
     """
     ch, s, _ = squeeze_frame(z)
     sq2 = math.sqrt(2.0)
@@ -389,8 +367,7 @@ def quadrature_observable(name: str, z: complex,
                                   -1j * (ch - s.conjugate()) * c.hbar / (c.ell0 * sq2))
     table = {
         "I": lambda: NormalOrderedOp.identity(),
-        "N": lambda: NormalOrderedOp.linear(0, 0) + NormalOrderedOp(
-            np.array([[0, 0], [0, 1]], dtype=complex)),
+        "N": lambda: NormalOrderedOp(np.array([[0, 0], [0, 1]], dtype=complex)),
         "Q": lambda: q_op,
         "P": lambda: p_op,
         "Q2": lambda: q_op * q_op,
@@ -399,7 +376,11 @@ def quadrature_observable(name: str, z: complex,
     }
     if name not in table:
         raise OutOfDomain(f"unknown observable {name!r}; choose from {sorted(table)}")
-    return table[name]()
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = table[name]()
+    if not np.all(np.isfinite(op.coeffs)):
+        raise OutOfDomain(f"the coefficients of {name} overflow at these constants")
+    return op
 
 
 def diagonal_kernel(op: NormalOrderedOp, z: complex,

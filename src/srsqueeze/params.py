@@ -94,11 +94,6 @@ class Labels:
     def z(self) -> complex:
         return self.r * cmath.exp(1j * self.theta)
 
-    @property
-    def zeta(self) -> complex:
-        """zeta = e^{i theta} tanh r, always inside the unit disk."""
-        return squeeze_zeta(self.r, cmath.exp(1j * self.theta))
-
 
 @dataclass(frozen=True)
 class Moments:
@@ -135,14 +130,18 @@ class DerivedAngles:
     rho_minus: float
     theta_plus: float
     theta_minus: float
-    zeta: complex
     thetabar_plus: float
     thetabar_minus: float
 
 
 def saturation_defect(m: Moments, c: Constants = Constants()) -> float:
-    """Relative defect of dq^2 dp^2 against (hbar^2 + corr^2)/4."""
+    """Relative defect of dq^2 dp^2 against (hbar^2 + corr^2)/4.
+
+    Raises OutOfDomain where that target underflows to 0.
+    """
     target = 0.25 * (c.hbar**2 + m.corr**2)
+    if not target > 0:
+        raise OutOfDomain("(hbar^2 + corr^2)/4 underflows to 0 at these constants")
     return abs(m.dq**2 * m.dp**2 - target) / target
 
 
@@ -244,7 +243,6 @@ def derived_angles(
         rho_minus=rho_minus,
         theta_plus=wrap_angle(theta_plus),
         theta_minus=wrap_angle(theta_minus),
-        zeta=labels.zeta,
         thetabar_plus=wrap_angle(tb_plus),
         thetabar_minus=wrap_angle(tb_minus),
     )

@@ -1048,14 +1048,15 @@ def quad_overlap(z2, u2, z1, u1, c: Constants = Constants(),
     weight; the order grows with the e^{i q (p1 - p2)/hbar} oscillation the
     rule must resolve, and stays within the finite Gauss-Hermite orders.
     With check, an error estimate above 1e-6 |value| raises
-    QuadratureNotConverged.  Raises OutOfDomain where a state's dq^2
-    underflows to 0.
+    QuadratureNotConverged.  Raises OutOfDomain where a state's 1/dq^2
+    is not finite.
     """
     p2 = wavefn.WavefnParams.from_labels(Labels.from_z(u2, z2), c)
     p1 = wavefn.WavefnParams.from_labels(Labels.from_z(u1, z1), c)
     var2, var1 = p2.moments.dq**2, p1.moments.dq**2
-    if not (var2 > 0 and var1 > 0):
-        raise OutOfDomain("dq^2 underflows to 0 at these labels")
+    # a subnormal dq^2 passes > 0, yet its reciprocal overflows
+    if not min(var2, var1) > 0 or math.isinf(1.0 / min(var2, var1)):
+        raise OutOfDomain("1/dq^2 overflows at these labels")
     w2, w1 = 1.0 / var2, 1.0 / var1
     center = (w2 * p2.moments.q0 + w1 * p1.moments.q0) / (w2 + w1)
     width = math.sqrt(2.0 / (w2 + w1))
@@ -1222,10 +1223,10 @@ def _check_plane_exactness(cfg):
 @register("canary.g2_sign_flip")
 def _canary_g2(cfg):
     z2, u2, z1, u1 = 0.5 * cmath.exp(1j * math.pi / 4), 1.0, 0.3, -1j
-    good = kernels.squeezed_overlap(z2, u2, z1, u1)
+    logpre, sym, gre, gim = kernels._overlap_exponent(z2, complex(u2), z1, complex(u1))
     # corrupt: flip the sign of the Gaussian quadratic form
-    corrupt = good.parts.prefactor * good.parts.symplectic_phase \
-        / good.parts.gaussian
+    corrupt = cmath.exp(logpre) * cmath.exp(complex(0.0, sym)) \
+        / cmath.exp(complex(gre, gim))
     oracle = fock_overlaps([(z2, u2, z1, u1)], 160)[0]
     return [_canary(cfg, "canary.g2_sign_flip", abs(corrupt - oracle))]
 

@@ -20,31 +20,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (
-    Constants,
-    DerivedAngles,
-    Labels,
-    Moments,
-    OutOfDomain,
-    derived_angles,
-    labels_to_moments,
-)
+from .params import Constants, Labels, Moments, OutOfDomain, labels_to_moments, thetabar
 
 
 @dataclass(frozen=True)
 class WavefnParams:
-    """Consistent (labels, moments, angles) triple for one state."""
+    """Labels and moments of one state, with the squeeze phase thetabar_plus."""
 
     labels: Labels
     moments: Moments
-    angles: DerivedAngles
+    thetabar_plus: float
     constants: Constants
 
     @classmethod
     def from_labels(cls, labels: Labels, c: Constants = Constants()) -> "WavefnParams":
+        """Raises OutOfDomain where the displacement phase q0 p0 / hbar overflows."""
         m = labels_to_moments(labels, c)
-        return cls(labels=labels, moments=m, angles=derived_angles(labels, m, c),
-                   constants=c)
+        if not math.isfinite(m.q0 * m.p0 / c.hbar):
+            raise OutOfDomain("q0 p0 / hbar overflows at these labels")
+        return cls(labels=labels, moments=m,
+                   thetabar_plus=thetabar(labels.r, labels.theta)[0], constants=c)
 
 
 def log_psi(q, p: WavefnParams):
@@ -56,7 +51,7 @@ def log_psi(q, p: WavefnParams):
     q = np.asarray(q, dtype=float)
     c, m = p.constants, p.moments
     logpre = (-0.25 * math.log(2.0 * math.pi) - 0.5 * math.log(m.dq)
-              - 0.5j * p.angles.thetabar_plus - 0.5j * m.q0 * m.p0 / c.hbar)
+              - 0.5j * p.thetabar_plus - 0.5j * m.q0 * m.p0 / c.hbar)
     x = (q - m.q0) / m.dq
     return (logpre + 1j * q * m.p0 / c.hbar
             - 0.25 * complex(1.0, -m.corr / c.hbar) * x * x)
@@ -79,7 +74,7 @@ def psi_form(q, p: WavefnParams, form: str):
     psi itself is the same Gaussian written in the moments.
     """
     q = np.asarray(q, dtype=float)
-    c, lab, m, ang = p.constants, p.labels, p.moments, p.angles
+    c, lab, m = p.constants, p.labels, p.moments
     ch, sh = math.cosh(lab.r), math.sinh(lab.r)
     ch2, sh2 = math.cosh(2 * lab.r), math.sinh(2 * lab.r)
     x2 = ch2 + math.cos(lab.theta) * sh2
@@ -87,7 +82,7 @@ def psi_form(q, p: WavefnParams, form: str):
               * np.exp(1j * q * m.p0 / c.hbar) / (math.pi * c.ell0**2) ** 0.25)
     dq2 = ((q - m.q0) / c.ell0) ** 2
     if form == "angle":
-        pre = x2 ** -0.25 * cmath.exp(-0.5j * ang.thetabar_plus)
+        pre = x2 ** -0.25 * cmath.exp(-0.5j * p.thetabar_plus)
         expo = -0.5 * (1 - 1j * math.sin(lab.theta) * sh2) / x2 * dq2
     elif form == "sqrt":
         ph = cmath.exp(1j * lab.theta)

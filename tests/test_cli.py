@@ -130,6 +130,18 @@ _CONSTANTS_ARGV = (
     ("resolve-identity", "--z", "0.5", "--dim-check", "-5"),
     # dq^2 underflows to 0 in the line rule's width
     ("overlap", "--ell0", "1e-200", "--oracle", "quad"),
+    # dq^2 is subnormal, and 1/dq^2 overflows
+    ("overlap", "--oracle", "quad", "--ell0", "1e-160"),
+    ("overlap", "--oracle", "quad", "--ell0", "1e-155"),
+    # the saturation target (hbar^2 + corr^2)/4 underflows to 0
+    ("moments", "--from-moments", "dq=1,dp=0.5", "--hbar", "1e-300"),
+    ("moments", "--from-moments", "dq=1,dp=0.5", "--hbar", "1e-200"),
+    # the displacement phase q0 p0 / hbar overflows
+    ("wavefn", "--u0=-1e200+1e200i"),
+    ("wavefn", "--u0=1e300+1e300i"),
+    # a quadratic observable's coefficients overflow
+    ("kernel", "--op", "Q2", "--z", "0.4", "--ell0", "1e160"),
+    ("kernel", "--op", "P2", "--z", "0.4", "--ell0", "1e-160"),
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -150,6 +162,10 @@ def test_out_of_range_input_is_usage_error(capsys, argv):
      2),
     (("overlap", "--z2", "800", "--u2", "1", "--z1", "800@1.5", "--u1", "0"),
      2),
+    # 1/dq^2 is still finite, q0 p0 / hbar is, and the mixed QP product is
+    (("overlap", "--oracle", "quad", "--ell0", "1.5e-154"), 0),
+    (("wavefn", "--u0=1e150+1e150i"), 0),
+    (("kernel", "--op", "QP", "--z", "0.4", "--ell0", "1e160"), 0),
 ])
 def test_domain_edges(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)

@@ -34,13 +34,9 @@ def test_coherent_overlap_vs_fock():
                                       abs=1e-13)
 
 
-def test_overlap_parts_product():
+def test_overlap_modulus_at_most_one():
     res = kernels.squeezed_overlap(0.5j, 1 + 0.2j, 0.3, -1j)
-    prod = res.parts.prefactor * res.parts.symplectic_phase \
-        * res.parts.gaussian
-    assert res.value == pytest.approx(prod, abs=1e-14)
     assert res.modulus <= 1 + 1e-12
-    assert abs(res.parts.symplectic_phase) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_squeezed_overlap_normalization():
@@ -215,10 +211,10 @@ def test_reproducing_compose():
 
 
 def test_reproducing_compose_not_converged():
-    bad = quad.QuadratureSpec(quad.QuadKind.TENSOR_GAUSS_HERMITE_2D, 2,
-                              rel_tol=1e-12)
+    # the default rule is too coarse here: error estimate 0.18 against an
+    # estimated |value| of 0.199 (the closed form gives 0.227)
     with pytest.raises(quad.QuadratureNotConverged):
-        kernels.reproducing_compose(0.4, 2.0, 0.2j, -2j, 0.3, spec=bad)
+        kernels.reproducing_compose(2.0, 0, 2j, 0, 0.0)
 
 
 def test_poly_symbol_derivative():

@@ -6,6 +6,7 @@ import pytest
 
 from srsqueeze.params import (
     Constants,
+    DerivedAngles,
     Labels,
     Moments,
     NotSaturated,
@@ -190,7 +191,6 @@ def test_derived_angles_unsqueezed():
     assert ang.rho_minus < 1e-7
     assert ang.thetabar_plus == 0.0
     assert ang.thetabar_minus == 0.0
-    assert ang.zeta == 0
 
 
 def test_derived_angles_real_squeeze():
@@ -326,7 +326,6 @@ def test_rho_and_angle_identities(lab):
     ang = derived_angles(lab, m, C)
     assert ang.rho_plus**2 - ang.rho_minus**2 == pytest.approx(1.0, abs=1e-12)
     assert math.tan(ang.phi) == pytest.approx(m.corr, abs=1e-12)
-    assert abs(ang.zeta) == pytest.approx(math.tanh(lab.r), abs=1e-13)
     ch2, sh2 = math.cosh(2 * lab.r), math.sinh(2 * lab.r)
     rhs = 1.0 / math.sqrt(ch2**2 - (math.cos(lab.theta) * sh2) ** 2)
     assert math.cos(ang.thetabar_plus - ang.thetabar_minus) == \
@@ -381,3 +380,20 @@ def test_one_error_class_per_exit_code():
                   and not issubclass(obj, Warning)
                   and obj.__module__.startswith("srsqueeze")}
     assert found == {OutOfDomain, NotSaturated, QuadratureNotConverged}
+
+
+def test_closed_forms_return_only_fields_a_caller_reads():
+    from dataclasses import fields
+
+    from srsqueeze.kernels import OverlapResult
+    from srsqueeze.wavefn import WavefnParams
+
+    def names(cls):
+        return [f.name for f in fields(cls)]
+
+    assert names(OverlapResult) == ["value", "modulus", "phase"]
+    assert names(WavefnParams) == ["labels", "moments", "thetabar_plus",
+                                   "constants"]
+    assert names(DerivedAngles) == ["phi", "rho_plus", "rho_minus",
+                                    "theta_plus", "theta_minus",
+                                    "thetabar_plus", "thetabar_minus"]
