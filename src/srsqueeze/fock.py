@@ -328,8 +328,9 @@ def _frame_params(z):
     """(tanh r, 1 - tanh r, 1 + tanh r, ln cosh r, cos(theta/2), sin(theta/2), theta).
 
     Of z = r e^{i theta}, or of each z in an array, for which each parameter
-    is an array of z's shape.  theta is 0 on the real axis's non-negative
-    half, -0.0 and a -0.0 imaginary part included.
+    is an array of z's shape, evaluated once per distinct z.  theta is 0 on
+    the real axis's non-negative half, -0.0 and a -0.0 imaginary part
+    included.
     """
     if np.ndim(z) == 0:
         z = complex(z)
@@ -338,8 +339,13 @@ def _frame_params(z):
         return (*squeeze_axes(abs(z)), *_half_turn(z),
                 math.atan2(z.imag, z.real))
     zs = np.asarray(z, dtype=complex)
-    cols = zip(*(_frame_params(zz) for zz in zs.ravel()))
-    return tuple(np.reshape(col, zs.shape) for col in cols)
+    # distinct by bit pattern: == merges -x + 0j with -x - 0j, whose theta
+    # are pi and -pi
+    index = {}
+    take = [index.setdefault(key, len(index))
+            for key in np.ascontiguousarray(zs).view("V16").ravel().tolist()]
+    cols = zip(*map(_frame_params, np.frombuffer(b"".join(index), complex)))
+    return tuple(np.asarray(col)[take].reshape(zs.shape) for col in cols)
 
 
 def _frame_start(us, t, omt, opt, log_ch, c, s, theta):

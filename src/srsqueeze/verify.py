@@ -685,12 +685,11 @@ _FRAME_MAX_R = 0.5 * math.log(2.0 / np.finfo(float).tiny)
 # Gauss-Hermite spec it takes orders up to 185.
 _FRAME_MAX_ORDER = quadmod._MAX_ORDER // 2
 
-# _identity_sums builds the frame sums of at most this many z from one
-# recurrence call: 2048 nodes at order 16.  In mu_weighted_identity at
-# outer order 4, one call over all 64 z of the fine outer rule peaked at
-# 5.1 MB (tracemalloc) and raised the process's peak RSS by 3.5 MB, against
-# 1.0 MB for one call per z; blocks of 16 peak at 1.8 MB and take 10-25%
-# longer than the single call.
+# _identity_sums builds the frame sums of at most this many radii from one
+# recurrence call: 2048 nodes at order 16.  mu_weighted_identity at the
+# default outer order 10 has 15 + 55 radii; blocks of 16 take 10 ms and
+# peak at 6.3 MB (tracemalloc, 1 BLAS thread), one call over all 55 of the
+# fine rule 19 ms and 7.3 MB.
 _Z_BLOCK = 16
 
 
@@ -773,20 +772,32 @@ def _projector(psi: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _radii(zs):
+    """The distinct radii |z| of zs, sorted, and the index of each z's radius.
+
+    |z| is abs(complex(z)), the radius _plane_states builds its rule at;
+    np.abs can differ from it in the last bit.
+    """
+    return np.unique([abs(complex(z)) for z in np.ravel(zs)],
+                     return_inverse=True)
+
+
 def _identity_sums(zs, order: int, dim: int) -> np.ndarray:
     """sum_i w_i |u_i, z><u_i, z| over the frame rule of order, in the lab basis.
 
     One dim x dim sum per z of zs, each the identity block to rounding once
-    order >= dim.  The sums are built _Z_BLOCK z at a time, each block from
-    one _plane_states batch.
+    order >= dim.  The frame sum depends on z only through |z| until
+    _lab_block turns it by z's phase, so one sum is built per distinct
+    radius, _Z_BLOCK radii from each _plane_states batch; each z's sum is
+    bit-identical to its own call.
     """
     zs = np.ravel(zs)
-    out = np.empty((zs.size, dim, dim), dtype=complex)
-    for k in range(0, zs.size, _Z_BLOCK):
-        block = zs[k:k + _Z_BLOCK]
-        _, tw, psi = _plane_states(block, order, dim)
-        out[k:k + _Z_BLOCK] = _lab_block(_projector(psi, tw), block)
-    return out
+    rs, inverse = _radii(zs)
+    sums = np.empty((rs.size, dim, dim), dtype=complex)
+    for k in range(0, rs.size, _Z_BLOCK):
+        _, tw, psi = _plane_states(rs[k:k + _Z_BLOCK], order, dim)
+        sums[k:k + _Z_BLOCK] = _projector(psi, tw)
+    return _lab_block(sums[inverse], zs)
 
 
 def resolution_of_identity(z: complex, dim_check: int, cfg: VerifyConfig,
@@ -829,23 +840,29 @@ def mu_weighted_identity(cfg: VerifyConfig) -> CheckResult:
     The inner plane sums use the exact frame rule of order dim_check, so
     the outer z-rule only has to integrate the normalized measure.  params
     carry the (m, n) entry of the largest deviation (worst_at) and the
-    states built, outer nodes times inner half-rule nodes (nodes).
+    states built (nodes): the distinct radii of the outer rules' z times
+    the inner half-rule nodes, since _identity_sums builds one frame sum
+    per radius.
     """
     dim_check = cfg.dim_check
     order = max(2, dim_check)
     spec = quadmod.QuadratureSpec(
         quadmod.QuadKind.TENSOR_GAUSS_HERMITE_2D, cfg.mu_outer_order,
         scale=(_MU_SIGMA, _MU_SIGMA), rel_tol=1e-2)
-    report = quadmod.integrate_z(
-        lambda zs: _identity_sums(zs, order, dim_check), spec,
-        sigma=_MU_SIGMA, check=False)
+    radii = []
+
+    def sums(zs):
+        radii.append(_radii(zs)[0].size)
+        return _identity_sums(zs, order, dim_check)
+
+    report = quadmod.integrate_z(sums, spec, sigma=_MU_SIGMA, check=False)
     err = np.abs(report.value - np.eye(dim_check))
     worst = np.unravel_index(np.argmax(err), err.shape)
     return _result(cfg, "verify.mu_weighted_identity", float(err[worst]),
                    {"sigma": _MU_SIGMA, "outer_order": cfg.mu_outer_order,
                     "quad_est_error": report.est_error,
                     "worst_at": repr(tuple(map(int, worst))),
-                    "nodes": report.nodes_used * ((order * order + 1) // 2)})
+                    "nodes": sum(radii) * ((order * order + 1) // 2)})
 
 
 @register("verify.mu_weighted_identity")

@@ -46,15 +46,20 @@ def log_psi(q, p: WavefnParams):
     """Log-amplitude log(psi(q)); stable where psi itself underflows.
 
     Vectorized over q.  exp(log_psi) reproduces psi wherever |psi| is
-    representable.
+    representable.  Where x = (q - q0)/dq is so far out that x^2 leaves
+    the float range, the real part is -inf and psi is 0: |psi| underflows
+    there at any width.
     """
     q = np.asarray(q, dtype=float)
     c, m = p.constants, p.moments
     logpre = (-0.25 * math.log(2.0 * math.pi) - 0.5 * math.log(m.dq)
               - 0.5j * p.thetabar_plus - 0.5j * m.q0 * m.p0 / c.hbar)
     x = (q - m.q0) / m.dq
-    return (logpre + 1j * q * m.p0 / c.hbar
-            - 0.25 * complex(1.0, -m.corr / c.hbar) * x * x)
+    # an overflow here is the far tail's inf, not a fault; an invalid
+    # result (NaN) still warns
+    with np.errstate(over="ignore"):
+        gauss = 0.25 * complex(1.0, -m.corr / c.hbar) * x * x
+    return logpre + 1j * q * m.p0 / c.hbar - gauss
 
 
 def psi(q, p: WavefnParams):

@@ -201,6 +201,23 @@ def test_wavefn_large_squeezing(capsys, z):
                                   peak * math.exp(-2.0)], rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("argv,abs2", [
+    (("--u0=1e200",), [0.0, 0.0, 0.0]),
+    (("--ell0", "1e-155"), [0.0, 1e155 / math.sqrt(math.pi), 0.0]),
+    (("--qmin", "1e308"), [0.0, 0.0, math.exp(-16) / math.sqrt(math.pi)]),
+])
+def test_wavefn_far_tail_underflows_without_warning(capsys, argv, abs2):
+    # ((q - q0)/dq)^2 overflows at the rows that read 0: |psi| underflows
+    # there at any width.  The peak at ell0 = 1e-155 is exp(2 Re log psi)
+    # with Re log psi near 178, so it keeps about 178 eps
+    code, out, err = run_cli(capsys, "wavefn", *argv, "--samples", "3")
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(
+        [l for l in out.splitlines() if not l.startswith("#")]))
+    assert [float(r["abs2"]) for r in rows] == pytest.approx(abs2, rel=1e-12,
+                                                             abs=0)
+
+
 def test_overlap_identical_states(capsys):
     code, out, _ = run_cli(capsys, "overlap", "--z2", "0.5@0.7", "--u2", "1+1i",
                            "--z1", "0.5@0.7", "--u1", "1+1i")

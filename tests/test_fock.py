@@ -364,6 +364,31 @@ def test_batch_row_squeezes_are_each_row_alone():
                               fock.saturating_state_batch(us[k], z, dim))
 
 
+def test_frame_params_evaluate_each_distinct_squeeze_once(monkeypatch):
+    # the 65 standard labels have 13 squeezes; -0.4 + 0j and -0.4 - 0j are
+    # equal but distinct, with theta = pi and -pi
+    from srsqueeze.verify import standard_labels
+
+    zs = np.array([lab.z for lab in standard_labels()]
+                  + [complex(-0.4, 0.0), complex(-0.4, -0.0)])
+    singles = [fock._frame_params(z) for z in zs]
+    calls = []
+    axes = fock.squeeze_axes
+
+    def counted(r):
+        calls.append(r)
+        return axes(r)
+
+    monkeypatch.setattr(fock, "squeeze_axes", counted)
+    cols = fock._frame_params(zs.reshape(-1, 1))
+    assert len(calls) == 15
+    for col, single in zip(cols, zip(*singles)):
+        assert col.shape == (zs.size, 1)
+        assert np.array_equal(col.ravel(), single)
+        assert np.array_equal(np.signbit(col.ravel()), np.signbit(single))
+    assert cols[-1][-2:, 0].tolist() == [math.pi, -math.pi]
+
+
 def _mp_amplitudes(u, z, dim):
     """c_m = c_0 (i sqrt(zeta/2))^m H_m(-i beta/sqrt(2 zeta)) / sqrt(m!)."""
     with mpmath.workdps(60):

@@ -281,25 +281,37 @@ def test_projector_fold_matches_full_sum(order, dim, z):
 # mixed squeezes, 0.4 twice; tiled three times the list spans two blocks
 _MIXED_Z = [0.0, 0.4, 0.8 * cmath.exp(1j * math.pi / 3),
             12 * cmath.exp(0.7j), -2.0, 0.4]
+# one radius at four phases
+_RADIUS_04 = [0.4, -0.4, 0.4j, 0.4 * cmath.exp(1j * math.pi / 3)]
+
+
+def _outer_nodes(order):
+    # the z nodes of mu_weighted_identity's outer rule at order
+    spec = quadmod.QuadratureSpec(quadmod.QuadKind.TENSOR_GAUSS_HERMITE_2D,
+                                  order, scale=(0.5, 0.5))
+    return list(quadmod._plane_nodes(order, spec)[0])
 
 
 @pytest.mark.parametrize("dim", [1, 4, 16])
 def test_identity_sums_of_a_block_match_each_z_alone(dim):
-    zs = 3 * _MIXED_Z
-    assert len(zs) > verify._Z_BLOCK
+    near = 3 * _MIXED_Z + _RADIUS_04
+    zs = near + _outer_nodes(4) + _outer_nodes(8)
+    assert len({abs(complex(z)) for z in zs}) > verify._Z_BLOCK
     order = max(2, dim)
     sums = verify._identity_sums(zs, order, dim)
     assert sums.shape == (len(zs), dim, dim)
-    eps = np.finfo(float).eps
+    # z that share a radius share its frame sum, so each z's sum keeps the
+    # bits of its own call
     for z, got in zip(zs, sums):
+        assert np.array_equal(got, verify._identity_sums([z], order, dim)[0])
+    eps = np.finfo(float).eps
+    for z, got in zip(near, sums):
         us, tw, _ = verify._plane_states([z], order, dim)
         ref, scale = _full_sum(us[0], abs(z), dim, tw[0])
         # the unfolded frame sum, rotated to the lab basis
         d = np.exp(0.5j * cmath.phase(z) * np.arange(dim))
         ref = d[:, None] * ref * d.conj()
         assert np.all(np.abs(got - ref) <= 16 * eps * scale)
-        alone = verify._identity_sums([z], order, dim)[0]
-        assert np.all(np.abs(got - alone) <= 16 * eps * scale)
 
 
 def test_plane_states_of_a_block_are_each_z_alone():
@@ -373,9 +385,20 @@ def test_mu_weighted_identity_builds_one_state_batch_per_block(monkeypatch):
     assert res.passed
 
 
+def test_mu_weighted_identity_builds_each_radius_once(monkeypatch):
+    # the 16 + 64 z of outer order 4 have 3 + 10 radii, each with the 128
+    # half-rule nodes of the order-16 frame rule; one build per z would be
+    # 80 x 128
+    assert [len({abs(complex(z)) for z in _outer_nodes(m)})
+            for m in (4, 8)] == [3, 10]
+    calls = _count_state_batches(monkeypatch)
+    res = verify.mu_weighted_identity(verify.VerifyConfig(mu_outer_order=4))
+    assert sum(np.size(us) for us, *_ in calls) == 13 * 128
+    assert res.params["nodes"] == 13 * 128
+
+
 def test_mu_weighted_identity_peak_memory():
-    # the z blocks bound the peak; one batch over all 64 fine-rule z peaks
-    # at about 5 MB
+    # 3 + 10 radii, one state batch for each outer rule: about 1.3 MB
     cfg = verify.VerifyConfig(mu_outer_order=4)
     verify.mu_weighted_identity(cfg)
     tracemalloc.start()
@@ -392,8 +415,9 @@ def test_mu_weighted_identity_reports_worst_entry_and_nodes():
     res = verify.mu_weighted_identity(cfg)
     m, n = ast.literal_eval(res.params["worst_at"])
     assert 0 <= m < cfg.dim_check and 0 <= n < cfg.dim_check
-    # (16 + 64) outer z, half of the 16 x 16 inner rule each
-    assert res.params["nodes"] == 80 * 128
+    # 3 + 10 radii of the 16 + 64 outer z, half of the 16 x 16 inner rule
+    # each
+    assert res.params["nodes"] == 13 * 128
     assert {"sigma", "outer_order", "quad_est_error"} <= set(res.params)
 
 
