@@ -13,6 +13,7 @@ from .params import (
     Moments,
     NotSaturated,
     OutOfDomain,
+    QuadratureNotConverged,
     derived_angles,
     labels_to_moments,
     lambda0,
@@ -27,6 +28,7 @@ __all__ = [
     "Moments",
     "NotSaturated",
     "OutOfDomain",
+    "QuadratureNotConverged",
     "derived_angles",
     "labels_to_moments",
     "lambda0",

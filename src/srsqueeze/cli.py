@@ -7,7 +7,10 @@ csv (RFC-4180 quoting), table (human).
 
 Exit codes: 0 success; 1 a failed check or NotSaturated moments; 2 a
 usage error, params.OutOfDomain or a math OverflowError; 3 numeric
-non-convergence, quadrature.QuadratureNotConverged.
+non-convergence, params.QuadratureNotConverged.
+
+Each subcommand imports the numerical layers it uses when it runs, so
+moments, which needs only params, starts without loading numpy.
 """
 
 from __future__ import annotations
@@ -20,20 +23,17 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import kernels, verify, wavefn
 from .params import (
     Constants,
     Labels,
     Moments,
     NotSaturated,
     OutOfDomain,
+    QuadratureNotConverged,
     derived_angles,
     labels_to_moments,
     moments_to_labels,
 )
-from .quadrature import QuadratureNotConverged
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -130,17 +130,21 @@ def cmd_moments(args) -> int:
 
 
 def cmd_overlap(args) -> int:
+    from . import kernels
+
     c = _constants(args)
     z2, u2 = parse_complex(args.z2), parse_complex(args.u2)
     z1, u1 = parse_complex(args.z1), parse_complex(args.u1)
     res = kernels.squeezed_overlap(z2, u2, z1, u1)
     row = {"value_re": res.value.real, "value_im": res.value.imag,
            "modulus": res.modulus, "phase": res.phase}
-    if args.oracle == "fock":
-        oracle = verify.fock_overlaps([(z2, u2, z1, u1)], args.fock_dim)[0]
-    elif args.oracle == "quad":
-        oracle = verify.quad_overlap(z2, u2, z1, u1, c, check=True).value
     if args.oracle != "none":
+        from . import verify
+
+        if args.oracle == "fock":
+            oracle = verify.fock_overlaps([(z2, u2, z1, u1)], args.fock_dim)[0]
+        else:
+            oracle = verify.quad_overlap(z2, u2, z1, u1, c, check=True).value
         row.update(oracle_re=oracle.real, oracle_im=oracle.imag,
                    abs_diff=abs(res.value - oracle))
     emit([row], args.format, sys.stdout)
@@ -148,6 +152,10 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_wavefn(args) -> int:
+    import numpy as np
+
+    from . import wavefn
+
     c = _constants(args)
     if not (math.isfinite(args.qmin) and math.isfinite(args.qmax)
             and args.samples >= 0):
@@ -181,6 +189,8 @@ def cmd_wavefn(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     cfg = verify.VerifyConfig(
         constants=_constants(args), fock_dim=args.fock_dim,
         scan_dim=args.scan_dim, dim_check=args.dim_check, seed=args.seed)
@@ -208,6 +218,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    from . import kernels
+
     c = _constants(args)
     z = parse_complex(args.z)
     op = kernels.quadrature_observable(args.op, z, c)
@@ -227,6 +239,8 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_resolve_identity(args) -> int:
+    from . import verify
+
     res = verify.resolution_of_identity(parse_complex(args.z),
                                         args.dim_check, verify.VerifyConfig(),
                                         order=args.order)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import (Constants, Labels, Moments, OutOfDomain, lambda0,
-                     squeeze_axes, squeeze_frame, squeeze_zeta)
+                     squeeze_axes, squeeze_zeta)
 
 DEFAULT_TAIL_BOUND = 1e-10
 
@@ -223,9 +223,26 @@ def squeeze_exp(z: complex, dim: int) -> np.ndarray:
     return out
 
 
+def _squeeze_frame(z: complex) -> tuple[float, complex, complex]:
+    """(cosh r, e^{i theta} sinh r, zeta = e^{i theta} tanh r) of z = r e^{i theta}.
+
+    The Bogoliubov coefficients of the squeezed mode a(z) = cosh(r) a -
+    e^{i theta} sinh(r) a^dag and their ratio zeta, from which the Fock
+    oracles build a(z) and S(z)|0>.  The closed forms read cosh(r) x -
+    e^{i theta} sinh(r) conj(x) from params.squeezed_components instead,
+    which does not cancel.
+    """
+    z = complex(z)
+    r = abs(z)
+    if r == 0:
+        return 1.0, 0j, 0j
+    ph = z / r
+    return math.cosh(r), ph * math.sinh(r), squeeze_zeta(r, ph)
+
+
 def _squeezed_vacuum_column(z: complex, dim: int) -> np.ndarray:
     """S(z)|0> amplitudes: (cosh r)^{-1/2} (zeta/2)^k sqrt((2k)!)/k! at level 2k."""
-    ch, _, zeta = squeeze_frame(z)
+    ch, _, zeta = _squeeze_frame(z)
     v = np.zeros(dim, dtype=complex)
     if zeta == 0:
         v[0] = 1.0
@@ -305,7 +322,7 @@ def squeeze_factored_reversed(z: complex, dim: int) -> np.ndarray:
 def squeezed_annihilator(z: complex, dim: int) -> np.ndarray:
     """a(z) = cosh(r) a - e^{i theta} sinh(r) a^dag (Bogoliubov transform)."""
     a, adag = ladder(dim)
-    ch, s, _ = squeeze_frame(z)
+    ch, s, _ = _squeeze_frame(z)
     return ch * a - s * adag
 
 

@@ -35,8 +35,21 @@ class NotSaturated(ValueError):
     """Moments violate dq^2 dp^2 = (hbar^2 + corr^2)/4 beyond tolerance.
 
     Such moments do not label any state that saturates the
-    Schrodinger-Robertson uncertainty relation.
+    Schrodinger-Robertson uncertainty relation.  The CLI maps it to exit
+    code 1.
     """
+
+
+class QuadratureNotConverged(RuntimeError):
+    """A quadrature rule's estimate misses its tolerance: order-doubled
+    estimates that disagree, or a z-plane measure that fails its
+    normalization.  report is the rule's quadrature.QuadratureReport.  The
+    CLI maps it to exit code 3.
+    """
+
+    def __init__(self, message: str, report):
+        super().__init__(message)
+        self.report = report
 
 
 def wrap_angle(theta: float) -> float:
@@ -260,7 +273,7 @@ def lambda0(m: Moments, c: Constants = Constants()) -> complex:
 def squeeze_zeta(r: float, ph: complex) -> complex:
     """zeta = e^{i theta} tanh r from r and the unit phase ph = e^{i theta}.
 
-    For callers that read zeta alone; squeeze_frame gives it with the
+    For callers that read zeta alone; fock._squeeze_frame gives it with the
     Bogoliubov coefficients.
     """
     return ph * math.tanh(r)
@@ -295,19 +308,17 @@ def squeeze_ellipse(r: float, theta: float) -> tuple[float, float, float, float]
     return em * c, em * s, ep * c, ep * s
 
 
-def squeeze_frame(z: complex) -> tuple[float, complex, complex]:
-    """(cosh r, e^{i theta} sinh r, zeta = e^{i theta} tanh r) of z = r e^{i theta}.
+def squeezed_components(r: float, theta: float, x):
+    """(e^{-r} Re w, e^{r} Im w) with w = e^{-i theta/2} x.
 
-    The Bogoliubov coefficients of the squeezed mode a(z) = cosh(r) a -
-    e^{i theta} sinh(r) a^dag and their ratio zeta, which every closed form
-    of the package is written in.
+    cosh(r) x - e^{i theta} sinh(r) conj(x) = e^{i theta/2} (e^{-r} Re w +
+    i e^{r} Im w): the squeezed-frame image of x, written in the squeeze
+    axes of squeeze_ellipse, so that no term cancels at any r.  x may be a
+    complex scalar or a NumPy array.
     """
-    z = complex(z)
-    r = abs(z)
-    if r == 0:
-        return 1.0, 0j, 0j
-    ph = z / r
-    return math.cosh(r), ph * math.sinh(r), squeeze_zeta(r, ph)
+    mc, ms, pc, ps = squeeze_ellipse(r, theta)
+    xr, xi = x.real, x.imag
+    return mc * xr + ms * xi, pc * xi - ps * xr
 
 
 def thetabar(r: float, theta: float) -> tuple[float, float]:
@@ -329,7 +340,12 @@ def squeezed_frame_label(u0: complex, z: complex) -> complex:
 
     u0(z) = cosh(r) (u0 - zeta conj(u0)) with zeta = e^{i theta} tanh r;
     it is the eigenvalue of the squeezed annihilator on the state (u0, z).
-    u0 may also be a NumPy array of labels, mapped elementwise with one z.
+    It is evaluated in the squeeze axes (squeezed_components), accurate
+    along the squeezed axis too, where cosh(r) u0 - e^{i theta} sinh(r)
+    conj(u0) would cancel.  u0 may also be a NumPy array of labels, mapped
+    elementwise with one z.
     """
-    ch, _, zeta = squeeze_frame(z)
-    return ch * (u0 - zeta * u0.conjugate())
+    z = complex(z)
+    theta = cmath.phase(z)
+    p, q = squeezed_components(abs(z), theta, u0)
+    return cmath.exp(0.5j * theta) * (p + 1j * q)

@@ -22,20 +22,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import OutOfDomain
+from .params import OutOfDomain, QuadratureNotConverged
 
 # numpy's hermgauss returns all-zero weights at order 371 and NaN weights
 # from 372 on, which would turn every rule silently into 0 or NaN
 _MAX_ORDER = 370
-
-
-class QuadratureNotConverged(RuntimeError):
-    """A rule's estimate misses its tolerance: order-doubled estimates that
-    disagree, or a z-plane measure that fails its normalization."""
-
-    def __init__(self, message: str, report: "QuadratureReport"):
-        super().__init__(message)
-        self.report = report
 
 
 class QuadKind(enum.Enum):

@@ -22,6 +22,9 @@ import numpy as np
 
 from .params import Constants, Labels, Moments, OutOfDomain, labels_to_moments, thetabar
 
+# exp(t) rounds to 0 below this t: half the smallest subnormal, 2^-1075
+_LOG_UNDERFLOW = -1075 * math.log(2.0)
+
 
 @dataclass(frozen=True)
 class WavefnParams:
@@ -48,18 +51,41 @@ def log_psi(q, p: WavefnParams):
     Vectorized over q.  exp(log_psi) reproduces psi wherever |psi| is
     representable.  Where x = (q - q0)/dq is so far out that x^2 leaves
     the float range, the real part is -inf and psi is 0: |psi| underflows
-    there at any width.
+    there at any width.  Where the phase (the chirp corr x^2/(4 hbar) or
+    q p0/hbar) leaves the float range, the point is taken as psi = 0,
+    with phase 0, if its real part is below exp's underflow threshold;
+    otherwise the phase is lost and OutOfDomain is raised.
     """
     q = np.asarray(q, dtype=float)
     c, m = p.constants, p.moments
     logpre = (-0.25 * math.log(2.0 * math.pi) - 0.5 * math.log(m.dq)
               - 0.5j * p.thetabar_plus - 0.5j * m.q0 * m.p0 / c.hbar)
-    x = (q - m.q0) / m.dq
-    # an overflow here is the far tail's inf, not a fault; an invalid
-    # result (NaN) still warns
-    with np.errstate(over="ignore"):
+
+    def terms():
+        x = (q - m.q0) / m.dq
         gauss = 0.25 * complex(1.0, -m.corr / c.hbar) * x * x
-    return logpre + 1j * q * m.p0 / c.hbar - gauss
+        return x, logpre + 1j * q * m.p0 / c.hbar - gauss
+
+    # a floating-point exception marks a term that left the float range;
+    # only then are the points sorted into psi = 0 or OutOfDomain.  A 0-d q
+    # is computed in scalar arithmetic, partly Python's, which raises none,
+    # so its one value is checked instead
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = terms()[1]
+        if q.ndim or math.isfinite(out.imag):
+            return out
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, out = terms()
+        # the real part alone, free of the phase terms' inf and NaN
+        re = logpre.real - 0.25 * x * x
+    finite = np.isfinite(out.imag)
+    if np.any(~finite & (re >= _LOG_UNDERFLOW)):
+        raise OutOfDomain("the phase of psi leaves the float range where "
+                          "|psi| does not underflow")
+    return np.where(finite, out, re)[()]
 
 
 def psi(q, p: WavefnParams):

@@ -218,6 +218,47 @@ def test_wavefn_far_tail_underflows_without_warning(capsys, argv, abs2):
                                                              abs=0)
 
 
+def _wavefn_rows(out):
+    return list(csv.DictReader(
+        [l for l in out.splitlines() if not l.startswith("#")]))
+
+
+@pytest.mark.parametrize("argv,abs2", [
+    # x = (q - q0)/dq overflows, and -0.0 * inf in the chirp was NaN
+    (("--qmin", "1e308", "--ell0", "1e-155"), [0.0, 0.0, 0.0]),
+    # q p0 / hbar overflows, and the division by hbar turned 0 + inf i
+    # into NaN
+    (("--qmin", "1e308", "--u0=3j"),
+     [0.0, 0.0, math.exp(-16) / math.sqrt(math.pi)]),
+    # the chirp corr x^2 / (4 hbar) overflows while -x^2/4 stays finite
+    (("--z", "300j", "--qmin", "1e160"),
+     [0.0, 0.0, 1 / (math.sqrt(2 * math.pi) * 9.712131976206279e129)]),
+])
+def test_wavefn_phase_overflow_where_psi_underflows(capsys, argv, abs2):
+    # each row was nan with an invalid-value warning: psi is 0 there
+    # whatever its phase, since its real log is below exp's underflow
+    code, out, err = run_cli(capsys, "wavefn", *argv, "--samples", "3")
+    assert (code, err) == (0, "")
+    rows = _wavefn_rows(out)
+    assert all(math.isfinite(float(r[k])) for r in rows
+               for k in ("re_psi", "im_psi", "abs2"))
+    assert [float(r["abs2"]) for r in rows] == pytest.approx(abs2, rel=1e-12,
+                                                             abs=0)
+
+
+@pytest.mark.parametrize("argv", [
+    # |psi| is near its peak at q ~ dq = e^{300}/sqrt(2), where q p0 / hbar
+    # overflows
+    ("--z", "300", "--u0=1e200j", "--qmin", "1e130", "--qmax", "1e131"),
+    # 1/hbar overflows in the phase q p0 / hbar
+    ("--hbar", "1e-310",),
+])
+def test_wavefn_lost_phase_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "wavefn", *argv, "--samples", "3")
+    assert (code, out) == (2, "")
+    assert "phase of psi" in err
+
+
 def test_overlap_identical_states(capsys):
     code, out, _ = run_cli(capsys, "overlap", "--z2", "0.5@0.7", "--u2", "1+1i",
                            "--z1", "0.5@0.7", "--u1", "1+1i")
@@ -341,6 +382,19 @@ def test_kernel_subcommand(capsys):
     table = {(r["power_w"], r["power_wbar"]): r["coeff_re"] for r in rows}
     assert table[(0, 0)] == -1.0
     assert table[(1, 1)] == 1.0
+
+
+def test_kernel_at_large_squeezing(capsys):
+    # P = i e^{-r} (a(z)^dag - a(z))/sqrt(2) at theta = 0; the cancelling
+    # cosh r - sinh r rounded it, and so the symbol, to 0 at r = 20
+    code, out, err = run_cli(capsys, "kernel", "--op", "P2", "--z", "20")
+    assert code == 0, err
+    table = {(r["power_w"], r["power_wbar"]): r["coeff_re"]
+             for r in json.loads(out)}
+    e = math.exp(-40)
+    assert table == pytest.approx({(0, 0): -e / 2, (0, 2): -e / 2,
+                                   (1, 1): e, (2, 0): -e / 2},
+                                  rel=1e-14, abs=0)
 
 
 def test_verify_subset(capsys):
@@ -542,6 +596,43 @@ _NO_SCIPY_PROBE = textwrap.dedent("""
     assert all(r.passed for r in results), results
     assert "scipy.linalg" in scipy_loaded(), scipy_loaded()
 """)
+
+
+_NO_NUMPY_PROBE = textwrap.dedent("""
+    import contextlib, io, sys
+    from srsqueeze import cli
+
+    def loaded():
+        return sorted(m for m in sys.modules
+                      if m.split(".")[0] in ("numpy", "srsqueeze"))
+
+    commands = [
+        (["moments", "--u0=1+0.5i", "--z=0.3@0.4"], 0),
+        (["moments", "--from-moments=dq=1,dp=0.5"], 0),
+        (["moments", "--from-moments=dq=1,dp=1"], 1),
+        (["moments", "--z=355.3"], 2),
+    ]
+    for argv, want in commands:
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code == want, (argv, code)
+    assert loaded() == ["srsqueeze", "srsqueeze.cli", "srsqueeze.params"], \\
+        loaded()
+    # positive control: the probe does see numpy once a command loads it
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["wavefn", "--samples=3"]) == 0
+    assert "numpy" in loaded(), loaded()
+""")
+
+
+def test_moments_command_does_not_import_numpy():
+    # moments is params' pure math/cmath code; the CLI imports each
+    # numerical layer inside the subcommand that uses it, so moments, its
+    # inverse and their errors (exit 1 and 2) start without numpy
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_PROBE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_oneshot_commands_do_not_import_scipy():

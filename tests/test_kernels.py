@@ -303,6 +303,35 @@ def test_quadrature_observable_squeezed_frame():
     assert np.max(np.abs((got - ref)[:46, :46])) < 1e-12
 
 
+@pytest.mark.parametrize("r", [8.0, 12.0, 20.0, 40.0])
+@pytest.mark.parametrize("theta", [0.0, math.pi / 3, 2.0, math.pi, -3.0])
+def test_quadrature_observable_coefficients_vs_mpmath(r, theta):
+    # the a(z)^dag and a(z) coefficients of Q and P, (ch + s, ch + conj(s))
+    # and i (ch - s, -(ch - conj(s))) over sqrt(2), within 8 ulp of their
+    # condition in (r, theta).  ch - s cancelled along the squeezed axis:
+    # P's was off by 1.7e-10 relative at r = 8, 2.2e-6 at r = 12 and
+    # exactly 0 at r = 20
+    import mpmath
+
+    z = complex(r) if theta == 0.0 else r * complex(math.cos(theta),
+                                                    math.sin(theta))
+    with mpmath.workdps(80):
+        zm = mpmath.mpc(z.real, z.imag)
+        rm = abs(zm)
+        e = zm / rm
+        ch, sh = mpmath.cosh(rm), mpmath.sinh(rm)
+        for name, sign, phase in (("Q", 1, 1), ("P", -1, 1j)):
+            coeffs = kernels.quadrature_observable(name, z, C).coeffs
+            val = ch + sign * e * sh
+            cond = (abs(val) + rm * abs(sh + sign * e * ch)
+                    + abs(mpmath.arg(zm)) * sh)
+            for got, want in ((coeffs[1, 0], phase * val),
+                              (coeffs[0, 1], sign * phase * mpmath.conj(val))):
+                err = abs(mpmath.mpc(got.real, got.imag)
+                          - want / mpmath.sqrt(2))
+                assert err <= 8 * 2.0**-53 * cond, (name, got, want)
+
+
 def test_diagonal_kernel_identity_and_number():
     ident = kernels.diagonal_kernel(kernels.NormalOrderedOp.identity(), 0.3)
     assert ident.coeffs.shape == (1, 1) and ident.coeffs[0, 0] == 1.0

@@ -365,12 +365,65 @@ def test_squeezed_frame_label():
     assert squeezed_frame_label(u0, z) == pytest.approx(expected, rel=1e-14)
 
 
+FRAME_R = [8.0, 12.0, 20.0, 40.0]
+FRAME_X = [1.0, 1j, 0.3 - 0.8j]
+
+
+def _mp_frame(x, z):
+    """cosh(r) x - e^{i theta} sinh(r) conj(x) at the float z, in mpmath.
+
+    Returns the value and its condition: the sum over the inputs Re x,
+    Im x, r = |z| and theta = arg z of |input| |d value / d input|.
+    """
+    zm = mpmath.mpc(z.real, z.imag)
+    r = abs(zm)
+    e = zm / r
+    xm = mpmath.mpc(x.real, x.imag)
+    ch, sh = mpmath.cosh(r), mpmath.sinh(r)
+    value = ch * xm - e * sh * mpmath.conj(xm)
+    cond = (abs(xm.real) * abs(ch - e * sh) + abs(xm.imag) * abs(ch + e * sh)
+            + r * abs(sh * xm - e * ch * mpmath.conj(xm))
+            + abs(mpmath.arg(zm)) * sh * abs(xm))
+    return value, cond
+
+
+@pytest.mark.parametrize("r", FRAME_R)
+@pytest.mark.parametrize("theta", SLICE_THETA)
+@pytest.mark.parametrize("x", FRAME_X)
+def test_squeezed_frame_label_vs_mpmath(r, theta, x):
+    # judged within 8 ulp of its condition in (Re x, Im x, r, theta).
+    # cosh(r) (x - zeta conj(x)) cancelled along the squeezed axis: at x = 1,
+    # theta = 0 it was off by 2.0e-10 relative at r = 8 and 3.2e-7 at
+    # r = 12, and it returned exactly 0 for e^{-20} at r = 20
+    z = complex(r) if theta == 0.0 else r * complex(math.cos(theta),
+                                                    math.sin(theta))
+    got = squeezed_frame_label(x, z)
+    with mpmath.workdps(80):
+        want, cond = _mp_frame(x, z)
+        err = abs(mpmath.mpc(got.real, got.imag) - want)
+    assert err <= 8 * 2.0**-53 * cond
+
+
+def test_squeezed_frame_label_maps_arrays_elementwise():
+    z = 12.0 * complex(math.cos(0.4), math.sin(0.4))
+    u0 = np.array([1.0, 1j, 0.3 - 0.8j])
+    got = squeezed_frame_label(u0, z)
+    # numpy may round the complex products differently from Python
+    want = [squeezed_frame_label(complex(u), z) for u in u0]
+    assert got.tolist() == pytest.approx(want, rel=4 * 2.0**-53, abs=0)
+
+
 def test_one_error_class_per_exit_code():
-    # exit 2 OutOfDomain, exit 1 NotSaturated, exit 3 QuadratureNotConverged
+    # exit 2 OutOfDomain, exit 1 NotSaturated, exit 3 QuadratureNotConverged,
+    # all three defined in params, which loads no numpy
     import importlib
 
-    from srsqueeze.quadrature import QuadratureNotConverged
+    import srsqueeze
+    from srsqueeze import quadrature
+    from srsqueeze.params import QuadratureNotConverged
 
+    assert quadrature.QuadratureNotConverged is QuadratureNotConverged
+    assert srsqueeze.QuadratureNotConverged is QuadratureNotConverged
     found = set()
     for name in ("params", "bch", "fock", "kernels", "quadrature", "wavefn",
                  "verify", "cli"):

@@ -115,6 +115,23 @@ def test_log_psi_finite_where_psi_underflows():
     assert lp.real < -1500  # |psi| ~ e^{-1800}, far below float range
 
 
+def test_log_psi_phase_overflow():
+    # at z = 300i the chirp corr x^2/(4 hbar) leaves the float range at
+    # q = 1e160 while the real log, -x^2/4 ~ -2.7e59, does not; psi is 0
+    # there whatever its phase, so the phase is set to 0
+    p = wavefn.WavefnParams.from_labels(Labels(r=300.0, theta=math.pi / 2), C)
+    q = np.array([1e160, 0.0])
+    lp = wavefn.log_psi(q, p)
+    assert lp[0].imag == 0.0 and -3e59 < lp[0].real < -2e59
+    assert lp[1] == wavefn.log_psi(0.0, p)
+    assert np.array_equal(wavefn.psi(q, p), np.exp(lp))
+    assert wavefn.psi(1e160, p) == 0
+    # near the peak the phase q p0 / hbar overflows: no value to return
+    p = wavefn.WavefnParams.from_labels(Labels(u0=1e200j, r=300.0), C)
+    with pytest.raises(OutOfDomain, match="phase of psi"):
+        wavefn.log_psi([1e130, 1e131], p)
+
+
 def test_phase_anchor_through_quadrature():
     # integral of conj(psi_vac) psi_z reproduces (cosh r)^{-1/2} with zero
     # imaginary part: the squeeze phase convention is forced by this
