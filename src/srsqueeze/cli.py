@@ -87,7 +87,7 @@ def emit(rows: list[dict], fmt: str, stream) -> None:
         writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v
+            writer.writerow({k: repr(float(v)) if isinstance(v, float) else v
                              for k, v in row.items()})
     else:
         for row in rows:
@@ -142,11 +142,14 @@ def cmd_overlap(args) -> int:
         from . import verify
 
         if args.oracle == "fock":
-            oracle = verify.fock_overlaps([(z2, u2, z1, u1)], args.fock_dim)[0]
+            oracle, tail = verify.fock_overlaps([(z2, u2, z1, u1)],
+                                                args.fock_dim)[0]
+            extra = {"tail_mass": tail}
         else:
             oracle = verify.quad_overlap(z2, u2, z1, u1, c, check=True).value
+            extra = {}
         row.update(oracle_re=oracle.real, oracle_im=oracle.imag,
-                   abs_diff=abs(res.value - oracle))
+                   abs_diff=abs(res.value - oracle), **extra)
     emit([row], args.format, sys.stdout)
     return EXIT_OK
 

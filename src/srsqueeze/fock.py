@@ -8,9 +8,10 @@ both by matrix exponential (slow, generic) and by their normal-ordered
 factorizations (fast, exact triangular/diagonal entries).  States are
 plain complex amplitude arrays, one state per 1-D array or one per row of a
 2-D block; tail_mass reads their weight in the top levels.  The saturating
-state |state(u0, z)> = D(u0) S(z) |0> comes from the two-photon recurrence
-in O(N) (the dense product D(u0) S(z)|0> is kept only as its oracle in
-verify).
+states |state(u0, z)> = D(u0) S(z) |0> come from one two-photon recurrence,
+saturating_state_batch, in O(N) per state (the dense product D(u0) S(z)|0>
+is kept only as its oracle in verify), and sr_ur_check reads each state's
+second moments and Schrodinger-Robertson slack.
 
 All identities on a truncated space hold only on an upper-left block; the
 callers assert on blocks whose columns have converged well inside the box,
@@ -21,22 +22,15 @@ Gaussian-type states used here.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (Constants, Labels, Moments, OutOfDomain, lambda0,
-                     squeeze_axes, squeeze_zeta)
-
-DEFAULT_TAIL_BOUND = 1e-10
+from .params import (Constants, Moments, OutOfDomain, lambda0, squeeze_axes,
+                     squeeze_zeta)
 
 _TAIL_WINDOW = 8
-
-
-class TruncationWarning(UserWarning):
-    """State has non-negligible weight in the top Fock levels."""
 
 
 def tail_mass(amps: np.ndarray) -> float | np.ndarray:
@@ -445,43 +439,6 @@ def saturating_state_batch(
     return out.reshape(dim, us.size)
 
 
-def saturating_state(labels: Labels, dim: int = 128) -> np.ndarray:
-    """|state> = D(u0) S(z) |0>, its first dim amplitudes.
-
-    Warns with TruncationWarning when its tail_mass exceeds
-    DEFAULT_TAIL_BOUND; identities checked against this state are then
-    unreliable.
-    """
-    _check_dim(dim)
-    amps = saturating_state_batch(labels.u0, labels.z, dim)[:, 0]
-    tail = tail_mass(amps)
-    if tail > DEFAULT_TAIL_BOUND:
-        warnings.warn(
-            f"tail mass {tail:.3e} exceeds {DEFAULT_TAIL_BOUND:.3e} "
-            f"at dim={dim}; increase the truncation",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return amps
-
-
-def expectations(q: np.ndarray, p: np.ndarray, amps: np.ndarray) -> Moments:
-    """Moments of a state from the quadratic forms of the Q and P matrices.
-
-    q and p are position(amps.size, c) and momentum(amps.size, c), built
-    once by a caller that evaluates many states.  Warns with
-    TruncationWarning when the state's tail_mass exceeds DEFAULT_TAIL_BOUND.
-    """
-    tail = tail_mass(amps)
-    if tail > DEFAULT_TAIL_BOUND:
-        warnings.warn(
-            f"computing moments of a state with tail mass {tail:.3e}",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return _second_moments(q, p, amps).as_moments()
-
-
 def defining_residual(
     q: np.ndarray,
     p: np.ndarray,
@@ -511,6 +468,17 @@ class SecondMoments:
     var_b: float
     cross: complex
 
+    @property
+    def slack(self) -> float:
+        """Var A Var B - <(-i)[A,B]>^2/4 - <{Abar,Bbar}>^2/4, the SR slack.
+
+        <Abar Bbar> = (<{Abar,Bbar}> + i<(-i)[A,B]>)/2, so the slack is
+        Cauchy-Schwarz on Abar|psi> and Bbar|psi>: >= 0 for every state,
+        and zero exactly on the states that saturate the SR relation.
+        """
+        return self.var_a * self.var_b - 0.25 * (2.0 * self.cross.imag) ** 2 \
+            - 0.25 * (2.0 * self.cross.real) ** 2
+
     def as_moments(self) -> Moments:
         """The state's Moments, reading A as Q and B as P."""
         return Moments(q0=self.a0, p0=self.b0, dq=math.sqrt(self.var_a),
@@ -532,49 +500,22 @@ def _second_moments(A: np.ndarray, B: np.ndarray,
                          cross=complex(np.vdot(abar, bbar)) / nrm2)
 
 
-@dataclass(frozen=True)
-class SrUrResult:
-    """Both sides of the Schrodinger-Robertson inequality for one state.
-
-    moments are the second moments of A and B both sides are built from.
-    """
-
-    lhs: float
-    rhs_comm: float
-    rhs_anticomm: float
-    slack: float
-    moments: SecondMoments
-
-
 def sr_ur_check(
     A: np.ndarray,
     B: np.ndarray,
     states: Iterable[np.ndarray],
-) -> list[SrUrResult]:
-    """Evaluate (dA)^2 (dB)^2 >= <(-i)[A,B]>^2/4 + <{Abar,Bbar}>^2/4 per state.
+) -> list[SecondMoments]:
+    """Second moments of A and B, and with them the SR slack, per state.
 
     states are amplitude vectors: a sequence of them, or the rows of a 2-D
     block.  Raises OutOfDomain unless A and B are Hermitian to 1e-12 times
-    max(1, largest entry); the test runs once for all states.  Each
-    returned slack is lhs - rhs and is >= 0 for every normalized state,
-    vanishing exactly on saturating states.
+    max(1, largest entry); the test runs once for all states.
     """
     for name, op in (("A", A), ("B", B)):
         dev = np.max(np.abs(op - op.conj().T))
         if dev > 1e-12 * max(1.0, float(np.max(np.abs(op)))):
             raise OutOfDomain(f"operator {name} deviates from Hermitian by {dev:.3e}")
-    return [_sr_ur_one(A, B, psi) for psi in states]
-
-
-def _sr_ur_one(A: np.ndarray, B: np.ndarray, psi: np.ndarray) -> SrUrResult:
-    sm = _second_moments(A, B, psi)
-    comm = 2.0 * sm.cross.imag       # <(-i)[A, B]>
-    anti = 2.0 * sm.cross.real       # <{Abar, Bbar}>
-    lhs = sm.var_a * sm.var_b
-    rhs_comm = 0.25 * comm**2
-    rhs_anticomm = 0.25 * anti**2
-    return SrUrResult(lhs=lhs, rhs_comm=rhs_comm, rhs_anticomm=rhs_anticomm,
-                      slack=lhs - rhs_comm - rhs_anticomm, moments=sm)
+    return [_second_moments(A, B, psi) for psi in states]
 
 
 def top_block_norm(mat: np.ndarray, k: int) -> float:

@@ -182,8 +182,8 @@ def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class PolySymbol:
     """Complex polynomial in (w, wbar) with w = u0(z), as a dense table.
 
-    coeffs[j, k] multiplies w^j wbar^k.  Used for diagonal expectations and
-    kernels of polynomial observables; degrees stay single-digit.
+    coeffs[j, k] multiplies w^j wbar^k.  Used for diagonal expectation
+    values and kernels of polynomial observables; degrees stay single-digit.
     """
 
     def __init__(self, coeffs):

@@ -627,10 +627,10 @@ def saturation_scan(cfg: VerifyConfig):
                  for st, m in zip(states, ms)]
     gaps = []
     for rec, m in zip(recs, ms):
-        me = rec.moments.as_moments()
+        me = rec.as_moments()
         gaps.append((abs(me.q0 - m.q0), abs(me.p0 - m.p0), abs(me.dq - m.dq),
                      abs(me.dp - m.dp), abs(me.corr - m.corr)))
-    probe_res = fock.defining_residual(q, p, one, rec1.moments.as_moments(), c)
+    probe_res = fock.defining_residual(q, p, one, rec1.as_moments(), c)
     return [
         _worst(cfg, "verify.defining_residual", zip(residuals, labs),
                {"fock_dim": n}),
@@ -1041,17 +1041,21 @@ def _check_squeezed_special(cfg):
         yield abs(res.value - math.cosh(r) ** -0.5), (0, r)
 
 
-def fock_overlaps(pairs, dim: int) -> list[complex]:
+def fock_overlaps(pairs, dim: int) -> list[tuple[complex, float]]:
     """<state(u2, z2)|state(u1, z1)> on dim Fock levels, per (z2, u2, z1, u1).
 
     All the states come from one recurrence call; the value is exact up to
     the mass the truncation drops, which the caller's dim must make small.
+    Each value comes with the larger fock.tail_mass of its two states, which
+    reads how much was dropped.
     """
     fock._check_dim(dim)
     labs = [Labels.from_z(u, z) for z2, u2, z1, u1 in pairs
             for z, u in ((z2, u2), (z1, u1))]
     rows = _state_rows(labs, dim)
-    return [complex(np.vdot(rows[k], rows[k + 1]))
+    tails = fock.tail_mass(rows)
+    return [(complex(np.vdot(rows[k], rows[k + 1])),
+             float(max(tails[k], tails[k + 1])))
             for k in range(0, len(rows), 2)]
 
 
@@ -1090,7 +1094,7 @@ def quad_overlap(z2, u2, z1, u1, c: Constants = Constants(),
 @register_grid("kernels.oracle_triangle", pairs=len(_PAIR_GRID))
 def _check_oracle_triangle(cfg):
     c = cfg.constants
-    for pair, via_fock in zip(_PAIR_GRID, fock_overlaps(_PAIR_GRID, 192)):
+    for pair, (via_fock, _) in zip(_PAIR_GRID, fock_overlaps(_PAIR_GRID, 192)):
         closed = kernels.squeezed_overlap(*pair).value
         via_quad = quad_overlap(*pair, c).value
         yield (abs(closed - via_fock), abs(closed - via_quad),
@@ -1244,7 +1248,7 @@ def _canary_g2(cfg):
     # corrupt: flip the sign of the Gaussian quadratic form
     corrupt = cmath.exp(logpre) * cmath.exp(complex(0.0, sym)) \
         / cmath.exp(complex(gre, gim))
-    oracle = fock_overlaps([(z2, u2, z1, u1)], 160)[0]
+    oracle, _ = fock_overlaps([(z2, u2, z1, u1)], 160)[0]
     return [_canary(cfg, "canary.g2_sign_flip", abs(corrupt - oracle))]
 
 
@@ -1299,7 +1303,7 @@ def _canary_dropped_prefactor(cfg):
     zeta2 = math.tanh(0.6)
     zeta1 = 1j * math.tanh(0.4)
     corrupt = good.value * cmath.sqrt(1 - np.conj(zeta2) * zeta1)
-    oracle = fock_overlaps([(z2, u2, z1, u1)], 160)[0]
+    oracle, _ = fock_overlaps([(z2, u2, z1, u1)], 160)[0]
     return [_canary(cfg, "canary.dropped_prefactor", abs(corrupt - oracle))]
 
 

@@ -147,8 +147,11 @@ def synthesize(q, amps: np.ndarray, c: Constants = Constants()):
     """Position wavefunction from Fock amplitudes: sum_n amps[n] <q|n>.
 
     <q|n> = h_n(q/ell0)/sqrt(ell0).  This is the truncation-controlled
-    oracle for the closed-form psi.
+    oracle for the closed-form psi.  The sum over n runs in a fixed order
+    at each point, so its bits do not depend on the BLAS thread count, as
+    a matrix product's do.
     """
     q = np.asarray(q, dtype=float)
     h = hermite_functions(len(amps) - 1, q / c.ell0)
-    return np.tensordot(amps, h, axes=(0, 0)) / math.sqrt(c.ell0)
+    terms = np.reshape(amps, (-1, *(1,) * q.ndim)) * h
+    return terms.sum(axis=0) / math.sqrt(c.ell0)

@@ -7,7 +7,6 @@ lines with measured values and runtimes.
 import cmath
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -68,17 +67,15 @@ def test_criterion_2_defining_residual():
         n = 256
         q, p = fock.position(n, C), fock.momentum(n, C)
         worst = 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", fock.TruncationWarning)
-            labs = verify.standard_labels() + [Labels(u0=2.0, r=1.2, theta=2.5)]
-            for lab in labs:
-                st = fock.saturating_state(lab, n)
-                m = labels_to_moments(lab, C)
-                worst = max(worst, fock.defining_residual(q, p, st, m, C))
+        labs = verify.standard_labels() + [Labels(u0=2.0, r=1.2, theta=2.5)]
+        for lab in labs:
+            st = fock.saturating_state_batch(lab.u0, lab.z, n)[:, 0]
+            m = labels_to_moments(lab, C)
+            worst = max(worst, fock.defining_residual(q, p, st, m, C))
         crit.require("saturating residual", worst, 1e-7)
         one = fock.basis_state(n, 1)
-        probe = fock.defining_residual(q, p, one,
-                                       fock.expectations(q, p, one), C)
+        rec1, = fock.sr_ur_check(q, p, [one])
+        probe = fock.defining_residual(q, p, one, rec1.as_moments(), C)
         crit.require("probe must NOT saturate", 0.1 / probe, 1.0)
 
 
@@ -196,15 +193,13 @@ def test_criterion_9_sr_ur_checker():
             worst_neg = max(worst_neg, -rec.slack)
         crit.require("positivity over 100 random states", worst_neg, 1e-10)
         worst_sat = 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", fock.TruncationWarning)
-            qn, pn = fock.position(192, C), fock.momentum(192, C)
-            for lab in verify.standard_labels():
-                if lab.r > 1.0:
-                    continue
-                st = fock.saturating_state(lab, 192)
-                rec, = fock.sr_ur_check(qn, pn, [st])
-                worst_sat = max(worst_sat, abs(rec.slack))
+        qn, pn = fock.position(192, C), fock.momentum(192, C)
+        for lab in verify.standard_labels():
+            if lab.r > 1.0:
+                continue
+            st = fock.saturating_state_batch(lab.u0, lab.z, 192)[:, 0]
+            rec, = fock.sr_ur_check(qn, pn, [st])
+            worst_sat = max(worst_sat, abs(rec.slack))
         crit.require("slack on saturating states", worst_sat, 1e-8)
         rec1, = fock.sr_ur_check(q, p, [fock.basis_state(n, 1)])
         crit.require("slack of the n=1 probe vs 2 hbar^2",

@@ -283,6 +283,24 @@ def test_overlap_oracle_agreement(capsys, oracle):
     assert code == 0
     row = json.loads(out)
     assert row["abs_diff"] <= 1e-8
+    # only the Fock oracle drops levels, and it says how much weight its
+    # states hold in their top ones
+    assert ("tail_mass" in row) == (oracle == "fock")
+    assert row.get("tail_mass", 0.0) < 1e-30
+
+
+def test_overlap_fock_oracle_reports_tail_mass(capsys):
+    # 8 levels hold 0.459 of each state, so the oracle reads 0.459 against
+    # the closed form's 1; tail_mass shows it, and the exit code stays 0
+    code, out, _ = run_cli(capsys, "overlap", "--z2", "1.5", "--u2", "3",
+                           "--z1", "1.5", "--u1", "3", "--oracle", "fock",
+                           "--fock-dim", "8")
+    assert code == 0
+    row = json.loads(out)
+    assert list(row)[-1] == "tail_mass"
+    assert row["value_re"] == pytest.approx(1.0, rel=1e-14)
+    assert row["oracle_re"] == pytest.approx(0.459, abs=5e-4)
+    assert row["tail_mass"] == pytest.approx(0.459, abs=5e-4)
 
 
 def test_overlap_quad_oracle_chirped_pair(capsys):
@@ -373,6 +391,17 @@ def test_csv_format(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 1
     assert float(rows[0]["q0"]) == pytest.approx(math.sqrt(2.0))
+
+
+def test_kernel_csv_prints_plain_numbers(capsys):
+    # the coefficients are numpy scalars, whose repr names their type
+    argv = ("kernel", "--op", "P", "--z", "0.4")
+    _, out, _ = run_cli(capsys, *argv)
+    want = [(r["coeff_re"], r["coeff_im"]) for r in json.loads(out)]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(float(r["coeff_re"]), float(r["coeff_im"])) for r in rows] == want
 
 
 def test_kernel_subcommand(capsys):

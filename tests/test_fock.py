@@ -1,6 +1,5 @@
 import cmath
 import math
-import warnings
 
 import mpmath
 import numpy as np
@@ -12,6 +11,10 @@ from srsqueeze.params import (Constants, Labels, OutOfDomain,
                               labels_to_moments, lambda0, squeeze_zeta)
 
 C = Constants()
+
+
+def state(lab, dim):
+    return fock.saturating_state_batch(lab.u0, lab.z, dim)[:, 0]
 
 
 def coherent_amps(u0, dim):
@@ -234,11 +237,11 @@ def test_exponential_oracles_match_dense_expm_block():
 
 
 def test_saturating_state_trivials():
-    st = fock.saturating_state(Labels(), 32)
+    st = state(Labels(), 32)
     assert st[0] == pytest.approx(1.0)
     assert np.max(np.abs(st[1:])) < 1e-15
     u0 = 0.9 + 0.2j
-    st = fock.saturating_state(Labels(u0=u0), 96)
+    st = state(Labels(u0=u0), 96)
     assert np.max(np.abs(st - coherent_amps(u0, 96))) < 1e-13
 
 
@@ -246,16 +249,11 @@ def test_saturating_state_annihilation_eigenvalue():
     from srsqueeze.params import squeezed_frame_label
 
     lab = Labels(u0=1.0, r=0.5, theta=0.0)
-    st = fock.saturating_state(lab, 128)
+    st = state(lab, 128)
     az = fock.squeezed_annihilator(lab.z, 128)
     u0z = squeezed_frame_label(lab.u0, lab.z)
     res = az @ st - u0z * st
     assert np.linalg.norm(res[:64]) < 1e-12
-
-
-def test_truncation_warning():
-    with pytest.warns(fock.TruncationWarning):
-        fock.saturating_state(Labels(u0=3.0, r=0.8, theta=0.0), 24)
 
 
 def test_batch_matches_single():
@@ -285,9 +283,7 @@ def test_batch_per_node_squeeze_is_exact():
                                         np.array([lab.z for lab in labs]), 256)
     assert batch.shape == (256, len(labs))
     for k, lab in enumerate(labs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", fock.TruncationWarning)
-            single = fock.saturating_state(lab, 256)
+        single = state(lab, 256)
         assert np.array_equal(batch[:, k], single)
 
 
@@ -454,14 +450,18 @@ def qp(n, c=C):
     return fock.position(n, c), fock.momentum(n, c)
 
 
+def moments(q, p, st):
+    return fock.sr_ur_check(q, p, [st])[0].as_moments()
+
+
 def test_expectations_vacuum_and_coherent():
-    st = fock.saturating_state(Labels(), 64)
-    m = fock.expectations(*qp(64), st)
+    st = state(Labels(), 64)
+    m = moments(*qp(64), st)
     assert m.dq == pytest.approx(1 / math.sqrt(2), rel=1e-12)
     assert m.dp == pytest.approx(1 / math.sqrt(2), rel=1e-12)
     assert m.q0 == pytest.approx(0.0, abs=1e-14)
-    st = fock.saturating_state(Labels(u0=1 + 0.5j), 96)
-    m = fock.expectations(*qp(96), st)
+    st = state(Labels(u0=1 + 0.5j), 96)
+    m = moments(*qp(96), st)
     assert m.dq == pytest.approx(1 / math.sqrt(2), rel=1e-11)
     assert m.dp == pytest.approx(1 / math.sqrt(2), rel=1e-11)
     assert m.q0 == pytest.approx(math.sqrt(2), rel=1e-12)
@@ -473,13 +473,13 @@ def test_defining_residual_saturating_states():
     for lab in (Labels(u0=1.0, r=0.5, theta=0.0),
                 Labels(u0=1 + 1j, r=0.8, theta=2.0),
                 Labels(u0=2j, r=1.0, theta=math.pi)):
-        st = fock.saturating_state(lab, 256)
+        st = state(lab, 256)
         m = labels_to_moments(lab, C)
         assert fock.defining_residual(q, p, st, m, C) < 1e-8
 
 
 def test_defining_residual_vacuum():
-    st = fock.saturating_state(Labels(), 64)
+    st = state(Labels(), 64)
     m = labels_to_moments(Labels(), C)
     assert fock.defining_residual(*qp(64), st, m, C) < 1e-14
 
@@ -487,19 +487,19 @@ def test_defining_residual_vacuum():
 def test_defining_residual_fock_one():
     q, p = qp(128)
     st = fock.basis_state(128, 1)
-    m = fock.expectations(q, p, st)
+    m = moments(q, p, st)
     res = fock.defining_residual(q, p, st, m, C)
     assert res > 0.1
     assert res == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-12)
 
 
 def test_moments_from_passed_matrices_equal_dense_mat_vecs():
-    # the explicit forms that expectations and defining_residual evaluate
+    # the explicit forms that sr_ur_check and defining_residual evaluate
     c = Constants(hbar=1.3, ell0=0.6)
     lab = Labels(u0=0.7 - 0.4j, r=0.6, theta=1.1)
     n = 96
     q, p = qp(n, c)
-    psi = fock.saturating_state(lab, n)
+    psi = state(lab, n)
     nrm2 = float(np.vdot(psi, psi).real)
     qpsi, ppsi = q @ psi, p @ psi
     q0 = float(np.vdot(psi, qpsi).real) / nrm2
@@ -508,7 +508,7 @@ def test_moments_from_passed_matrices_equal_dense_mat_vecs():
     want = (q0, p0, math.sqrt(float(np.vdot(qbar, qbar).real) / nrm2),
             math.sqrt(float(np.vdot(pbar, pbar).real) / nrm2),
             2.0 * float(np.vdot(qbar, pbar).real) / nrm2)
-    got = fock.expectations(q, p, psi)
+    got = moments(q, p, psi)
     assert (got.q0, got.p0, got.dq, got.dp, got.corr) == want
     m = labels_to_moments(lab, c)
     lam = lambda0(m, c)
@@ -528,9 +528,10 @@ def test_sr_ur_fock_one():
     n = 64
     rec, = fock.sr_ur_check(fock.position(n, C), fock.momentum(n, C),
                             [fock.basis_state(n, 1)])
-    assert rec.lhs == pytest.approx(9.0 / 4.0, rel=1e-13)
-    assert rec.rhs_comm == pytest.approx(1.0 / 4.0, rel=1e-13)
-    assert rec.rhs_anticomm == pytest.approx(0.0, abs=1e-13)
+    # Var Q Var P = 9/4, <(-i)[Q,P]>^2/4 = 1/4 and <{Qbar,Pbar}> = 0
+    assert rec.var_a * rec.var_b == pytest.approx(9.0 / 4.0, rel=1e-13)
+    assert rec.cross.imag ** 2 == pytest.approx(1.0 / 4.0, rel=1e-13)
+    assert rec.cross.real == pytest.approx(0.0, abs=1e-13)
     assert rec.slack == pytest.approx(2.0, rel=1e-12)
 
 
@@ -553,7 +554,7 @@ def test_sr_ur_rejects_non_hermitian_with_many_states():
 def test_sr_ur_list_matches_single_states():
     n = 96
     q, p = fock.position(n, C), fock.momentum(n, C)
-    states = [fock.saturating_state(lab, n)
+    states = [state(lab, n)
               for lab in (Labels(), Labels(u0=1 + 1j, r=0.7, theta=1.0),
                           Labels(u0=-0.5, r=0.25, theta=math.pi))]
     states.append(fock.basis_state(n, 1))
@@ -562,18 +563,24 @@ def test_sr_ur_list_matches_single_states():
 
 
 def test_sr_ur_moments_are_the_expectations():
-    # one second-moment pass serves both: bit for bit the same numbers
+    # one second-moment record holds the moments and the SR slack: the
+    # slack is Var A Var B - |<Abar Bbar>|^2, Cauchy-Schwarz on Abar|psi>
+    # and Bbar|psi>
     n = 96
     q, p = fock.position(n, C), fock.momentum(n, C)
-    for st in (fock.saturating_state(Labels(u0=0.7 - 0.4j, r=0.6, theta=1.1), n),
+    for st in (state(Labels(u0=0.7 - 0.4j, r=0.6, theta=1.1), n),
                fock.basis_state(n, 1)):
         rec, = fock.sr_ur_check(q, p, [st])
-        assert rec.moments.as_moments() == fock.expectations(q, p, st)
-        assert rec.lhs == rec.moments.var_a * rec.moments.var_b
-    # a state with no spread in A still has its SR sides
+        m = rec.as_moments()
+        assert (m.q0, m.p0, m.dq, m.dp, m.corr) == (
+            rec.a0, rec.b0, math.sqrt(rec.var_a), math.sqrt(rec.var_b),
+            2.0 * rec.cross.real)
+        assert rec.slack == pytest.approx(
+            rec.var_a * rec.var_b - abs(rec.cross) ** 2, abs=1e-13)
+    # a state with no spread in A still has its SR slack
     num = np.diag(np.arange(n, dtype=float))
     rec, = fock.sr_ur_check(num, q, [fock.basis_state(n, 2)])
-    assert rec.moments.var_a == 0.0 and rec.slack == 0.0
+    assert rec.var_a == 0.0 and rec.slack == 0.0
 
 
 def test_bogoliubov_closure_and_invariant_combination():
@@ -613,17 +620,8 @@ def test_sr_ur_on_a_row_block_matches_one_call_per_row():
                                             for row in rows]
 
 
-def test_expectations_of_a_truncated_state_warn():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", fock.TruncationWarning)
-        st = fock.saturating_state(Labels(u0=3.0, r=0.8, theta=0.0), 24)
-    assert fock.tail_mass(st) > fock.DEFAULT_TAIL_BOUND
-    with pytest.warns(fock.TruncationWarning):
-        fock.expectations(*qp(24), st)
-
-
 def test_tail_mass_diagnostic():
-    st = fock.saturating_state(Labels(u0=0.5, r=0.3, theta=0.1), 64)
+    st = state(Labels(u0=0.5, r=0.3, theta=0.1), 64)
     assert fock.tail_mass(st) == pytest.approx(
         float(np.sum(np.abs(st[-8:]) ** 2)))
     assert np.linalg.norm(st) == pytest.approx(1.0, abs=1e-12)

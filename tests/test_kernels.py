@@ -13,8 +13,8 @@ C = Constants()
 
 
 def fock_overlap(z2, u2, z1, u1, dim=160):
-    s2 = fock.saturating_state(Labels.from_z(u2, z2), dim)
-    s1 = fock.saturating_state(Labels.from_z(u1, z1), dim)
+    s2 = fock.saturating_state_batch(u2, z2, dim)[:, 0]
+    s1 = fock.saturating_state_batch(u1, z1, dim)[:, 0]
     return complex(np.vdot(s2, s1))
 
 

@@ -91,8 +91,9 @@ def test_correlated_point_against_fock_expectations():
     m = labels_to_moments(lab, C)
     assert m.corr == pytest.approx(math.sinh(1.0), rel=1e-14)
     assert m.dq == pytest.approx(m.dp, rel=1e-14)
-    st = fock.saturating_state(lab, 128)
-    me = fock.expectations(fock.position(128, C), fock.momentum(128, C), st)
+    st = fock.saturating_state_batch(lab.u0, lab.z, 128)[:, 0]
+    rec, = fock.sr_ur_check(fock.position(128, C), fock.momentum(128, C), [st])
+    me = rec.as_moments()
     assert me.corr == pytest.approx(m.corr, abs=1e-12)
     assert me.dq == pytest.approx(m.dq, abs=1e-13)
     assert me.dp == pytest.approx(m.dp, abs=1e-13)

@@ -47,7 +47,7 @@ def test_coherent_wavefunction_closed_form():
 
 def test_fock_synthesis_pointwise():
     lab = Labels(u0=0.5 - 0.3j, r=1.0, theta=2.0)
-    st = fock.saturating_state(lab, 160)
+    st = fock.saturating_state_batch(lab.u0, lab.z, 160)[:, 0]
     p = wavefn.WavefnParams.from_labels(lab, C)
     qs = np.linspace(-6, 6, 121)
     diff = wavefn.synthesize(qs, st, C) - wavefn.psi(qs, p)
