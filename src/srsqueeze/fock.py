@@ -82,25 +82,32 @@ def basis_state(dim: int, n: int) -> np.ndarray:
     return amps
 
 
-def _exp_adag2_lower(half: complex, dim: int, dtype=complex) -> np.ndarray:
+def _exp_adag2_lower(half: complex, dim: int, dtype=complex,
+                     cols: int | None = None) -> np.ndarray:
     """exp(half a^dag^2): entries [n+2k, n] = half^k sqrt((n+2k)!/n!)/k!.
 
     Built by the multiplicative recurrence along k so each entry carries
     only O(sqrt(k)) rounding steps; with dtype=np.clongdouble the entries
     are accurate enough that the huge cancelling sums in the factored
-    squeeze product still leave ~1e-12 in the result.
+    squeeze product still leave ~1e-12 in the result.  Each column's
+    recurrence runs alone, so cols < dim builds the first cols columns,
+    a dim x cols array, bit for bit those of the full build; and each
+    entry is the same at any dim it fits in.
     """
-    out = np.eye(dim, dtype=dtype)
+    cols = dim if cols is None else cols
+    out = np.eye(dim, cols, dtype=dtype)
     if half == 0:
         return out
     real_t = np.longdouble if dtype == np.clongdouble else float
-    vals = np.ones(dim, dtype=dtype)  # vals[n] at current k
+    vals = np.ones(cols, dtype=dtype)  # vals[n] at current k
     hh = dtype(half)
+    # [n + 2k, n] is entry 2k cols + n (cols + 1) of the flattened output
+    flat = out.reshape(-1)
     for kk in range(1, (dim - 1) // 2 + 1):
-        n = np.arange(dim - 2 * kk)
+        n = np.arange(min(cols, dim - 2 * kk))
         step = np.sqrt(((n + 2 * kk - 1) * (n + 2 * kk)).astype(real_t))
-        vals = vals[:dim - 2 * kk] * hh * step / real_t(kk)
-        out[n + 2 * kk, n] = vals
+        vals = vals[:n.size] * hh * step / real_t(kk)
+        flat[2 * kk * cols::cols + 1][:n.size] = vals
     return out
 
 
@@ -249,33 +256,43 @@ def _squeezed_vacuum_column(z: complex, dim: int) -> np.ndarray:
     return v
 
 
-def _squeeze_product(z: complex, dim: int, reverse: bool) -> np.ndarray:
+def _squeeze_product(z: complex, dim: int, reverse: bool,
+                     keep: int | None = None) -> np.ndarray:
     """exp(zeta a^dag^2/2), e^{+-gamma K0} and exp(-conj(zeta) a^2/2), multiplied.
 
     gamma = ln(1 - |zeta|^2) = -2 ln cosh r; the normal order
     (lower @ mid @ upper) uses +gamma, the reversed order
     (upper @ mid @ lower) -gamma.  Every factor couples only levels of equal
     parity, so the product is formed as one even and one odd block.
-    Factors and products run in extended precision.
+    Factors and products run in extended precision.  With keep, only the
+    first keep columns of each lower factor are built.  They fix the
+    product's first keep columns in the normal order, whose upper factor
+    is triangular, and its upper-left keep x keep block in the reversed
+    order, which is what is returned.  Each entry is a sum over the same
+    terms in the same order as in the full build, so its bits are too.
     """
     _check_dim(dim)
+    keep = dim if keep is None else keep
     z = complex(z)
     r = abs(z)
     if r == 0:
-        return np.eye(dim, dtype=complex)
+        return np.eye(keep if reverse else dim, keep, dtype=complex)
     zeta = squeeze_zeta(r, z / r)
     ld = np.clongdouble
-    lower = _exp_adag2_lower(ld(zeta / 2.0), dim, dtype=ld)
+    # the levels that the middle factor spans: the upper factor's first
+    # keep columns have no entry below row keep
+    inner = dim if reverse else keep
+    lower = _exp_adag2_lower(ld(zeta / 2.0), dim, ld, keep)
     # exp(-conj(zeta) a^2/2) = exp(-zeta a^dag^2/2)^dagger
-    upper = _exp_adag2_lower(ld(-zeta / 2.0), dim, dtype=ld).conj().T
+    upper = _exp_adag2_lower(ld(-zeta / 2.0), inner, ld, keep).conj().T
     # ln cosh r = r + ln(1 + e^{-2r}) - ln 2 does not cancel at large r,
     # where 1 - tanh^2 r does
     rl = np.longdouble(r)
     gamma = -2 * (rl + np.log1p(np.exp(-2 * rl)) - np.log(np.longdouble(2)))
     if reverse:
         gamma = -gamma
-    mid = np.exp(gamma * (np.arange(dim) + 0.5) / 2.0)
-    out = np.zeros((dim, dim), dtype=complex)
+    mid = np.exp(gamma * (np.arange(inner) + 0.5) / 2.0)
+    out = np.zeros((keep if reverse else dim, keep), dtype=complex)
     for parity in (0, 1):
         lo, md, up = (lower[parity::2, parity::2], mid[parity::2],
                       upper[parity::2, parity::2])
@@ -284,33 +301,43 @@ def _squeeze_product(z: complex, dim: int, reverse: bool) -> np.ndarray:
     return out
 
 
-def squeeze_factored(z: complex, dim: int) -> np.ndarray:
+def squeeze_factored(z: complex, dim: int,
+                     cols: int | None = None) -> np.ndarray:
     """S(z) as exp(zeta a^dag^2/2) exp(ln(1-|zeta|^2)(a^dag a + 1/2)/2) exp(-conj(zeta) a^2/2).
 
     zeta = e^{i theta} tanh r.  Every entry with (m, n) < dim is
     truncation-exact (the left factor only lowers, the right only raises,
     so each sum stops at min(m, n)): squeeze_factored(z, b) is
-    squeeze_factored(z, dim)[:b, :b] bit for bit.  But each entry is a sum
-    whose terms grow with the levels and cancel.  The products run in
-    extended precision, which converges only on a fixed upper-left block
-    whatever dim is: against squeeze_exp the entries with m, n < 64 agree
-    to about 3e-11 for r <= 1.2, and at r = 0.25 those below about 125 to
-    1e-9.  Past that block they are cancellation noise, about 1e17 at
-    [255, 255] for dim = 256 and r = 1, where a unitary's entries are at
-    most 1.  The checks read only entries inside it: the comparison with
-    squeeze_exp builds it at dim = 64, the block it compares.
+    squeeze_factored(z, dim)[:b, :b] bit for bit, and with cols the
+    dim x cols result is squeeze_factored(z, dim)[:, :cols] bit for bit,
+    built from the first cols columns of each factor.  But each entry is
+    a sum whose terms grow with the levels and cancel.  The products run
+    in extended precision, which converges only on a fixed upper-left
+    block whatever dim is: against squeeze_exp the entries with m, n < 64
+    agree to about 3e-11 for r <= 1.2, and at r = 0.25 those below about
+    125 to 1e-9.  Past that block they are cancellation noise, about 1e17
+    at [255, 255] for dim = 256 and r = 1, where a unitary's entries are
+    at most 1.  The checks build only what they read: the comparison with
+    squeeze_exp builds it at dim = 64, the block it compares, the
+    truncation-decay check at the 24 x 24 block it compares, and the
+    unitarity check builds the columns whose Gram it forms.
     """
-    return _squeeze_product(z, dim, reverse=False)
+    return _squeeze_product(z, dim, reverse=False, keep=cols)
 
 
-def squeeze_factored_reversed(z: complex, dim: int) -> np.ndarray:
+def squeeze_factored_reversed(z: complex, dim: int,
+                              keep: int | None = None) -> np.ndarray:
     """Dual-order factorization exp(-conj(zeta) a^2/2) e^{-gamma K0} exp(zeta a^dag^2/2).
 
     Equal to squeeze_factored(z, dim) as an operator identity; on the number
     basis it converges only at small r and low levels (see verify's
-    fock.squeeze_dual_order check).
+    fock.squeeze_dual_order check).  It is not truncation-exact: each entry
+    sums over all dim levels.  With keep, only the upper-left keep x keep
+    block is returned, squeeze_factored_reversed(z, dim)[:keep, :keep] bit
+    for bit, from the first keep columns of each factor; the dual-order
+    check builds its 16 x 16 block so at dim = 128.
     """
-    return _squeeze_product(z, dim, reverse=True)
+    return _squeeze_product(z, dim, reverse=True, keep=keep)
 
 
 def squeezed_annihilator(z: complex, dim: int) -> np.ndarray:

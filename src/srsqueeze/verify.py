@@ -462,11 +462,10 @@ def _check_unitarity(cfg):
         yield np.abs(gram[:k, :k] - np.eye(k)), ("displacement", u0)
     for r in (0.25, 0.7):
         z = r * cmath.exp(1j * math.pi / 3)
-        s = fock.squeeze_factored(z, n)
         # squeezing |k> spreads to ~ k e^{2r}; keep columns well inside
         k = max(2, int(n / (2 * math.exp(2 * r))))
-        gram = s.conj().T @ s
-        yield np.abs(gram[:k, :k] - np.eye(k)), ("squeeze", z)
+        s = fock.squeeze_factored(z, n, k)
+        yield np.abs(s.conj().T @ s - np.eye(k)), ("squeeze", z)
 
 
 @register("fock.squeeze_factored_vs_exp")
@@ -505,14 +504,15 @@ def _check_squeeze_dual(cfg):
     stays at r <= 0.4 on a 16x16 block; the identity for every r is
     checked exactly in the defining representation
     (bch.su11_defining_rep).  The reversed product is not truncation-exact,
-    so it is built at the full dimension; the exponential only at 16.
+    so its block sums over the full dimension, from the first 16 columns
+    of each factor; the exponential is built only at 16.
     """
     n = cfg.fock_dim
     block = 16
     for r in (0.2, 0.3, 0.4):
         for th in (0.0, math.pi / 3):
             z = r * cmath.exp(1j * th)
-            diff = fock.squeeze_factored_reversed(z, n)[:block, :block] \
+            diff = fock.squeeze_factored_reversed(z, n, block) \
                 - fock.squeeze_exp(z, block)
             yield fock.top_block_norm(diff, block), z
 
@@ -523,7 +523,8 @@ def _check_squeeze_decay(cfg):
 
     The factored entries are truncation-exact, so this difference is the
     truncation error of exponentiating the cut generator; on a fixed
-    24x24 block it must fall as N grows.
+    24x24 block it must fall as N grows.  Being exact, the factored block
+    is built once per r, at the block size.
     """
     from scipy.linalg import expm
 
@@ -531,11 +532,12 @@ def _check_squeeze_decay(cfg):
     errs = {}
     for r in (0.4, 0.6):
         z = r * cmath.exp(1j * math.pi / 3)
+        exact = fock.squeeze_factored(z, block)
         errs[r] = []
         for n in (48, 96):
             a, adag = fock.ladder(n)
             gen = 0.5 * (z * adag @ adag - np.conj(z) * a @ a)
-            diff = fock.squeeze_factored(z, n) - expm(gen)
+            diff = exact - expm(gen)[:block, :block]
             errs[r].append(fock.top_block_norm(diff, block))
     return [_worst(cfg, "fock.squeeze_truncation_decay",
                    ((e96 - e48, r) for r, (e48, e96) in errs.items()),
@@ -553,14 +555,20 @@ def _check_annihilation(cfg):
             yield float(np.linalg.norm(res[:n // 2])), z
 
 
+def _built_once(build, keys, dim: int) -> dict:
+    """build(key, dim) for each distinct key, by key: one build per operator."""
+    return {key: build(key, dim) for key in dict.fromkeys(keys)}
+
+
 @register_grid("fock.displaced_coherence")
 def _check_displaced_coherence(cfg):
     from .params import squeezed_frame_label
 
     n = cfg.fock_dim
     labs = standard_labels()
+    azs = _built_once(fock.squeezed_annihilator, (lab.z for lab in labs), n)
     for lab, amps in zip(labs, _state_rows(labs, n)):
-        az = fock.squeezed_annihilator(lab.z, n)
+        az = azs[lab.z]
         u0z = squeezed_frame_label(lab.u0, lab.z)
         res = az @ amps - u0z * amps
         yield float(np.linalg.norm(res[:n // 2])), lab
@@ -577,9 +585,9 @@ def _check_state_recurrence(cfg):
     n = 128
     labs = [lab for lab in standard_labels()
             if lab.u0 in (0j, 2j) and lab.r in (0.0, 1.2)]
+    ds = _built_once(fock.displacement, (lab.u0 for lab in labs), n)
     for lab, amps in zip(labs, _state_rows(labs, n)):
-        dense = fock.displacement(lab.u0, n) \
-            @ fock._squeezed_vacuum_column(lab.z, n)
+        dense = ds[lab.u0] @ fock._squeezed_vacuum_column(lab.z, n)
         yield np.abs(amps[:n // 2] - dense[:n // 2]), lab
 
 
@@ -600,10 +608,10 @@ def _check_invariant_combination(cfg):
 
     n = cfg.fock_dim
     a, adag = fock.ladder(n)
-    for lab in standard_labels():
-        if lab.u0 == 0:
-            continue
-        az = fock.squeezed_annihilator(lab.z, n)
+    labs = [lab for lab in standard_labels() if lab.u0 != 0]
+    azs = _built_once(fock.squeezed_annihilator, (lab.z for lab in labs), n)
+    for lab in labs:
+        az = azs[lab.z]
         u0z = squeezed_frame_label(lab.u0, lab.z)
         lhs = u0z * az.conj().T - np.conj(u0z) * az
         rhs = lab.u0 * adag - np.conj(lab.u0) * a
@@ -935,20 +943,21 @@ def _check_three_forms(cfg):
             yield np.abs(wavefn.psi_form(qs, p, form) - base), (form, lab)
 
 
-def synthesis_ratio(lab: Labels, c: Constants, amps: np.ndarray,
-                    qs: np.ndarray) -> float:
-    """Worst Hermite-synthesis defect of the N-level state over its budget.
+def _synthesis_ratios(labs, c: Constants, amps: np.ndarray, qs: np.ndarray):
+    """Worst Hermite-synthesis defect of each N-level state over its budget.
 
-    amps are the state's first 2N amplitudes.  The budget is 8 sqrt(dropped
-    mass) + 1e-11, where the dropped mass is sum_{m >= N} |c_m|^2, read from
-    the levels past N.  (1 - norm^2 of the truncated state cancels to
-    rounding noise and cannot be used.)
+    amps holds, one row per label, the state's first 2N amplitudes; the
+    first N of every row are synthesized on one Hermite table.  The budget
+    is 8 sqrt(dropped mass) + 1e-11, where the dropped mass is
+    sum_{m >= N} |c_m|^2, read from the levels past N.  (1 - norm^2 of the
+    truncated state cancels to rounding noise and cannot be used.)
     """
-    n = amps.size // 2
-    p = wavefn.WavefnParams.from_labels(lab, c)
-    diff = wavefn.synthesize(qs, amps[:n], c) - wavefn.psi(qs, p)
-    missing = float(np.sum(np.abs(amps[n:]) ** 2))
-    return float(np.max(np.abs(diff))) / (8.0 * math.sqrt(missing) + 1e-11)
+    n = amps.shape[1] // 2
+    synth = wavefn.synthesize(qs, amps[:, :n], c)
+    for lab, row, tail in zip(labs, synth, amps[:, n:]):
+        diff = row - wavefn.psi(qs, wavefn.WavefnParams.from_labels(lab, c))
+        missing = float(np.sum(np.abs(tail) ** 2))
+        yield float(np.max(np.abs(diff))) / (8.0 * math.sqrt(missing) + 1e-11)
 
 
 @register_grid("wavefn.fock_synthesis")
@@ -960,8 +969,8 @@ def _check_synthesis(cfg):
     """
     qs = np.linspace(-6.0, 6.0, 129)
     labs = standard_labels()
-    for lab, amps in zip(labs, _state_rows(labs, 2 * cfg.fock_dim)):
-        yield synthesis_ratio(lab, cfg.constants, amps, qs), lab
+    amps = _state_rows(labs, 2 * cfg.fock_dim)
+    yield from zip(_synthesis_ratios(labs, cfg.constants, amps, qs), labs)
 
 
 @register_grid("wavefn.log_consistency")
@@ -1107,9 +1116,11 @@ def _check_matrix_element(cfg):
     cases = [(0.4j, 1 + 0.5j, -0.2), (0.3, 0.5 - 1j, 0.5j),
              (-0.6j, 2.0, 0.55), (0.0, 1 + 1j, 0.0)]
     for zeta2, u, zeta1 in cases:
-        left = fock._exp_adag2_lower(zeta2 / 2.0, dim).conj().T
-        right = fock._exp_adag2_lower(zeta1 / 2.0 + 0j, dim)
-        val_f = left[0] @ fock.displacement(u, dim) @ right[:, 0]
+        # <0| exp(conj(zeta2) a^2/2) is the conjugate of exp(zeta2
+        # a^dag^2/2)|0>, the first column of its lower factor
+        left = fock._exp_adag2_lower(zeta2 / 2.0, dim, cols=1)[:, 0].conj()
+        right = fock._exp_adag2_lower(zeta1 / 2.0 + 0j, dim, cols=1)[:, 0]
+        val_f = left @ fock.displacement(u, dim) @ right
         val_c = kernels.general_matrix_element(zeta2, u, zeta1)
         yield abs(val_f - val_c), (zeta2, u, zeta1)
 

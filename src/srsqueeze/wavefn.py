@@ -147,11 +147,18 @@ def synthesize(q, amps: np.ndarray, c: Constants = Constants()):
     """Position wavefunction from Fock amplitudes: sum_n amps[n] <q|n>.
 
     <q|n> = h_n(q/ell0)/sqrt(ell0).  This is the truncation-controlled
-    oracle for the closed-form psi.  The sum over n runs in a fixed order
-    at each point, so its bits do not depend on the BLAS thread count, as
-    a matrix product's do.
+    oracle for the closed-form psi.  amps is one state's amplitudes or a
+    stack of states along its last axis, such as the (S, N) rows of S
+    states; the result has q's shape, after the stack's leading axes.  One
+    Hermite table serves the whole stack, which is how the
+    wavefn.fock_synthesis check builds its 65 states.  Each state's terms
+    are summed over n on their own, in a fixed order at each point, so the
+    bits depend neither on the BLAS thread count, as a matrix product's
+    do, nor on the stack.
     """
     q = np.asarray(q, dtype=float)
-    h = hermite_functions(len(amps) - 1, q / c.ell0)
-    terms = np.reshape(amps, (-1, *(1,) * q.ndim)) * h
-    return terms.sum(axis=0) / math.sqrt(c.ell0)
+    amps = np.asarray(amps)
+    h = hermite_functions(amps.shape[-1] - 1, q / c.ell0)
+    sums = [(np.reshape(st, (-1, *(1,) * q.ndim)) * h).sum(axis=0)
+            for st in amps.reshape(-1, amps.shape[-1])]
+    return np.reshape(sums, amps.shape[:-1] + q.shape) / math.sqrt(c.ell0)

@@ -211,6 +211,52 @@ def test_parity_split_product_is_bit_identical(dim, reverse):
         assert np.array_equal(got, _unsplit_squeeze_product(z, dim, reverse))
 
 
+def _indexed_lower(half, dim, dtype):
+    # exp(half a^dag^2) written one sub-diagonal at a time through an index
+    # pair
+    out = np.eye(dim, dtype=dtype)
+    real_t = np.longdouble if dtype == np.clongdouble else float
+    vals = np.ones(dim, dtype=dtype)
+    for kk in range(1, (dim - 1) // 2 + 1):
+        n = np.arange(dim - 2 * kk)
+        step = np.sqrt(((n + 2 * kk - 1) * (n + 2 * kk)).astype(real_t))
+        vals = vals[:dim - 2 * kk] * dtype(half) * step / real_t(kk)
+        out[n + 2 * kk, n] = vals
+    return out
+
+
+@pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+@pytest.mark.parametrize("dim", [16, 64, 128, 192])
+def test_exp_adag2_lower_columns_are_bit_identical(dim, dtype):
+    for half in (0.15 + 0.2j, -0.3j, 0.0):
+        full = fock._exp_adag2_lower(dtype(half), dim, dtype=dtype)
+        assert np.array_equal(full, _indexed_lower(half, dim, dtype))
+        for k in (1, 16, dim):
+            got = fock._exp_adag2_lower(dtype(half), dim, dtype=dtype, cols=k)
+            assert got.shape == (dim, k)
+            assert np.array_equal(got, full[:, :k])
+
+
+@pytest.mark.parametrize("r", [0.2, 0.3, 0.4])
+@pytest.mark.parametrize("theta", [0.0, math.pi / 3, -2.0])
+def test_reversed_block_is_bit_identical(r, theta):
+    z = r * cmath.exp(1j * theta)
+    got = fock.squeeze_factored_reversed(z, 128, 16)
+    assert got.shape == (16, 16)
+    full = _unsplit_squeeze_product(z, 128, True)
+    assert np.array_equal(got, full[:16, :16])
+
+
+@pytest.mark.parametrize("r", [0.25, 0.7, 1.2])
+@pytest.mark.parametrize("theta", [math.pi / 3, -2.0, 3.0])
+@pytest.mark.parametrize("k", [1, 15, 38])
+def test_factored_columns_are_bit_identical(r, theta, k):
+    z = r * cmath.exp(1j * theta)
+    got = fock.squeeze_factored(z, 128, k)
+    assert got.shape == (128, k)
+    assert np.array_equal(got, fock.squeeze_factored(z, 128)[:, :k])
+
+
 @pytest.mark.parametrize("r", [12.0, 18.0, 20.0])
 def test_squeeze_factored_vacuum_entry_at_large_r(r):
     # 1 - tanh^2 r cancels here: 1.1% off at r = 18, a domain error at 20

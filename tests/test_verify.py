@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srsqueeze import bch, fock, kernels, verify
+from srsqueeze import bch, fock, kernels, verify, wavefn
 from srsqueeze import quadrature as quadmod
 from srsqueeze.params import (Constants, Labels, OutOfDomain, squeeze_axes,
                               squeezed_frame_label)
@@ -198,8 +198,9 @@ def test_synthesis_budget_counts_mass_past_truncation():
     # budget 1e-11 against a 2.5e-11 synthesis defect (ratio 2.48)
     lab = Labels(u0=2j, r=0.7, theta=math.pi)
     qs = np.linspace(-6.0, 6.0, 129)
-    amps = fock.saturating_state_batch(lab.u0, lab.z, 256)[:, 0]
-    assert verify.synthesis_ratio(lab, Constants(), amps, qs) <= 1.0
+    amps = fock.saturating_state_batch(lab.u0, lab.z, 256).T
+    ratio, = verify._synthesis_ratios([lab], Constants(), amps, qs)
+    assert ratio <= 1.0
 
 
 _SYNTHESIS_BITS_PROBE = """
@@ -353,15 +354,16 @@ def test_plane_states_of_a_block_are_each_z_alone():
             u1[:(u1.size + 1) // 2], r, 6))
 
 
-def _count_state_batches(monkeypatch):
+def _count_calls(monkeypatch, module, name):
+    """Record the arguments of each call to module.name, as (args, kwargs)."""
     calls = []
-    batch = fock.saturating_state_batch
+    fn = getattr(module, name)
 
-    def counted(*args):
-        calls.append(args)
-        return batch(*args)
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(fock, "saturating_state_batch", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -384,7 +386,7 @@ def test_frame_rule_below_order_dim_is_not_exact():
 def test_frame_rule_refuses_widths_past_the_float_range(monkeypatch):
     assert verify._FRAME_MAX_R == pytest.approx(354.5, abs=0.1)
     verify._plane_states([verify._FRAME_MAX_R], 2, 2)
-    calls = _count_state_batches(monkeypatch)
+    calls = _count_calls(monkeypatch, fock, "saturating_state_batch")
     # one z past the limit refuses its whole block before any amplitude
     far = 1.001 * verify._FRAME_MAX_R * cmath.exp(0.3j)
     for zs in ([1.001 * verify._FRAME_MAX_R], [0.4, far, 0.0]):
@@ -403,7 +405,7 @@ def test_mu_weighted_identity_holds_to_rounding(outer):
 
 def test_mu_weighted_identity_builds_one_state_batch_per_block(monkeypatch):
     # outer order 4 evaluates 16 + 64 z; one batch each would be 80 calls
-    calls = _count_state_batches(monkeypatch)
+    calls = _count_calls(monkeypatch, fock, "saturating_state_batch")
     res = verify.mu_weighted_identity(verify.VerifyConfig(mu_outer_order=4))
     assert len(calls) <= 5
     assert res.passed
@@ -415,10 +417,64 @@ def test_mu_weighted_identity_builds_each_radius_once(monkeypatch):
     # 80 x 128
     assert [len({abs(complex(z)) for z in _outer_nodes(m)})
             for m in (4, 8)] == [3, 10]
-    calls = _count_state_batches(monkeypatch)
+    calls = _count_calls(monkeypatch, fock, "saturating_state_batch")
     res = verify.mu_weighted_identity(verify.VerifyConfig(mu_outer_order=4))
-    assert sum(np.size(us) for us, *_ in calls) == 13 * 128
+    assert sum(np.size(args[0]) for args, _ in calls) == 13 * 128
     assert res.params["nodes"] == 13 * 128
+
+
+def test_fock_synthesis_builds_one_hermite_table(monkeypatch, cfg):
+    calls = _count_calls(monkeypatch, wavefn, "hermite_functions")
+    res, = verify.run_suite(cfg, only=["wavefn.fock_synthesis"])
+    assert res.passed
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("check_id", ["fock.invariant_combination",
+                                      "fock.displaced_coherence"])
+def test_annihilator_checks_build_one_per_squeeze(monkeypatch, cfg,
+                                                   check_id):
+    # 13 distinct squeezes among the 65 standard labels (52 with u0 != 0)
+    calls = _count_calls(monkeypatch, fock, "squeezed_annihilator")
+    res, = verify.run_suite(cfg, only=[check_id])
+    assert res.passed
+    assert len(calls) == 13
+    assert len({args[0] for args, _ in calls}) == 13
+
+
+def _lower_columns(args, kwargs):
+    # the column count _exp_adag2_lower(half, dim, dtype, cols) builds
+    cols = kwargs.get("cols", args[3] if len(args) > 3 else None)
+    return args[1] if cols is None else cols
+
+
+def test_squeeze_dual_order_builds_sixteen_columns(monkeypatch, cfg):
+    calls = _count_calls(monkeypatch, fock, "_exp_adag2_lower")
+    res, = verify.run_suite(cfg, only=["fock.squeeze_dual_order"])
+    assert res.passed
+    # two factors for each of the six squeezes
+    assert len(calls) == 12
+    assert max(_lower_columns(*call) for call in calls) == 16
+
+
+def test_build_counts_repeat_across_runs(monkeypatch, cfg):
+    # nothing built in one run is kept for the next
+    only = ["wavefn.fock_synthesis", "fock.invariant_combination",
+            "fock.displaced_coherence", "fock.squeeze_dual_order",
+            "fock.unitarity", "fock.squeeze_truncation_decay",
+            "kernels.matrix_element_vs_fock"]
+    counted = [_count_calls(monkeypatch, wavefn, "hermite_functions"),
+               _count_calls(monkeypatch, fock, "squeezed_annihilator"),
+               _count_calls(monkeypatch, fock, "_exp_adag2_lower")]
+    counts = []
+    for _ in range(2):
+        assert all(r.passed for r in verify.run_suite(cfg, only=only))
+        counts.append([len(calls) for calls in counted])
+        for calls in counted:
+            calls.clear()
+    # lower factors: 2 per squeeze of the dual order (6), of unitarity (2)
+    # and of the decay check (2), and 2 per matrix element (4)
+    assert counts[0] == counts[1] == [1, 26, 28]
 
 
 def test_mu_weighted_identity_peak_memory():

@@ -214,3 +214,19 @@ def test_hermite_functions_recurrence():
     assert np.max(np.abs(h[n] - ref)) < 1e-12
     # high orders stay finite and O(1)
     assert np.max(np.abs(h[60])) < 1.0
+
+
+@pytest.mark.parametrize("q", [np.linspace(-6.0, 6.0, 129),
+                               np.linspace(-2.0, 3.0, 12).reshape(3, 4),
+                               np.array(0.37), 1.5, np.array([-0.8])])
+def test_synthesize_stack_rows_are_per_state_calls(q):
+    labs = [Labels(u0=1 + 1j, r=0.7, theta=math.pi / 3),
+            Labels(u0=-1.5 + 0.5j, r=1.2, theta=math.pi),
+            Labels(u0=0j, r=0.0, theta=0.0)]
+    amps = fock.saturating_state_batch([lab.u0 for lab in labs],
+                                       [lab.z for lab in labs], 96).T
+    c = Constants(hbar=1.7, ell0=0.6)
+    stack = wavefn.synthesize(q, amps, c)
+    assert stack.shape == (len(labs), *np.shape(q))
+    for row, st in zip(stack, amps):
+        assert np.array_equal(row, wavefn.synthesize(q, st, c))
