@@ -142,7 +142,8 @@ def _squeeze_inner_dim(z: complex, dim: int) -> int:
     return math.ceil(dim * (math.cosh(2 * r) + 1.5 * math.sinh(2 * r))) + 32
 
 
-def displacement(u0: complex, dim: int) -> np.ndarray:
+def displacement(u0: complex, dim: int,
+                 cols: int | None = None) -> np.ndarray:
     """D(u0) = e^{-|u0|^2/2} e^{u0 a^dag} e^{-conj(u0) a} in closed form.
 
     The normal-ordered product collapses, entry by entry, to a single finite
@@ -152,29 +153,34 @@ def displacement(u0: complex, dim: int) -> np.ndarray:
     cancelling intermediates the raw triangular-matrix product produces at
     large (m, n); entry (m, n) reads order |m - n| at degree min(m, n).
     Unitary on the upper-left block where columns have converged within
-    the truncation.
+    the truncation.  Each entry is the same at any dim it fits in, so
+    displacement(u0, b) is displacement(u0, dim)[:b, :b] bit for bit; with
+    cols the recurrence stops at degree cols - 1 and the dim x cols result
+    is displacement(u0, dim)[:, :cols] bit for bit.
     """
     _check_dim(dim)
+    cols = dim if cols is None else cols
     u0 = complex(u0)
     if u0 == 0:
-        return np.eye(dim, dtype=complex)
+        return np.eye(dim, cols, dtype=complex)
     x = abs(u0) ** 2
     # lag[n, k] = L_n^{(k)}(x) for all orders k at once; the recurrence's
     # coefficients at degree n are alpha[n] and beta[n]
     kvec = np.arange(dim, dtype=float)
-    nvec = np.arange(dim)[:, None]
+    nvec = np.arange(cols)[:, None]
     alpha = 2 * nvec + 1 + kvec - x
     beta = nvec + kvec
-    lag = np.empty((dim, dim))
+    lag = np.empty((cols, dim))
     lag[0] = 1.0
-    lag[1] = alpha[0]
-    for n in range(1, dim - 1):
+    if cols > 1:
+        lag[1] = alpha[0]
+    for n in range(1, cols - 1):
         lag[n + 1] = (alpha[n] * lag[n] - beta[n] * lag[n - 1]) / (n + 1)
     lg = _lgfact(dim - 1)
     levels = np.arange(dim)
-    diff = levels[:, None] - levels[None, :]
+    diff = levels[:, None] - levels[None, :cols]
     order = np.abs(diff)
-    degree = np.minimum(levels[:, None], levels[None, :])
+    degree = np.minimum(levels[:, None], levels[None, :cols])
     mag = np.exp(-0.5 * x + order * math.log(abs(u0))
                  + 0.5 * (lg[degree] - lg[degree + order])) \
         * lag[degree, order]
@@ -341,10 +347,18 @@ def squeeze_factored_reversed(z: complex, dim: int,
 
 
 def squeezed_annihilator(z: complex, dim: int) -> np.ndarray:
-    """a(z) = cosh(r) a - e^{i theta} sinh(r) a^dag (Bogoliubov transform)."""
-    a, adag = ladder(dim)
+    """a(z) = cosh(r) a - e^{i theta} sinh(r) a^dag (Bogoliubov transform).
+
+    Its two off-diagonals are written straight into a zeroed array.
+    """
+    _check_dim(dim)
     ch, s, _ = _squeeze_frame(z)
-    return ch * a - s * adag
+    root = np.sqrt(np.arange(1, dim, dtype=float))
+    out = np.zeros((dim, dim), dtype=complex)
+    flat = out.reshape(-1)
+    flat[1::dim + 1] = ch * root
+    flat[dim::dim + 1] = -s * root
+    return out
 
 
 def _half_turn(z: complex) -> tuple:
@@ -545,6 +559,41 @@ def sr_ur_check(
     return [_second_moments(A, B, psi) for psi in states]
 
 
+def _parity_blocks(mat: np.ndarray, opposite: bool):
+    """The two parity blocks of mat if its other two are exactly zero, else None.
+
+    An operator that couples only levels of equal parity (every squeeze)
+    is, up to a permutation, the direct sum of mat[0::2, 0::2] and
+    mat[1::2, 1::2]; one that couples only levels of opposite parity (a,
+    a^dag, a(z)) is made of mat[0::2, 1::2] and mat[1::2, 0::2].  With
+    opposite false or true, those two blocks are returned when the other
+    two hold no nonzero entry; the test is exact, so a NaN or a stray
+    entry there gives None.
+    """
+    even, odd = mat[0::2], mat[1::2]
+    p = int(opposite)
+    if even[:, 1 - p::2].any() or odd[:, p::2].any():
+        return None
+    return even[:, p::2], odd[:, 1 - p::2]
+
+
 def top_block_norm(mat: np.ndarray, k: int) -> float:
-    """Spectral norm of the upper-left k x k block."""
-    return float(np.linalg.norm(mat[:k, :k], 2))
+    """Spectral norm of the upper-left k x k block.
+
+    When the block couples only levels of equal parity (every squeeze) or
+    only levels of opposite parity (the ladder, a(z)), it is a direct sum
+    of its two parity blocks up to a permutation, and its norm is the
+    larger of theirs: two SVDs of about k/2 x k/2 in place of one of
+    k x k, equal to the dense norm to a few ulp.  Any other block, one
+    with a NaN or a stray entry in a quarter that should be zero
+    included, takes the dense SVD.
+    """
+    block = mat[:k, :k]
+    halves = None
+    if k > 1:
+        halves = _parity_blocks(block, opposite=False) \
+            or _parity_blocks(block, opposite=True)
+    if halves is None:
+        return float(np.linalg.norm(block, 2))
+    # np.maximum, not max, so that a NaN norm is not dropped
+    return float(np.maximum(*(np.linalg.norm(h, 2) for h in halves)))

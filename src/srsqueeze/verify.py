@@ -417,22 +417,49 @@ def _check_heisenberg(cfg):
     return [_result(cfg, "fock.heisenberg_commutator", dev)]
 
 
+def _built_once(build, keys, dim: int) -> dict:
+    """build(key, dim) for each distinct key, by key: one build per operator."""
+    return {key: build(key, dim) for key in dict.fromkeys(keys)}
+
+
+def _standard_squeezes() -> list[complex]:
+    return [r * cmath.exp(1j * th) for r in STANDARD_R for th in STANDARD_THETA]
+
+
+def _adjoint_commutator(az: np.ndarray) -> np.ndarray:
+    """[az, az^dag], from the parity blocks of az when it has only those.
+
+    az = a(z) couples only levels of opposite parity, so with
+    E = az[0::2, 1::2] and O = az[1::2, 0::2] the commutator's even block
+    is E E^dag - O^dag O and its odd block O O^dag - E^dag E, a quarter of
+    the multiply-adds of the dense products.  Any entry of az between
+    levels of equal parity, a NaN included, keeps the dense products.
+    """
+    halves = fock._parity_blocks(az, opposite=True)
+    if halves is None:
+        return az @ az.conj().T - az.conj().T @ az
+    e, o = halves
+    comm = np.zeros_like(az)
+    comm[0::2, 0::2] = e @ e.conj().T - o.conj().T @ o
+    comm[1::2, 1::2] = o @ o.conj().T - e.conj().T @ e
+    return comm
+
+
 @register_grid("fock.bogoliubov_closure")
 def _check_bogoliubov(cfg):
     n = cfg.fock_dim
-    for r in STANDARD_R:
-        for th in STANDARD_THETA:
-            z = r * cmath.exp(1j * th)
-            az = fock.squeezed_annihilator(z, n)
-            comm = az @ az.conj().T - az.conj().T @ az
-            yield np.abs(comm[:n - 2, :n - 2] - np.eye(n - 2)), z
+    zs = _standard_squeezes()
+    azs = _built_once(fock.squeezed_annihilator, zs, n)
+    for z in zs:
+        comm = _adjoint_commutator(azs[z])
+        yield np.abs(comm[:n - 2, :n - 2] - np.eye(n - 2)), z
 
 
 @register_grid("fock.coherent_column")
 def _check_coherent_column(cfg):
     n = cfg.fock_dim
     for u0 in STANDARD_U0:
-        col = fock.displacement(u0, n)[:, 0]
+        col = fock.displacement(u0, n, 1)[:, 0]
         if u0 == 0:
             ref = np.zeros(n, complex)
             ref[0] = 1.0
@@ -445,21 +472,22 @@ def _check_coherent_column(cfg):
 
 @register_grid("fock.displacement_vs_exp")
 def _check_displacement_vs_exp(cfg):
-    n = cfg.fock_dim
+    # displacement is truncation-exact, so both sides are built at the
+    # block they compare
+    b = cfg.fock_dim // 2
     for u0 in STANDARD_U0:
-        diff = fock.displacement(u0, n) - fock.displacement_exp(u0, n)
-        yield fock.top_block_norm(diff, n // 2), u0
+        diff = fock.displacement(u0, b) - fock.displacement_exp(u0, b)
+        yield fock.top_block_norm(diff, b), u0
 
 
 @register_grid("fock.unitarity")
 def _check_unitarity(cfg):
     """Isometry on blocks whose columns have converged inside the box."""
     n = cfg.fock_dim
+    k = n // 4
     for u0 in STANDARD_U0:
-        d = fock.displacement(u0, n)
-        k = n // 4
-        gram = d.conj().T @ d
-        yield np.abs(gram[:k, :k] - np.eye(k)), ("displacement", u0)
+        d = fock.displacement(u0, n, k)
+        yield np.abs(d.conj().T @ d - np.eye(k)), ("displacement", u0)
     for r in (0.25, 0.7):
         z = r * cmath.exp(1j * math.pi / 3)
         # squeezing |k> spreads to ~ k e^{2r}; keep columns well inside
@@ -547,17 +575,11 @@ def _check_squeeze_decay(cfg):
 @register_grid("fock.annihilation")
 def _check_annihilation(cfg):
     n = cfg.fock_dim
-    for r in STANDARD_R:
-        for th in STANDARD_THETA:
-            z = r * cmath.exp(1j * th)
-            v = fock._squeezed_vacuum_column(z, n)
-            res = fock.squeezed_annihilator(z, n) @ v
-            yield float(np.linalg.norm(res[:n // 2])), z
-
-
-def _built_once(build, keys, dim: int) -> dict:
-    """build(key, dim) for each distinct key, by key: one build per operator."""
-    return {key: build(key, dim) for key in dict.fromkeys(keys)}
+    zs = _standard_squeezes()
+    azs = _built_once(fock.squeezed_annihilator, zs, n)
+    for z in zs:
+        res = azs[z] @ fock._squeezed_vacuum_column(z, n)
+        yield float(np.linalg.norm(res[:n // 2])), z
 
 
 @register_grid("fock.displaced_coherence")
@@ -593,13 +615,21 @@ def _check_state_recurrence(cfg):
 
 @register_grid("fock.operator_shift")
 def _check_operator_shift(cfg):
+    """D Q D^dag = Q - q0 on the upper-left N/4 block.
+
+    The block reads only the first N/4 rows of D = D(u0), and
+    D(u0)^T = D(-conj u0), so those rows are the transposed first N/4
+    columns of D(-conj u0).
+    """
     c, n = cfg.constants, cfg.fock_dim
+    k = n // 4
     q = fock.position(n, c)
     for u0 in STANDARD_U0:
-        d = fock.displacement(u0, n)
+        rows = fock.displacement(-complex(u0).conjugate(), n, k).T
         q0 = math.sqrt(2.0) * c.ell0 * complex(u0).real
-        shifted = d @ q @ d.conj().T
-        yield fock.top_block_norm(shifted - (q - q0 * np.eye(n)), n // 4), u0
+        shifted = rows @ q @ rows.conj().T
+        yield fock.top_block_norm(shifted - (q[:k, :k] - q0 * np.eye(k)),
+                                  k), u0
 
 
 @register_grid("fock.invariant_combination")
@@ -1127,12 +1157,16 @@ def _check_matrix_element(cfg):
 
 @register_grid("kernels.displacement_composition")
 def _check_disp_composition(cfg):
+    # the upper-left N/2 block of D(u2)^dag D(u1) sums over all N levels
+    # but reads only the first N/2 columns of each factor
     n = cfg.fock_dim
+    b = n // 2
     for u2, u1 in ((1.0, 1j), (1 + 1j, -0.5 + 0.2j), (0.0, 1.5)):
         comp = kernels.displacement_composition(u2, u1)
-        lhs = fock.displacement(u2, n).conj().T @ fock.displacement(u1, n)
-        rhs = comp.phase * fock.displacement(comp.shifted, n)
-        yield fock.top_block_norm(lhs - rhs, n // 2), (u2, u1)
+        lhs = fock.displacement(u2, n, b).conj().T \
+            @ fock.displacement(u1, n, b)
+        rhs = comp.phase * fock.displacement(comp.shifted, b)
+        yield fock.top_block_norm(lhs - rhs, b), (u2, u1)
 
 
 @register("kernels.compose", "kernels.compose_coherent",

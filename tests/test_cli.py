@@ -166,6 +166,12 @@ def test_out_of_range_input_is_usage_error(capsys, argv):
     (("overlap", "--oracle", "quad", "--ell0", "1.5e-154"), 0),
     (("wavefn", "--u0=1e150+1e150i"), 0),
     (("kernel", "--op", "QP", "--z", "0.4", "--ell0", "1e160"), 0),
+    # verify takes hbar and ell0 in [1e-150, 1e150]; its params.* checks
+    # leave the float range at 1e154 and at 1e-154 to 1e-158
+    *((("verify", "--only", "params.*", f"--{name}", val), code)
+      for name in ("hbar", "ell0")
+      for val, code in (("1e150", 0), ("1.0000000000000002e150", 2),
+                        ("1e-150", 0), ("9.999999999999999e-151", 2))),
 ])
 def test_domain_edges(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)

@@ -118,6 +118,16 @@ def test_displacement_block_is_truncation_exact(u0, block):
                           fock.displacement(u0, 2 * block)[:block, :block])
 
 
+@pytest.mark.parametrize("u0", [0.0, 2j, 1 + 1j, -0.5 + 0.2j])
+@pytest.mark.parametrize("dim", [64, 128, 192])
+@pytest.mark.parametrize("cols", [1, 32, 64, None])
+def test_displacement_columns_are_bit_identical(u0, dim, cols):
+    # the Laguerre recurrence stops at degree cols - 1
+    full = fock.displacement(u0, dim)
+    cols = dim if cols is None else cols
+    assert np.array_equal(fock.displacement(u0, dim, cols), full[:, :cols])
+
+
 @pytest.mark.parametrize("r", [0.25, 0.7, 1.0])
 @pytest.mark.parametrize("theta", [0.0, math.pi / 3, math.pi])
 def test_squeeze_factored_block_is_truncation_exact(r, theta):
@@ -643,6 +653,50 @@ def test_bogoliubov_closure_and_invariant_combination():
     lhs = u0z * az.conj().T - np.conj(u0z) * az
     rhs = u0 * adag - np.conj(u0) * a
     assert np.max(np.abs(lhs - rhs)) < 1e-13
+
+
+@pytest.mark.parametrize("dim", [2, 3, 96])
+@pytest.mark.parametrize("z", [0.0, -0j, 0.7 * cmath.exp(2j), -1.2])
+def test_squeezed_annihilator_is_the_bogoliubov_combination(dim, z):
+    a, adag = fock.ladder(dim)
+    ch, s, _ = fock._squeeze_frame(z)
+    assert np.array_equal(fock.squeezed_annihilator(z, dim), ch * a - s * adag)
+
+
+def _parity_masked(dim, opposite, seed=7):
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    levels = np.arange(dim)
+    odd = (levels[:, None] + levels[None, :]) % 2 == 1
+    return np.where(odd == opposite, mat, 0)
+
+
+@pytest.mark.parametrize("opposite", [False, True])
+@pytest.mark.parametrize("k", [2, 3, 63, 126])
+def test_top_block_norm_parity_split_is_the_dense_norm(opposite, k):
+    mat = _parity_masked(128, opposite)
+    assert fock._parity_blocks(mat[:k, :k], opposite) is not None
+    assert fock._parity_blocks(mat[:k, :k], not opposite) is None
+    # two SVDs against one: each is accurate to a small multiple of eps
+    dense = np.linalg.norm(mat[:k, :k], 2)
+    assert abs(fock.top_block_norm(mat, k) - dense) <= 32 * np.spacing(dense)
+
+
+@pytest.mark.parametrize("opposite", [False, True])
+def test_top_block_norm_takes_the_dense_path_off_pattern(opposite):
+    mat = _parity_masked(64, opposite)
+    # [5, 6] couples levels of opposite parity, [5, 7] levels of equal one
+    at = (5, 7) if opposite else (5, 6)
+    mat[at] = 1e-3
+    assert fock._parity_blocks(mat, False) is None
+    assert fock._parity_blocks(mat, True) is None
+    assert fock.top_block_norm(mat, 64) == np.linalg.norm(mat, 2)
+    # a NaN where a zero belongs reaches the dense SVD, which refuses it
+    mat[at] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.norm(mat, 2)
+    with pytest.raises(np.linalg.LinAlgError):
+        fock.top_block_norm(mat, 64)
 
 
 def test_tail_mass_of_a_block_is_per_row():

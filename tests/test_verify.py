@@ -203,28 +203,46 @@ def test_synthesis_budget_counts_mass_past_truncation():
     assert ratio <= 1.0
 
 
-_SYNTHESIS_BITS_PROBE = """
+_BITS_PROBE = """
+import sys
 from srsqueeze import verify
-for r in verify.run_suite(only=["wavefn.*", "canary.missing_center_phase"]):
+for r in verify.run_suite(only=sys.argv[1:]):
     print(r.check_id, float(r.measured).hex())
 """
+
+
+def _bits_at_one_and_two_blas_threads(only):
+    """The measured hex of each result that only selects, at 1 and 2 threads."""
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _BITS_PROBE, *only],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    return outs
 
 
 def test_synthesis_bits_do_not_depend_on_the_blas_thread_count():
     # a BLAS product splits its sums across threads; Hermite synthesis sums
     # each point in one fixed order, so the checks that synthesize read the
     # same bits at 1 and at 2 threads
-    outs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "OMP_NUM_THREADS": threads}
-        proc = subprocess.run([sys.executable, "-c", _SYNTHESIS_BITS_PROBE],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert len(outs[0].splitlines()) == 6, outs[0]
-    assert outs[0] == outs[1]
+    one, two = _bits_at_one_and_two_blas_threads(
+        ["wavefn.*", "canary.missing_center_phase"])
+    assert len(one.splitlines()) == 6, one
+    assert one == two
+
+
+def test_fock_oracle_bits_do_not_depend_on_the_blas_thread_count():
+    # the Fock oracles' parity blocks and column-restricted builds give
+    # BLAS products of many shapes; none splits its sums differently
+    one, two = _bits_at_one_and_two_blas_threads(
+        ["fock.*", "kernels.displacement_composition",
+         "kernels.matrix_element_vs_fock"])
+    assert len(one.splitlines()) == 16, one
+    assert one == two
 
 
 def test_bound_overrides():
@@ -431,15 +449,45 @@ def test_fock_synthesis_builds_one_hermite_table(monkeypatch, cfg):
 
 
 @pytest.mark.parametrize("check_id", ["fock.invariant_combination",
-                                      "fock.displaced_coherence"])
+                                      "fock.displaced_coherence",
+                                      "fock.bogoliubov_closure",
+                                      "fock.annihilation"])
 def test_annihilator_checks_build_one_per_squeeze(monkeypatch, cfg,
                                                    check_id):
-    # 13 distinct squeezes among the 65 standard labels (52 with u0 != 0)
+    # 13 distinct squeezes among the 65 standard labels (52 with u0 != 0),
+    # and among the 16 (r, theta) of the grid, whose 4 at r = 0 are one
     calls = _count_calls(monkeypatch, fock, "squeezed_annihilator")
     res, = verify.run_suite(cfg, only=[check_id])
     assert res.passed
     assert len(calls) == 13
     assert len({args[0] for args, _ in calls}) == 13
+
+
+def _displacement_shape(args, kwargs):
+    # the (dim, cols) that displacement(u0, dim, cols) builds
+    dim = args[1]
+    cols = kwargs.get("cols", args[2] if len(args) > 2 else None)
+    return dim, dim if cols is None else cols
+
+
+@pytest.mark.parametrize("check_id,shapes", [
+    # column 0 of each of the five standard u0
+    ("fock.coherent_column", [(128, 1)] * 5),
+    # the 32 columns whose Gram is compared
+    ("fock.unitarity", [(128, 32)] * 5),
+    # 64 columns of D(u2) and of D(u1), and the 64 x 64 right side
+    ("kernels.displacement_composition", [(128, 64), (128, 64), (64, 64)] * 3),
+    # the 32 rows of D(u0) that the 32 x 32 block reads
+    ("fock.operator_shift", [(128, 32)] * 5),
+    # both sides at the 64 x 64 block they compare
+    ("fock.displacement_vs_exp", [(64, 64)] * 5),
+])
+def test_displacement_checks_build_only_what_they_read(monkeypatch, cfg,
+                                                       check_id, shapes):
+    calls = _count_calls(monkeypatch, fock, "displacement")
+    res, = verify.run_suite(cfg, only=[check_id])
+    assert res.passed
+    assert [_displacement_shape(*call) for call in calls] == shapes
 
 
 def _lower_columns(args, kwargs):
