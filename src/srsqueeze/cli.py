@@ -191,20 +191,9 @@ def cmd_wavefn(args) -> int:
     return EXIT_OK
 
 
-# the params.* checks' own arithmetic leaves the float range past these
-# hbar and ell0, so verify refuses them rather than report failed checks
-_VERIFY_CONSTANT_RANGE = (1e-150, 1e150)
-
-
 def cmd_verify(args) -> int:
     from . import verify
 
-    lo, hi = _VERIFY_CONSTANT_RANGE
-    for name in ("hbar", "ell0"):
-        val = getattr(args, name)
-        if not lo <= val <= hi:
-            raise OutOfDomain(f"verify needs --{name} in [{lo:g}, {hi:g}], "
-                              f"got {val!r}")
     cfg = verify.VerifyConfig(
         constants=_constants(args), fock_dim=args.fock_dim,
         scan_dim=args.scan_dim, dim_check=args.dim_check, seed=args.seed)

@@ -586,7 +586,8 @@ def top_block_norm(mat: np.ndarray, k: int) -> float:
     larger of theirs: two SVDs of about k/2 x k/2 in place of one of
     k x k, equal to the dense norm to a few ulp.  Any other block, one
     with a NaN or a stray entry in a quarter that should be zero
-    included, takes the dense SVD.
+    included, takes the dense SVD.  A block that holds a NaN reads NaN,
+    where numpy's SVD would raise.
     """
     block = mat[:k, :k]
     halves = None
@@ -594,6 +595,19 @@ def top_block_norm(mat: np.ndarray, k: int) -> float:
         halves = _parity_blocks(block, opposite=False) \
             or _parity_blocks(block, opposite=True)
     if halves is None:
-        return float(np.linalg.norm(block, 2))
+        return _spectral_norm(block)
     # np.maximum, not max, so that a NaN norm is not dropped
-    return float(np.maximum(*(np.linalg.norm(h, 2) for h in halves)))
+    return float(np.maximum(*(_spectral_norm(h) for h in halves)))
+
+
+def _spectral_norm(mat: np.ndarray) -> float:
+    """np.linalg.norm(mat, 2), or NaN or inf where the SVD fails on a
+    non-finite mat."""
+    try:
+        return float(np.linalg.norm(mat, 2))
+    except np.linalg.LinAlgError:
+        # the largest modulus: NaN if any entry is, else inf if any is
+        top = float(np.max(np.abs(mat)))
+        if math.isfinite(top):
+            raise
+        return top

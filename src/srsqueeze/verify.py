@@ -109,6 +109,11 @@ _CANARY_THRESHOLD = 1e-3
 # width of the Gaussian z-measure in mu_weighted_identity
 _MU_SIGMA = 0.5
 
+# the params.* checks' own arithmetic leaves the float range past these
+# hbar and ell0 (about 1e154 and 1e-154), so VerifyConfig refuses them
+# rather than let them read as failed checks
+_CONSTANT_RANGE = (1e-150, 1e150)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -131,6 +136,14 @@ class VerifyConfig:
     mu_outer_order: int = 10
     seed: int = 20240817
     bounds: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        lo, hi = _CONSTANT_RANGE
+        for name in ("hbar", "ell0"):
+            val = getattr(self.constants, name)
+            if not lo <= val <= hi:
+                raise OutOfDomain(f"verify needs {name} in [{lo:g}, {hi:g}], "
+                                  f"got {val!r}")
 
     def bound(self, check_id: str) -> float:
         if check_id in self.bounds:
@@ -651,7 +664,10 @@ def _check_invariant_combination(cfg):
 # ----------------------------------------------------- saturation scanning
 
 
-def saturation_scan(cfg: VerifyConfig):
+@register("verify.saturation_scan", "verify.defining_residual",
+          "verify.srur_saturating", "verify.moment_agreement",
+          "verify.nonsaturating_probe")
+def _check_saturation_scan(cfg: VerifyConfig):
     """Residuals, SR slack, round-trips and moment agreement on the grid."""
     c, n = cfg.constants, cfg.scan_dim
     q = fock.position(n, c)
@@ -681,13 +697,6 @@ def saturation_scan(cfg: VerifyConfig):
                 {"probe_residual": probe_res,
                  "slack_minus_2hbar2": rec1.slack - 2 * c.hbar**2}),
     ]
-
-
-@register("verify.saturation_scan", "verify.defining_residual",
-          "verify.srur_saturating", "verify.moment_agreement",
-          "verify.nonsaturating_probe")
-def _check_saturation_scan(cfg):
-    return saturation_scan(cfg)
 
 
 @register("verify.srur_positivity", "verify.srur_positivity",
@@ -1391,9 +1400,7 @@ def run_suite(cfg: VerifyConfig | None = None,
         try:
             partial = fn(cfg)
         except Exception as exc:  # noqa: BLE001 - report, never abort
-            partial = [CheckResult(check_id=rid, params={"error": repr(exc)},
-                                   measured=math.inf, bound=0.0,
-                                   passed=False, runtime_ms=0.0)
+            partial = [_result(cfg, rid, math.inf, {"error": repr(exc)})
                        for rid in ids]
         dt = 1e3 * (time.perf_counter() - t0)
         results += [replace(res, runtime_ms=dt / len(partial))

@@ -61,8 +61,9 @@ def test_f_frozen_values():
                                                rel=1e-13)
 
 
-@pytest.mark.parametrize("u", [-2.0, -0.7, 0.0, 1.3, 2.0, -2 + 2j, 2 + 2j])
-@pytest.mark.parametrize("v", [-2.0, 0.0, 0.9, 2.0, 2 - 2j])
+@pytest.mark.parametrize("u", [-2.0, -0.7, 0.0, 1.3, 2.0, -2 + 2j, 2 + 2j,
+                               -2 - 2j])
+@pytest.mark.parametrize("v", [-2.0, 0.0, 0.7, 0.9, 2.0, 2 - 2j])
 def test_f_symmetry(u, v):
     assert abs(bch.f_uv(u, v) - bch.f_uv(v, u)) <= 1e-12
 

@@ -528,7 +528,9 @@ def test_defining_residual_saturating_states():
     q, p = qp(256)
     for lab in (Labels(u0=1.0, r=0.5, theta=0.0),
                 Labels(u0=1 + 1j, r=0.8, theta=2.0),
-                Labels(u0=2j, r=1.0, theta=math.pi)):
+                Labels(u0=2j, r=1.0, theta=math.pi),
+                # off the registered grid: theta = 2.5 at its largest r
+                Labels(u0=2.0, r=1.2, theta=2.5)):
         st = state(lab, 256)
         m = labels_to_moments(lab, C)
         assert fock.defining_residual(q, p, st, m, C) < 1e-8
@@ -691,12 +693,16 @@ def test_top_block_norm_takes_the_dense_path_off_pattern(opposite):
     assert fock._parity_blocks(mat, False) is None
     assert fock._parity_blocks(mat, True) is None
     assert fock.top_block_norm(mat, 64) == np.linalg.norm(mat, 2)
-    # a NaN where a zero belongs reaches the dense SVD, which refuses it
+    # a NaN where a zero belongs reaches the dense SVD, which refuses it;
+    # the norm reads NaN, as an entrywise deviation would
     mat[at] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.norm(mat, 2)
-    with pytest.raises(np.linalg.LinAlgError):
-        fock.top_block_norm(mat, 64)
+    assert math.isnan(fock.top_block_norm(mat, 64))
+    # so does a NaN inside one of the parity blocks
+    mat = _parity_masked(64, opposite)
+    mat[(4, 5) if opposite else (4, 6)] = np.nan
+    assert math.isnan(fock.top_block_norm(mat, 64))
 
 
 def test_tail_mass_of_a_block_is_per_row():

@@ -113,6 +113,24 @@ def test_nan_in_squeezed_annihilator_fails_bogoliubov_closure(cfg,
     assert res.params["worst_at"] == repr(bad)
 
 
+def test_nan_in_displacement_fails_displacement_vs_exp(cfg, monkeypatch):
+    # the block norm of a dense difference reads the NaN, where numpy's
+    # SVD alone would raise and leave the check no worst point
+    displacement = fock.displacement
+    bad = 1 + 1j
+
+    def corrupt(u0, dim, cols=None):
+        d = displacement(u0, dim, cols)
+        if u0 == bad:
+            d[3, 5] = _NAN
+        return d
+
+    monkeypatch.setattr(fock, "displacement", corrupt)
+    res = _only_result(cfg, "fock.displacement_vs_exp")
+    assert math.isnan(res.measured) and not res.passed
+    assert res.params["worst_at"] == repr(bad)
+
+
 def test_nan_in_squeezed_overlap_fails_hermitian_symmetry(cfg, monkeypatch):
     overlap = kernels.squeezed_overlap
     bad = verify._PAIR_GRID[17]
@@ -179,14 +197,27 @@ def test_exceptions_become_failures():
     assert not results[0].passed
     assert math.isinf(results[0].measured)
     assert "error" in results[0].params
+    # the failed result reports the check's own bound
+    assert results[0].bound == bad.bound(results[0].check_id) == 1e-12
+
+
+@pytest.mark.parametrize("name,val", [("hbar", 1e154), ("ell0", 1e154),
+                                      ("hbar", 1e-154), ("ell0", 1e-154)])
+def test_constants_outside_the_checks_range_are_refused(name, val):
+    # the params.* checks leave the float range there: refused before any
+    # check runs, not reported as failed checks
+    with pytest.raises(OutOfDomain, match=name):
+        verify.run_suite(verify.VerifyConfig(
+            constants=Constants(**{name: val})), only=["params.*"])
 
 
 def test_truncation_sensitivity_of_scan():
     # shrinking the Fock space inflates the truncation-limited residuals
     small = verify.VerifyConfig(scan_dim=48)
     big = verify.VerifyConfig(scan_dim=256)
-    res_small = {r.check_id: r for r in verify.saturation_scan(small)}
-    res_big = {r.check_id: r for r in verify.saturation_scan(big)}
+    scan = ["verify.saturation_scan"]
+    res_small = {r.check_id: r for r in verify.run_suite(small, only=scan)}
+    res_big = {r.check_id: r for r in verify.run_suite(big, only=scan)}
     key = "verify.defining_residual"
     assert res_small[key].measured > res_big[key].measured
     assert not res_small[key].passed
@@ -635,6 +666,7 @@ def test_raising_check_fails_each_declared_result():
     assert [r.check_id for r in results] == sorted(
         verify._RESULT_IDS["verify.saturation_scan"])
     assert all(not r.passed and "error" in r.params for r in results)
+    assert all(r.bound == bad.bound(r.check_id) > 0 for r in results)
 
 
 def test_registry_ids_unique():
@@ -645,3 +677,5 @@ def test_registry_ids_unique():
 def test_standard_grid_shape():
     labs = verify.standard_labels()
     assert len(labs) == 5 * (1 + 3 * 4)
+    # the overlap oracle triangle compares at least 40 pairs
+    assert len(verify._PAIR_GRID) >= 40

@@ -136,7 +136,7 @@ def test_phase_anchor_through_quadrature():
     # integral of conj(psi_vac) psi_z reproduces (cosh r)^{-1/2} with zero
     # imaginary part: the squeeze phase convention is forced by this
     vac = wavefn.WavefnParams.from_labels(Labels(), C)
-    for r, th in ((0.5, 0.9), (1.2, math.pi / 2)):
+    for r, th in ((0.5, 0.9), (0.7, 1.1), (1.2, math.pi / 2)):
         p = wavefn.WavefnParams.from_labels(Labels(u0=0, r=r, theta=th), C)
         spec = quad.QuadratureSpec(quad.QuadKind.GAUSS_HERMITE, 96,
                                    scale=(1.6, 1.0), rel_tol=1e-8)
