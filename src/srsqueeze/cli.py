@@ -5,9 +5,9 @@ Complex labels are accepted as Cartesian "a+bi" or polar "r@theta".
 Output formats: json (fixed field names, full round-trip float precision),
 csv (RFC-4180 quoting), table (human).
 
-Exit codes: 0 success; 1 a failed check or NotSaturated moments; 2 a
-usage error, params.OutOfDomain or a math OverflowError; 3 numeric
-non-convergence, params.QuadratureNotConverged.
+Exit codes, mapped in main alone: 0 success; 1 a failed check, NotSaturated
+moments or an unwritable --out file; 2 a usage error, params.OutOfDomain or
+a math OverflowError; 3 non-convergence, params.QuadratureNotConverged.
 
 Each subcommand imports the numerical layers it uses when it runs, so
 moments, which needs only params, starts without loading numpy.
@@ -59,21 +59,21 @@ def parse_complex(text: str) -> complex:
     return val
 
 
-def parse_keyvals(text: str) -> dict:
-    """Parse 'k1=v1,k2=v2' float assignments."""
+def parse_keyvals(text: str, option: str) -> dict:
+    """Parse 'k1=v1,k2=v2' finite float assignments given to option."""
     out = {}
     for part in text.split(","):
         if not part.strip():
             continue
         if "=" not in part:
-            raise OutOfDomain(f"expected key=value, got {part!r}")
+            raise OutOfDomain(f"{option} expects key=value, got {part!r}")
         key, val = part.split("=", 1)
         try:
             out[key.strip()] = float(val)
         except ValueError as exc:
-            raise OutOfDomain(f"bad numeric value in {part!r}") from exc
+            raise OutOfDomain(f"{option}: bad number in {part!r}") from exc
         if not math.isfinite(out[key.strip()]):
-            raise OutOfDomain(f"non-finite value in {part!r}")
+            raise OutOfDomain(f"{option}: non-finite value in {part!r}")
     return out
 
 
@@ -100,21 +100,27 @@ def _constants(args) -> Constants:
     return Constants(hbar=args.hbar, ell0=args.ell0)
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write an --out file; an OSError names the path, for main to report."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        exc.filename = path
+        raise
+
+
 def cmd_moments(args) -> int:
     c = _constants(args)
     if args.from_moments:
-        vals = parse_keyvals(args.from_moments)
+        vals = parse_keyvals(args.from_moments, "--from-moments")
         try:
             m = Moments(q0=vals.get("q0", 0.0), p0=vals.get("p0", 0.0),
                         dq=vals["dq"], dp=vals["dp"],
                         corr=vals.get("corr", 0.0))
         except KeyError as exc:
             raise OutOfDomain(f"--from-moments needs dq and dp ({exc} missing)")
-        try:
-            lab = moments_to_labels(m, c, rel_tol=args.saturation_tol)
-        except NotSaturated as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILURE
+        lab = moments_to_labels(m, c, rel_tol=args.saturation_tol)
         row = {"u0_re": lab.u0.real, "u0_im": lab.u0.imag,
                "r": lab.r, "theta": lab.theta}
         emit([row], args.format, sys.stdout)
@@ -178,16 +184,10 @@ def cmd_wavefn(args) -> int:
     for q, v in zip(qs, vals):
         writer.writerow([repr(float(q)), repr(float(v.real)),
                          repr(float(v.imag)), repr(float(abs(v) ** 2))])
-    text = out.getvalue()
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error writing {args.out}: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILURE
+        _write_out(args.out, out.getvalue())
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(out.getvalue())
     return EXIT_OK
 
 
@@ -196,23 +196,12 @@ def cmd_verify(args) -> int:
 
     cfg = verify.VerifyConfig(
         constants=_constants(args), fock_dim=args.fock_dim,
-        scan_dim=args.scan_dim, dim_check=args.dim_check, seed=args.seed)
-    if args.bound:
-        for spec in args.bound:
-            name, _, val = spec.partition("=")
-            try:
-                cfg.bounds[name] = float(val)
-            except ValueError:
-                raise OutOfDomain(f"--bound expects id=value, got {spec!r}")
-    results = verify.run_suite(cfg, only=args.only or None)
-    if not results:
-        print("error: no checks matched the --only filter", file=sys.stderr)
-        return EXIT_USAGE
+        scan_dim=args.scan_dim, dim_check=args.dim_check, seed=args.seed,
+        bounds=parse_keyvals(",".join(args.bound or ()), "--bound"))
+    results = verify.run_suite(cfg, only=args.only)
     print(verify.report_table(results))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(verify.report_json(results))
-            fh.write("\n")
+        _write_out(args.out, verify.report_json(results) + "\n")
     failing = [r.check_id for r in results if not r.passed]
     if failing:
         print("failing checks: " + ", ".join(failing), file=sys.stderr)
@@ -252,21 +241,31 @@ def cmd_resolve_identity(args) -> int:
            "bound": res.bound, "passed": res.passed,
            "quad_est_error": res.params["quad_est_error"]}
     emit([row], args.format, sys.stdout)
-    if res.params["quad_est_error"] > 0.1:
-        return EXIT_NOT_CONVERGED
+    if row["quad_est_error"] > 0.1:
+        raise QuadratureNotConverged(f"resolve-identity: error estimate "
+                                     f"{row['quad_est_error']:.3e} > 0.1", None)
     return EXIT_OK if res.passed else EXIT_CHECK_FAILURE
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # without abbreviations each option, and each --config key, has one name
     top = argparse.ArgumentParser(
-        prog="srsqueeze",
+        prog="srsqueeze", allow_abbrev=False,
         description="Squeezed-state numerics: parametrizations, overlaps, "
-                    "wavefunctions and the identity-verification suite.")
-    top.add_argument("--config", help="JSON file with default option values")
+                    "wavefunctions and the identity-verification suite.",
+        epilog="--config PATH or --config=PATH, before or after the "
+               "subcommand: JSON option defaults; explicit flags win.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    # each subcommand takes only the options it reads; any other is an
-    # unrecognized argument (exit 2)
+    # each subcommand takes only the options it reads, those of its groups
+    # included; any other is an unrecognized argument (exit 2)
+    def command(name, fn, help, *groups):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(fn=fn)
+        for group in groups:
+            group(p)
+        return p
+
     def output(p):
         p.add_argument("--format", choices=("json", "csv", "table"),
                        default="json")
@@ -276,104 +275,90 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ell0", type=float, default=1.0)
 
     def fock_dim(p):
-        p.add_argument("--fock-dim", dest="fock_dim", type=int, default=128)
+        p.add_argument("--fock-dim", type=int, default=128)
 
-    p = sub.add_parser("moments",
-                       help="moments and derived angles of a labelled state")
-    constants(p)
-    output(p)
+    p = command("moments", cmd_moments,
+                "moments and derived angles of a labelled state",
+                constants, output)
     p.add_argument("--u0", default="0")
     p.add_argument("--z", default="0")
-    p.add_argument("--from-moments", dest="from_moments",
+    p.add_argument("--from-moments",
                    help="inverse map from 'dq=..,dp=..[,corr=..,q0=..,p0=..]'")
-    p.add_argument("--saturation-tol", dest="saturation_tol", type=float,
-                   default=1e-9)
-    p.set_defaults(fn=cmd_moments)
+    p.add_argument("--saturation-tol", type=float, default=1e-9)
 
-    p = sub.add_parser("overlap", help="closed-form overlap of two states")
-    constants(p)
-    output(p)
-    fock_dim(p)
+    p = command("overlap", cmd_overlap, "closed-form overlap of two states",
+                constants, output, fock_dim)
     p.add_argument("--z2", default="0")
     p.add_argument("--u2", default="0")
     p.add_argument("--z1", default="0")
     p.add_argument("--u1", default="0")
     p.add_argument("--oracle", choices=("fock", "quad", "none"),
                    default="none")
-    p.set_defaults(fn=cmd_overlap)
 
-    p = sub.add_parser("wavefn", help="sample the wavefunction on a q-grid")
-    constants(p)
+    p = command("wavefn", cmd_wavefn, "sample the wavefunction on a q-grid",
+                constants)
     p.add_argument("--u0", default="0")
     p.add_argument("--z", default="0")
     p.add_argument("--qmin", type=float, default=-4.0)
     p.add_argument("--qmax", type=float, default=4.0)
     p.add_argument("--samples", type=int, default=129)
     p.add_argument("--out", help="CSV output path (default: stdout)")
-    p.set_defaults(fn=cmd_wavefn)
 
-    p = sub.add_parser("verify", help="run the identity-verification suite")
-    constants(p)
-    fock_dim(p)
+    p = command("verify", cmd_verify, "run the identity-verification suite",
+                constants, fock_dim)
     p.add_argument("--seed", type=int, default=20240817)
-    p.add_argument("--scan-dim", dest="scan_dim", type=int, default=256)
-    p.add_argument("--dim-check", dest="dim_check", type=int, default=16)
+    p.add_argument("--scan-dim", type=int, default=256)
+    p.add_argument("--dim-check", type=int, default=16)
     p.add_argument("--only", action="append",
                    help="glob pattern on check or result ids (repeatable)")
     p.add_argument("--bound", action="append",
-                   help="override a bound: check_id=value (repeatable)")
+                   help="override a bound: result_id=value (repeatable)")
     p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("kernel",
-                       help="diagonal kernel of a quadrature observable")
-    constants(p)
-    output(p)
+    p = command("kernel", cmd_kernel,
+                "diagonal kernel of a quadrature observable", constants, output)
     p.add_argument("--op", default="N",
                    choices=("I", "N", "Q", "P", "Q2", "P2", "QP"))
     p.add_argument("--z", default="0")
-    p.add_argument("--max-degree", dest="max_degree", type=int, default=8)
-    p.set_defaults(fn=cmd_kernel)
+    p.add_argument("--max-degree", type=int, default=8)
 
-    p = sub.add_parser("resolve-identity",
-                       help="overcompleteness check at fixed z")
-    output(p)
+    p = command("resolve-identity", cmd_resolve_identity,
+                "overcompleteness check at fixed z", output)
     p.add_argument("--z", default="0")
-    p.add_argument("--dim-check", dest="dim_check", type=int, default=16)
+    p.add_argument("--dim-check", type=int, default=16)
     p.add_argument("--order", type=int, default=None)
-    p.set_defaults(fn=cmd_resolve_identity)
     return top
 
 
 def _apply_config_file(parser, argv):
-    """Config-file values become parser defaults; CLI flags still win."""
-    if "--config" not in argv:
+    """Config-file values become options right after the subcommand name,
+    so explicit flags, which follow them, still win."""
+    flags = [arg.partition("=")[0] for arg in argv]
+    if "--config" not in flags:
         return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
+    idx = flags.index("--config")
+    argv = argv[:idx] + argv[idx].split("=", 1) + argv[idx + 1:]
+    if idx + 1 == len(argv):
         parser.error("--config requires a path")
+    path, rest = argv[idx + 1], argv[:idx] + argv[idx + 2:]
     try:
         with open(path, encoding="utf-8") as fh:
             values = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config {path}: {exc}")
-    flat = []
+    if not isinstance(values, dict):
+        parser.error(f"config {path} must hold a JSON object")
     for key, val in values.items():
-        flat.extend([f"--{key.replace('_', '-')}", str(val)])
-    rest = argv[:idx] + argv[idx + 2:]
-    if not rest:
-        return rest
-    # insert config values right after the subcommand name
-    return [rest[0]] + flat + rest[1:]
+        if not isinstance(val, (str, int, float)):
+            parser.error(f"config {path}: {key!r} must be a string or a number")
+    flat = [f"--{key.replace('_', '-')}={val}" for key, val in values.items()]
+    return rest[:1] + flat + rest[1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config_file(parser, argv)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_apply_config_file(parser, argv))
     try:
         return args.fn(args)
     except (OutOfDomain, OverflowError) as exc:
@@ -381,9 +366,18 @@ def main(argv: list[str] | None = None) -> int:
         what = "" if isinstance(exc, OutOfDomain) else "outside the float range: "
         print(f"usage error: {what}{exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NotSaturated as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILURE
     except QuadratureNotConverged as exc:
         print(f"numeric non-convergence: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
+    except OSError as exc:
+        # _write_out names its path; a closed stdout pipe, say, names none
+        if exc.filename is None:
+            raise
+        print(f"error writing {exc.filename}: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILURE
 
 
 if __name__ == "__main__":

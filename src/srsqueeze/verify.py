@@ -127,7 +127,7 @@ class CheckResult:
 
 @dataclass
 class VerifyConfig:
-    """Knobs for the suite; bounds may be overridden per check id."""
+    """Knobs for the suite; bounds override DEFAULT_BOUNDS per result id."""
 
     constants: Constants = field(default_factory=Constants)
     fock_dim: int = 128
@@ -144,11 +144,13 @@ class VerifyConfig:
             if not lo <= val <= hi:
                 raise OutOfDomain(f"verify needs {name} in [{lo:g}, {hi:g}], "
                                   f"got {val!r}")
+        for rid, val in self.bounds.items():
+            if rid not in DEFAULT_BOUNDS or not 0 <= val < math.inf:
+                raise OutOfDomain(f"a bound needs a result id and a finite "
+                                  f"value >= 0, got {rid}={val!r}")
 
     def bound(self, check_id: str) -> float:
-        if check_id in self.bounds:
-            return float(self.bounds[check_id])
-        return DEFAULT_BOUNDS[check_id]
+        return float(self.bounds.get(check_id, DEFAULT_BOUNDS[check_id]))
 
 
 def standard_labels():
@@ -1385,16 +1387,19 @@ def run_suite(cfg: VerifyConfig | None = None,
     """Execute registered checks (optionally filtered by glob patterns).
 
     A check runs when a pattern matches its check_id or one of the result
-    ids it reports.  A check that raises reports one failed result per
+    ids it reports; a pattern that matches no id raises OutOfDomain before
+    any check runs.  A check that raises reports one failed result per
     result id; the suite always runs to completion.  Results are sorted by
     check_id.
     """
     cfg = cfg or VerifyConfig()
+    names = [n for cid, rids in _RESULT_IDS.items() for n in (cid, *rids)]
+    if unmatched := [p for p in only or () if not fnmatch.filter(names, p)]:
+        raise OutOfDomain(f"no check or result matches {', '.join(unmatched)}")
     results: list[CheckResult] = []
     for check_id, fn in _REGISTRY:
         ids = _RESULT_IDS[check_id]
-        if only and not any(fnmatch.fnmatch(cid, pat) for pat in only
-                            for cid in (check_id, *ids)):
+        if only and not any(fnmatch.filter((check_id, *ids), p) for p in only):
             continue
         t0 = time.perf_counter()
         try:

@@ -1,7 +1,10 @@
+import argparse
 import csv
 import io
 import json
 import math
+import pathlib
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -553,7 +556,7 @@ def test_argparse_usage_exit():
     assert info.value.code == 2
 
 
-# a working call of each subcommand, and the options it never reads
+# a working call of each subcommand
 _BASE_ARGV = {
     "moments": ["moments"],
     "overlap": ["overlap"],
@@ -562,26 +565,42 @@ _BASE_ARGV = {
     "verify": ["verify", "--only", "params.roundtrip"],
     "resolve-identity": ["resolve-identity", "--z", "0.5", "--dim-check", "4"],
 }
-_UNREAD = [
-    ("resolve-identity", "--hbar", "2"), ("resolve-identity", "--ell0", "2"),
-    ("resolve-identity", "--seed", "3"), ("resolve-identity", "--fock-dim", "64"),
-    ("moments", "--seed", "3"), ("moments", "--fock-dim", "64"),
-    ("overlap", "--seed", "3"),
-    ("wavefn", "--seed", "3"), ("wavefn", "--fock-dim", "64"),
-    ("wavefn", "--format", "csv"),
-    ("kernel", "--seed", "3"), ("kernel", "--fock-dim", "64"),
-    ("verify", "--format", "json"),
-]
 
 
-@pytest.mark.parametrize("command,flag,value", _UNREAD,
-                         ids=[f"{cmd}{flag}" for cmd, flag, _ in _UNREAD])
-def test_subcommand_rejects_options_it_does_not_read(capsys, command, flag,
-                                                     value):
-    argv = _BASE_ARGV[command]
-    assert run_cli(capsys, *argv)[0] == 0
+def _subcommand_options():
+    """Each subcommand's option strings, read from the parser."""
+    top = cli.build_parser()
+    sub, = (a for a in top._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for action in parser._actions
+                   for opt in action.option_strings} - {"-h", "--help"}
+            for name, parser in sub.choices.items()}
+
+
+_OPTIONS = _subcommand_options()
+# every pair of a subcommand and an option another subcommand takes and
+# this one does not
+_UNREAD = [(command, flag) for command, opts in _OPTIONS.items()
+           for flag in sorted(set().union(*_OPTIONS.values()) - opts)]
+
+
+def test_base_argv_covers_every_subcommand():
+    assert set(_BASE_ARGV) == set(_OPTIONS)
+    # the options a subcommand never reads include these
+    assert {("resolve-identity", "--hbar"), ("wavefn", "--format"),
+            ("verify", "--format"), ("moments", "--fock-dim")} <= set(_UNREAD)
+
+
+@pytest.mark.parametrize("command", sorted(_BASE_ARGV))
+def test_base_command_runs(capsys, command):
+    assert run_cli(capsys, *_BASE_ARGV[command])[0] == 0
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD,
+                         ids=[f"{cmd}{flag}" for cmd, flag in _UNREAD])
+def test_subcommand_rejects_options_it_does_not_read(capsys, command, flag):
     with pytest.raises(SystemExit) as info:
-        cli.main(argv + [flag, value])
+        cli.main(_BASE_ARGV[command] + [flag, "1"])
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -596,6 +615,142 @@ def test_config_key_a_subcommand_does_not_read_is_usage_error(capsys,
         cli.main(["moments", "--config", str(cfgfile)])
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", "{cfg}", "moments"],
+    ["--config={cfg}", "moments"],
+    ["moments", "--config", "{cfg}"],
+    ["moments", "--config={cfg}"],
+])
+def test_config_file_both_spellings_either_side(capsys, tmp_path, argv):
+    # --config=PATH before the subcommand was dropped by argparse, after it
+    # exited 2
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"hbar": 2.0}))
+    code, out, err = run_cli(capsys, *(a.format(cfg=cfgfile) for a in argv))
+    assert code == 0, err
+    assert json.loads(out)["dp"] == pytest.approx(2.0 / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("argv", [
+    # abbreviations of --config, --fock-dim, --from-moments and
+    # --saturation-tol each ran as the full option
+    ["--conf", "{cfg}", "moments"],
+    ["overlap", "--fock", "8", "--oracle", "fock"],
+    ["moments", "--from", "dq=1,dp=0.5", "--sat", "1e-3"],
+    ["moments", "--from-moments", "dq=1,dp=0.5", "--saturation", "1e-3"],
+])
+def test_options_take_no_abbreviation(capsys, tmp_path, argv):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"hbar": 2.0}))
+    with pytest.raises(SystemExit) as info:
+        cli.main([a.format(cfg=cfgfile) for a in argv])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_config_key_takes_no_abbreviation(capsys, tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"fock": 8}))
+    with pytest.raises(SystemExit) as info:
+        cli.main(["overlap", "--oracle", "fock", "--config", str(cfgfile)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --fock=8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,payload,key", [
+    # an AttributeError traceback
+    (["moments"], [1, 2], None),
+    # ran as --only "['params.roundtrip']"
+    (["verify"], {"only": ["params.roundtrip"]}, "only"),
+    # ran as --u0 None
+    (["moments"], {"u0": None}, "u0"),
+    (["moments"], {"hbar": 2.0, "z": {"r": 1}}, "z"),
+])
+def test_config_file_holds_an_object_of_scalars(capsys, tmp_path, command,
+                                                payload, key):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as info:
+        cli.main(command + ["--config", str(cfgfile)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert str(cfgfile) in err
+    assert key is None or repr(key) in err
+    assert "Traceback" not in err
+
+
+def test_config_value_may_start_with_a_minus(capsys, tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"u0": "-1i"}))
+    code, out, err = run_cli(capsys, "moments", "--config", str(cfgfile))
+    assert code == 0, err
+    assert json.loads(out)["p0"] == pytest.approx(-math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--only", "params.roundtrip"],
+    ["wavefn", "--samples", "9"],
+])
+def test_unwritable_out_file_exits_1(capsys, tmp_path, argv):
+    # verify's report writer had no handler and ended in a traceback
+    path = tmp_path / "missing" / "out"
+    code, _, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 1
+    assert err.startswith(f"error writing {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", [
+    # an unknown id was ignored, inf passed the check, nan and -1 failed it
+    "params.rondtrip=1e-30", "params.roundtrip=inf", "params.roundtrip=nan",
+    "params.roundtrip=-1",
+])
+def test_verify_bound_is_checked(capsys, spec):
+    code, out, err = run_cli(capsys, "verify", "--only", "params.roundtrip",
+                             "--bound", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:")
+
+
+def test_verify_every_only_pattern_must_match(capsys):
+    # the first pattern matched, so the typo ran nothing and exited 0
+    code, out, err = run_cli(capsys, "verify", "--only", "params.roundtrip",
+                             "--only", "fock.unitarty")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:")
+    assert "fock.unitarty" in err
+    assert "params.roundtrip" not in err
+
+
+def test_resolve_identity_unconverged_says_why(capsys):
+    # the row is printed, and the exit 3 came with an empty stderr
+    code, out, err = run_cli(capsys, "resolve-identity", "--z", "0.5",
+                             "--dim-check", "16", "--order", "2")
+    assert code == cli.EXIT_NOT_CONVERGED
+    assert json.loads(out)["order"] == 2
+    assert err.startswith("numeric non-convergence: resolve-identity")
+
+
+def _readme_commands():
+    """The srsqueeze lines of the README's Command line block."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    return [line for line in block.splitlines()
+            if line.startswith("srsqueeze ")]
+
+
+def test_readme_command_block_is_found():
+    assert len(_readme_commands()) >= 7
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_commands_exit_0(capsys, tmp_path, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+    assert code == 0, err
 
 
 _NO_SCIPY_PROBE = textwrap.dedent("""

@@ -282,6 +282,37 @@ def test_bound_overrides():
     assert not results[0].passed
 
 
+@pytest.mark.parametrize("bounds", [
+    # an unknown id was ignored, inf passed every check, nan and -1 failed
+    {"params.rondtrip": 1e-30}, {"params.roundtrip": math.inf},
+    {"params.roundtrip": math.nan}, {"params.roundtrip": -1.0},
+])
+def test_bad_bound_overrides_are_refused(bounds):
+    with pytest.raises(OutOfDomain, match="bound"):
+        verify.VerifyConfig(bounds=bounds)
+
+
+def test_bound_override_takes_a_result_id_and_zero():
+    # jacobian_unit is a result of the kernels.variable_change check
+    cfg = verify.VerifyConfig(bounds={"kernels.jacobian_unit": 0.0,
+                                      "params.roundtrip": 1.0})
+    assert cfg.bound("kernels.jacobian_unit") == 0.0
+    assert cfg.bound("params.roundtrip") == 1.0
+    assert cfg.bound("params.saturation_identity") == 1e-12
+
+
+def test_unmatched_only_pattern_is_refused_before_any_check_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "_REGISTRY", [
+        (cid, lambda c, cid=cid: ran.append(cid)) for cid, _ in verify._REGISTRY])
+    with pytest.raises(OutOfDomain, match="fock.unitarty") as info:
+        verify.run_suite(only=["params.roundtrip", "fock.unitarty",
+                               "nothing.*"])
+    assert "nothing.*" in str(info.value)
+    assert "params.roundtrip" not in str(info.value)
+    assert ran == []
+
+
 def test_resolution_of_identity_scalar_row(cfg):
     # dim_check = 1: the integral is the Gaussian normalization itself
     res = verify.resolution_of_identity(0.0, 1, cfg)
