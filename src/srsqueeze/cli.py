@@ -10,7 +10,8 @@ moments or an unwritable --out file; 2 a usage error, params.OutOfDomain or
 a math OverflowError; 3 non-convergence, params.QuadratureNotConverged.
 
 Each subcommand imports the numerical layers it uses when it runs, so
-moments, which needs only params, starts without loading numpy.
+moments, which needs only params, starts without loading numpy, and
+overlap --oracle loads oracles, not the check suite in verify.
 """
 
 from __future__ import annotations
@@ -145,14 +146,14 @@ def cmd_overlap(args) -> int:
     row = {"value_re": res.value.real, "value_im": res.value.imag,
            "modulus": res.modulus, "phase": res.phase}
     if args.oracle != "none":
-        from . import verify
+        from . import oracles
 
         if args.oracle == "fock":
-            oracle, tail = verify.fock_overlaps([(z2, u2, z1, u1)],
-                                                args.fock_dim)[0]
+            oracle, tail = oracles.fock_overlaps([(z2, u2, z1, u1)],
+                                                 args.fock_dim)[0]
             extra = {"tail_mass": tail}
         else:
-            oracle = verify.quad_overlap(z2, u2, z1, u1, c, check=True).value
+            oracle = oracles.quad_overlap(z2, u2, z1, u1, c, check=True).value
             extra = {}
         row.update(oracle_re=oracle.real, oracle_im=oracle.imag,
                    abs_diff=abs(res.value - oracle), **extra)
@@ -196,7 +197,7 @@ def cmd_verify(args) -> int:
 
     cfg = verify.VerifyConfig(
         constants=_constants(args), fock_dim=args.fock_dim,
-        scan_dim=args.scan_dim, dim_check=args.dim_check, seed=args.seed,
+        scan_dim=args.scan_dim, dim_check=args.dim_check,
         bounds=parse_keyvals(",".join(args.bound or ()), "--bound"))
     results = verify.run_suite(cfg, only=args.only)
     print(verify.report_table(results))
@@ -215,7 +216,7 @@ def cmd_kernel(args) -> int:
     c = _constants(args)
     z = parse_complex(args.z)
     op = kernels.quadrature_observable(args.op, z, c)
-    sym = kernels.diagonal_kernel(op, z, max_degree=args.max_degree)
+    sym = kernels.diagonal_kernel(op, z)
     rows = []
     for j in range(sym.coeffs.shape[0]):
         for k in range(sym.coeffs.shape[1]):
@@ -306,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", cmd_verify, "run the identity-verification suite",
                 constants, fock_dim)
-    p.add_argument("--seed", type=int, default=20240817)
     p.add_argument("--scan-dim", type=int, default=256)
     p.add_argument("--dim-check", type=int, default=16)
     p.add_argument("--only", action="append",
@@ -320,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", default="N",
                    choices=("I", "N", "Q", "P", "Q2", "P2", "QP"))
     p.add_argument("--z", default="0")
-    p.add_argument("--max-degree", type=int, default=8)
 
     p = command("resolve-identity", cmd_resolve_identity,
                 "overcompleteness check at fixed z", output)
@@ -358,7 +357,13 @@ def _apply_config_file(parser, argv):
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(_apply_config_file(parser, argv))
+    argv = _apply_config_file(parser, argv)
+    # the top parser's one option is -h; argparse would read the value of
+    # any other option given before the subcommand as the subcommand name
+    first = argv[0] if argv else ""
+    if first.startswith("-") and first not in ("-h", "--help", "--"):
+        parser.error(f"unrecognized arguments: {first}")
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (OutOfDomain, OverflowError) as exc:

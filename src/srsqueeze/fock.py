@@ -428,7 +428,7 @@ def saturating_state_batch(
     that broadcasts to it: one squeeze for every node (a quadrature over
     the u0 plane), one per node (many labelled states at once), or, for
     (k, n) nodes, a (k, 1) array of one squeeze per row (the plane rules of
-    k squeezes in one call, as verify._plane_states builds them).  Each
+    k squeezes in one call, as oracles._plane_states builds them).  Each
     node's amplitudes are bit-identical in every layout.
 
     With z = r e^{i theta}, S(z) = R S(r) R^dag and D(u) = R D(x + iy) R^dag

@@ -190,11 +190,6 @@ class PolySymbol:
         arr = np.atleast_2d(np.asarray(coeffs, dtype=complex))
         self.coeffs = arr
 
-    @property
-    def degree(self) -> int:
-        nz = np.argwhere(np.abs(self.coeffs) > 0)
-        return int(max(nz.sum(axis=1))) if nz.size else 0
-
     def trim(self) -> "PolySymbol":
         arr = self.coeffs
         while arr.shape[0] > 1 and not np.any(arr[-1]):
@@ -389,16 +384,11 @@ def quadrature_observable(name: str, z: complex,
     return op
 
 
-def diagonal_kernel(op: NormalOrderedOp, z: complex,
-                    max_degree: int = 8) -> PolySymbol:
+def diagonal_kernel(op: NormalOrderedOp, z: complex) -> PolySymbol:
     """Scalar symbol reproducing op as an integral of state projectors.
 
     op is normal-ordered in the z-frame mode; its diagonal expectation is a
     polynomial in (w, wbar) = (u0(z), conj(u0(z))), and the kernel is
     e^{-d_w d_wbar} applied to it, a finite sum for polynomials.
     """
-    sym = op.diagonal_symbol()
-    if sym.degree > max_degree:
-        raise OutOfDomain(
-            f"diagonal symbol degree {sym.degree} exceeds limit {max_degree}")
-    return sym.heat_transform()
+    return op.diagonal_symbol().heat_transform()

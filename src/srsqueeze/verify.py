@@ -9,6 +9,11 @@ network must flag; a canary passes when the corruption is detected.
 The standard grid covers uncorrelated (theta = 0, pi) and correlated
 squeeze phases at small and strong squeezing, with displacements up to
 |u0| = 2.
+
+This module holds the registry, the checks and the reports.  The oracles
+the checks share (Fock overlaps, the line rule for <psi2|psi1>, the exact
+frame rule for plane sums) live in oracles; resolution_of_identity and
+mu_weighted_identity return single results for the CLI and the benchmark.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bch, fock, kernels, wavefn
+from . import bch, fock, kernels, oracles, wavefn
 from . import quadrature as quadmod
 from .params import (
     Constants,
@@ -33,7 +38,6 @@ from .params import (
     labels_to_moments,
     lambda0,
     moments_to_labels,
-    squeeze_axes,
 )
 
 STANDARD_U0 = (0j, 1 + 0j, 1 + 1j, 2j, -1.5 + 0.5j)
@@ -106,6 +110,9 @@ DEFAULT_BOUNDS = {
 
 _CANARY_THRESHOLD = 1e-3
 
+# the Philox seed of the random states and polynomials some checks draw
+_SEED = 20240817
+
 # width of the Gaussian z-measure in mu_weighted_identity
 _MU_SIGMA = 0.5
 
@@ -134,7 +141,6 @@ class VerifyConfig:
     scan_dim: int = 256
     dim_check: int = 16
     mu_outer_order: int = 10
-    seed: int = 20240817
     bounds: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -163,17 +169,6 @@ def standard_labels():
                     continue
                 out.append(Labels(u0=u0, r=r, theta=theta))
     return out
-
-
-def _state_rows(labels, dim: int) -> np.ndarray:
-    """First dim amplitudes of D(u0) S(z)|0> per label, from one recurrence call.
-
-    Row k is label k's state, contiguous, so that BLAS products see the
-    same vector as for a state built alone.
-    """
-    amps = fock.saturating_state_batch([lab.u0 for lab in labels],
-                                       [lab.z for lab in labels], dim)
-    return np.ascontiguousarray(amps.T)
 
 
 _REGISTRY: list = []
@@ -437,10 +432,6 @@ def _built_once(build, keys, dim: int) -> dict:
     return {key: build(key, dim) for key in dict.fromkeys(keys)}
 
 
-def _standard_squeezes() -> list[complex]:
-    return [r * cmath.exp(1j * th) for r in STANDARD_R for th in STANDARD_THETA]
-
-
 def _adjoint_commutator(az: np.ndarray) -> np.ndarray:
     """[az, az^dag], from the parity blocks of az when it has only those.
 
@@ -463,7 +454,7 @@ def _adjoint_commutator(az: np.ndarray) -> np.ndarray:
 @register_grid("fock.bogoliubov_closure")
 def _check_bogoliubov(cfg):
     n = cfg.fock_dim
-    zs = _standard_squeezes()
+    zs = dict.fromkeys(lab.z for lab in standard_labels())
     azs = _built_once(fock.squeezed_annihilator, zs, n)
     for z in zs:
         comm = _adjoint_commutator(azs[z])
@@ -590,7 +581,7 @@ def _check_squeeze_decay(cfg):
 @register_grid("fock.annihilation")
 def _check_annihilation(cfg):
     n = cfg.fock_dim
-    zs = _standard_squeezes()
+    zs = dict.fromkeys(lab.z for lab in standard_labels())
     azs = _built_once(fock.squeezed_annihilator, zs, n)
     for z in zs:
         res = azs[z] @ fock._squeezed_vacuum_column(z, n)
@@ -604,7 +595,7 @@ def _check_displaced_coherence(cfg):
     n = cfg.fock_dim
     labs = standard_labels()
     azs = _built_once(fock.squeezed_annihilator, (lab.z for lab in labs), n)
-    for lab, amps in zip(labs, _state_rows(labs, n)):
+    for lab, amps in zip(labs, oracles._state_rows(labs, n)):
         az = azs[lab.z]
         u0z = squeezed_frame_label(lab.u0, lab.z)
         res = az @ amps - u0z * amps
@@ -623,7 +614,7 @@ def _check_state_recurrence(cfg):
     labs = [lab for lab in standard_labels()
             if lab.u0 in (0j, 2j) and lab.r in (0.0, 1.2)]
     ds = _built_once(fock.displacement, (lab.u0 for lab in labs), n)
-    for lab, amps in zip(labs, _state_rows(labs, n)):
+    for lab, amps in zip(labs, oracles._state_rows(labs, n)):
         dense = ds[lab.u0] @ fock._squeezed_vacuum_column(lab.z, n)
         yield np.abs(amps[:n // 2] - dense[:n // 2]), lab
 
@@ -675,7 +666,7 @@ def _check_saturation_scan(cfg: VerifyConfig):
     q = fock.position(n, c)
     p = fock.momentum(n, c)
     labs = standard_labels()
-    states = _state_rows(labs, n)
+    states = oracles._state_rows(labs, n)
     one = fock.basis_state(n, 1)
     *recs, rec1 = fock.sr_ur_check(q, p, [*states, one])
     ms = [labels_to_moments(lab, c) for lab in labs]
@@ -707,7 +698,7 @@ def _check_srur_positivity(cfg):
     c, n = cfg.constants, 48
     q = fock.position(n, c)
     p = fock.momentum(n, c)
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    rng = np.random.Generator(np.random.Philox(_SEED))
     states = []
     for _ in range(100):
         amps = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -725,148 +716,26 @@ def _check_srur_positivity(cfg):
 # --------------------------------------------------- overcompleteness
 
 
-# The frame rule scales its x nodes by (1 - tanh r)^{-1/2}; past this |z|
-# (about 354.5) 1 - tanh r = 2e^{-2r}/(1 + e^{-2r}) is no longer a normal
-# float, and the width leaves the float range with it.
-_FRAME_MAX_R = 0.5 * math.log(2.0 / np.finfo(float).tiny)
-
-# resolution_of_identity compares its order with the next one; like every
-# Gauss-Hermite spec it takes orders up to 185.
-_FRAME_MAX_ORDER = quadmod._MAX_ORDER // 2
-
-# _identity_sums builds the frame sums of at most this many radii from one
-# recurrence call: 2048 nodes at order 16.  mu_weighted_identity at the
-# default outer order 10 has 15 + 55 radii; blocks of 16 take 10 ms and
-# peak at 6.3 MB (tracemalloc, 1 BLAS thread), one call over all 55 of the
-# fine rule 19 ms and 7.3 MB.
-_Z_BLOCK = 16
-
-
-def _plane_states(zs, order: int, dim: int):
-    """The Gauss-Hermite rule of order on the squeeze-frame widths of each z in zs.
-
-    In the frame of z = r e^{i theta} a label is x + iy = e^{-i theta/2} u,
-    and each projector entry <m|u, z><u, z|n> is exp(-x^2(1 - t)
-    - y^2(1 + t)) (t = tanh r) times a polynomial of degree <= m + n in x
-    and in y (fock.saturating_state_batch).  The tensor rule on the widths
-    s_x = (1 - t)^{-1/2} and s_y = (1 + t)^{-1/2}, weighted s_x s_y/pi,
-    therefore integrates every entry with m + n <= 2 order - 1 exactly: the
-    whole dim x dim block once order >= dim.
-
-    Returns, with one leading row per z, the frame nodes us = x + iy and
-    their total weights tw, each (len(zs), size), and the amplitudes
-    psi[k, :, i] = <m|us[k, i], |zs[k]|> at the real squeeze |zs[k]| of the
-    first (size + 1)//2 nodes, a (len(zs), dim, (size + 1)//2) array, all
-    from one recurrence call that broadcasts each row's squeeze |zs[k]|
-    over that row's nodes; _lab_block turns sums over them into the lab
-    basis.  The centred rule is antisymmetric, us[k, size-1-i] = -us[k, i]
-    and tw[k, size-1-i] = tw[k, i] exactly, and |-u, z> = (-1)^N |u, z>
-    exactly in the two-photon recurrence, so _projector(psi, w) gives every
-    fixed-z projector sum sum_i w_i |psi_i><psi_i| from these columns.
-    Raises OutOfDomain, before any amplitude is built, if any |z| is past
-    _FRAME_MAX_R.
-    """
-    rs = [abs(complex(z)) for z in np.ravel(zs)]
-    if max(rs) > _FRAME_MAX_R:
-        raise OutOfDomain(
-            f"|z| = {max(rs):g} is past {_FRAME_MAX_R:.1f}, where 1 - tanh|z| "
-            f"and the frame rule's width (1 - tanh|z|)^(-1/2) leave the float "
-            f"range")
-    widths = [(omt ** -0.5, opt ** -0.5)
-              for _, omt, opt, _ in map(squeeze_axes, rs)]
-    us, tw = quadmod._frame_nodes(order, *zip(*widths))
-    half = (us.shape[1] + 1) // 2
-    psi = fock.saturating_state_batch(us[:, :half], np.array(rs)[:, None],
-                                      dim)
-    return us, tw, psi.reshape(dim, len(rs), half).transpose(1, 0, 2)
-
-
-def _lab_block(blocks: np.ndarray, zs) -> np.ndarray:
-    """D_k blocks[k] D_k^dagger, D_k = diag(e^{i m theta_k/2}): frame sums in the lab basis.
-
-    <m|u, z> = e^{i m theta/2} <m|e^{-i theta/2} u, |z|> for z = r e^{i theta};
-    blocks holds one dim x dim sum per z of zs.
-    """
-    theta = np.array([cmath.phase(complex(z)) for z in np.ravel(zs)])
-    if not theta.any():
-        return blocks
-    d = np.exp(np.multiply.outer(0.5j * theta, np.arange(blocks.shape[-1])))
-    return (d[:, :, None] * blocks) * d.conj()[:, None, :]
-
-
-def _projector(psi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_i w[k, i] |psi_i><psi_i| over all nodes of a _plane_states rule, per z.
-
-    psi[k] holds the first (size+1)//2 nodes of the k-th z and w[k] one
-    weight per node.  Node i and its partner size-1-i = -u_i add w_i +
-    w_partner to the entries whose levels have equal parity and w_i -
-    w_partner to the others.  An odd rule's centre u = 0 is its own partner
-    and has only even levels.  Each parity block is one stacked product
-    (psi[:, p::2] f) @ psi[:, q::2]^dagger, and a block whose folded
-    weights are all zero is skipped.
-    """
-    nz, dim, half = psi.shape
-    partner = w[:, ::-1][:, :half]
-    folds = (w[:, :half] + partner, w[:, :half] - partner)
-    if w.shape[1] % 2:
-        folds[0][:, -1] = w[:, half - 1]
-        folds[1][:, -1] = 0.0
-    out = np.zeros((nz, dim, dim), dtype=complex)
-    for q in (0, 1):
-        right = psi[:, q::2].conj().transpose(0, 2, 1)
-        for p in (0, 1):
-            f = folds[(p + q) % 2]
-            if f.any():
-                out[:, p::2, q::2] = (psi[:, p::2] * f[:, None]) @ right
-    return out
-
-
-def _radii(zs):
-    """The distinct radii |z| of zs, sorted, and the index of each z's radius.
-
-    |z| is abs(complex(z)), the radius _plane_states builds its rule at;
-    np.abs can differ from it in the last bit.
-    """
-    return np.unique([abs(complex(z)) for z in np.ravel(zs)],
-                     return_inverse=True)
-
-
-def _identity_sums(zs, order: int, dim: int) -> np.ndarray:
-    """sum_i w_i |u_i, z><u_i, z| over the frame rule of order, in the lab basis.
-
-    One dim x dim sum per z of zs, each the identity block to rounding once
-    order >= dim.  The frame sum depends on z only through |z| until
-    _lab_block turns it by z's phase, so one sum is built per distinct
-    radius, _Z_BLOCK radii from each _plane_states batch; each z's sum is
-    bit-identical to its own call.
-    """
-    zs = np.ravel(zs)
-    rs, inverse = _radii(zs)
-    sums = np.empty((rs.size, dim, dim), dtype=complex)
-    for k in range(0, rs.size, _Z_BLOCK):
-        _, tw, psi = _plane_states(rs[k:k + _Z_BLOCK], order, dim)
-        sums[k:k + _Z_BLOCK] = _projector(psi, tw)
-    return _lab_block(sums[inverse], zs)
-
-
 def resolution_of_identity(z: complex, dim_check: int, cfg: VerifyConfig,
                            order: int | None = None) -> CheckResult:
     """Max deviation of the integrated projector from the identity block.
 
-    The frame rule of _plane_states at order n (default dim_check) is exact
-    for the block once n >= dim_check, so the sum is measured against the
-    identity at order n + 1, and the largest entry of its difference from
-    the sum at order n is the quadrature error estimate: both are rounding
-    when n >= dim_check.  Raises OutOfDomain for a dim_check below 1, an
-    order outside 2..185 and a |z| past _FRAME_MAX_R.
+    The frame rule of oracles._plane_states at order n (default dim_check)
+    is exact for the block once n >= dim_check, so the sum is measured
+    against the identity at order n + 1, and the largest entry of its
+    difference from the sum at order n is the quadrature error estimate:
+    both are rounding when n >= dim_check.  Raises OutOfDomain for a
+    dim_check below 1, an order outside 2..185 and a |z| past
+    oracles._FRAME_MAX_R.
     """
     if dim_check < 1:
         raise OutOfDomain(f"dim_check must be >= 1, got {dim_check}")
     n = max(2, dim_check) if order is None else order
-    if not 2 <= n <= _FRAME_MAX_ORDER:
+    if not 2 <= n <= oracles._FRAME_MAX_ORDER:
         raise OutOfDomain(
-            f"order must be in 2..{_FRAME_MAX_ORDER}, got {n}")
-    coarse, fine = (_identity_sums([z], m, dim_check)[0] for m in (n, n + 1))
+            f"order must be in 2..{oracles._FRAME_MAX_ORDER}, got {n}")
+    coarse, fine = (oracles._identity_sums([z], m, dim_check)[0]
+                    for m in (n, n + 1))
     est = float(np.max(np.abs(fine - coarse)))
     dev = float(np.max(np.abs(fine - np.eye(dim_check))))
     return _result(cfg, "verify.resolution_identity", dev,
@@ -890,8 +759,8 @@ def mu_weighted_identity(cfg: VerifyConfig) -> CheckResult:
     the outer z-rule only has to integrate the normalized measure.  params
     carry the (m, n) entry of the largest deviation (worst_at) and the
     states built (nodes): the distinct radii of the outer rules' z times
-    the inner half-rule nodes, since _identity_sums builds one frame sum
-    per radius.
+    the inner half-rule nodes, since oracles._identity_sums builds one
+    frame sum per radius.
     """
     dim_check = cfg.dim_check
     order = max(2, dim_check)
@@ -901,8 +770,8 @@ def mu_weighted_identity(cfg: VerifyConfig) -> CheckResult:
     radii = []
 
     def sums(zs):
-        radii.append(_radii(zs)[0].size)
-        return _identity_sums(zs, order, dim_check)
+        radii.append(oracles._radii(zs)[0].size)
+        return oracles._identity_sums(zs, order, dim_check)
 
     report = quadmod.integrate_z(sums, spec, sigma=_MU_SIGMA, check=False)
     err = np.abs(report.value - np.eye(dim_check))
@@ -930,7 +799,7 @@ def _check_convergence(cfg):
     for n in (64, 128):
         q, p = fock.position(n, c), fock.momentum(n, c)
         res.append([fock.defining_residual(q, p, row, m, c)
-                    for row, m in zip(_state_rows(labs, n), ms)])
+                    for row, m in zip(oracles._state_rows(labs, n), ms)])
     detail = {repr(lab): [r64, r128] for lab, r64, r128 in zip(labs, *res)}
     return [_worst(cfg, "verify.convergence_monotonic",
                    ((r128 - r64, lab) for lab, r64, r128 in zip(labs, *res)),
@@ -942,35 +811,18 @@ def _check_convergence(cfg):
 
 @register_grid("wavefn.normalization")
 def _check_wavefn_norm(cfg):
-    c = cfg.constants
     for lab in standard_labels():
-        p = wavefn.WavefnParams.from_labels(lab, c)
-        spec = quadmod.QuadratureSpec(
-            quadmod.QuadKind.GAUSS_HERMITE, 96,
-            center=(p.moments.q0, 0.0), scale=(3.0 * p.moments.dq, 1.0),
-            rel_tol=1e-9)
-        rep = quadmod.integrate_line(
-            lambda q: np.abs(wavefn.psi(q, p)) ** 2, spec, check=False)
+        rep = oracles.quad_overlap(lab.z, lab.u0, lab.z, lab.u0, cfg.constants)
         yield abs(rep.value - 1.0), lab
 
 
 @register_grid("wavefn.phase_anchor")
 def _check_phase_anchor(cfg):
-    c = cfg.constants
-    vac = wavefn.WavefnParams.from_labels(Labels(), c)
     for r in STANDARD_R:
         for th in STANDARD_THETA:
-            lab = Labels(u0=0, r=r, theta=th)
-            p = wavefn.WavefnParams.from_labels(lab, c)
-            # the product with the vacuum is never wider than ~ell0
-            spec = quadmod.QuadratureSpec(
-                quadmod.QuadKind.GAUSS_HERMITE, 96,
-                scale=(1.6 * c.ell0, 1.0), rel_tol=1e-9)
-            rep = quadmod.integrate_line(
-                lambda q: np.conj(wavefn.psi(q, vac)) * wavefn.psi(q, p),
-                spec, check=False)
-            expected = math.cosh(r) ** -0.5
-            yield (abs(rep.value - expected), abs(rep.value.imag)), lab.z
+            z = Labels(r=r, theta=th).z
+            val = oracles.quad_overlap(0, 0, z, 0, cfg.constants).value
+            yield (abs(val - math.cosh(r) ** -0.5), abs(val.imag)), z
 
 
 @register_grid("wavefn.three_forms")
@@ -1010,7 +862,7 @@ def _check_synthesis(cfg):
     """
     qs = np.linspace(-6.0, 6.0, 129)
     labs = standard_labels()
-    amps = _state_rows(labs, 2 * cfg.fock_dim)
+    amps = oracles._state_rows(labs, 2 * cfg.fock_dim)
     yield from zip(_synthesis_ratios(labs, cfg.constants, amps, qs), labs)
 
 
@@ -1091,62 +943,13 @@ def _check_squeezed_special(cfg):
         yield abs(res.value - math.cosh(r) ** -0.5), (0, r)
 
 
-def fock_overlaps(pairs, dim: int) -> list[tuple[complex, float]]:
-    """<state(u2, z2)|state(u1, z1)> on dim Fock levels, per (z2, u2, z1, u1).
-
-    All the states come from one recurrence call; the value is exact up to
-    the mass the truncation drops, which the caller's dim must make small.
-    Each value comes with the larger fock.tail_mass of its two states, which
-    reads how much was dropped.
-    """
-    fock._check_dim(dim)
-    labs = [Labels.from_z(u, z) for z2, u2, z1, u1 in pairs
-            for z, u in ((z2, u2), (z1, u1))]
-    rows = _state_rows(labs, dim)
-    tails = fock.tail_mass(rows)
-    return [(complex(np.vdot(rows[k], rows[k + 1])),
-             float(max(tails[k], tails[k + 1])))
-            for k in range(0, len(rows), 2)]
-
-
-def quad_overlap(z2, u2, z1, u1, c: Constants = Constants(),
-                 check: bool = False) -> quadmod.QuadratureReport:
-    """<state(u2, z2)|state(u1, z1)> as the line integral of conj(psi2) psi1.
-
-    |conj(psi2) psi1| is a Gaussian with the precision-weighted center of
-    the two states and variance width^2 = 2/(1/dq2^2 + 1/dq1^2), so a
-    Gauss-Hermite rule of scale sqrt(2) width carries it exactly as its
-    weight; the order grows with the e^{i q (p1 - p2)/hbar} oscillation the
-    rule must resolve, and stays within the finite Gauss-Hermite orders.
-    With check, an error estimate above 1e-6 |value| raises
-    QuadratureNotConverged.  Raises OutOfDomain where a state's 1/dq^2
-    is not finite.
-    """
-    p2 = wavefn.WavefnParams.from_labels(Labels.from_z(u2, z2), c)
-    p1 = wavefn.WavefnParams.from_labels(Labels.from_z(u1, z1), c)
-    var2, var1 = p2.moments.dq**2, p1.moments.dq**2
-    # a subnormal dq^2 passes > 0, yet its reciprocal overflows
-    if not min(var2, var1) > 0 or math.isinf(1.0 / min(var2, var1)):
-        raise OutOfDomain("1/dq^2 overflows at these labels")
-    w2, w1 = 1.0 / var2, 1.0 / var1
-    center = (w2 * p2.moments.q0 + w1 * p1.moments.q0) / (w2 + w1)
-    width = math.sqrt(2.0 / (w2 + w1))
-    dp = abs(p2.moments.p0 - p1.moments.p0) / c.hbar
-    order = min(quadmod._MAX_ORDER // 2, 96 + int((2.0 * width * dp) ** 2))
-    spec = quadmod.QuadratureSpec(
-        quadmod.QuadKind.GAUSS_HERMITE, order, center=(center, 0.0),
-        scale=(math.sqrt(2.0) * width, 1.0), rel_tol=1e-6)
-    return quadmod.integrate_line(
-        lambda q: np.conj(wavefn.psi(q, p2)) * wavefn.psi(q, p1),
-        spec, check=check)
-
-
 @register_grid("kernels.oracle_triangle", pairs=len(_PAIR_GRID))
 def _check_oracle_triangle(cfg):
     c = cfg.constants
-    for pair, (via_fock, _) in zip(_PAIR_GRID, fock_overlaps(_PAIR_GRID, 192)):
+    via_focks = oracles.fock_overlaps(_PAIR_GRID, 192)
+    for pair, (via_fock, _) in zip(_PAIR_GRID, via_focks):
         closed = kernels.squeezed_overlap(*pair).value
-        via_quad = quad_overlap(*pair, c).value
+        via_quad = oracles.quad_overlap(*pair, c).value
         yield (abs(closed - via_fock), abs(closed - via_quad),
                abs(via_fock - via_quad)), pair
 
@@ -1207,12 +1010,13 @@ def _check_diag_kernel(cfg):
     for z in (0.0, 0.4):
         z = complex(z)
         az = fock.squeezed_annihilator(z, dim)
-        us, tw, psi = _plane_states([z], block + 1, block)
+        us, tw, psi = oracles._plane_states([z], block + 1, block)
         wz = squeezed_frame_label(cmath.exp(0.5j * cmath.phase(z)) * us, z)
         for name in ("I", "N", "Q", "P", "Q2", "P2", "QP"):
             op = kernels.quadrature_observable(name, z, c)
             kern = kernels.diagonal_kernel(op, z)
-            rec = _lab_block(_projector(psi, kern.evaluate(wz) * tw), [z])[0]
+            rec = oracles._lab_block(
+                oracles._projector(psi, kern.evaluate(wz) * tw), [z])[0]
             direct = op.to_matrix(az)
             yield np.abs(rec - direct[:block, :block]), (name, z)
 
@@ -1221,7 +1025,7 @@ def _check_diag_kernel(cfg):
           "kernels.jacobian_unit")
 def _check_variable_change(cfg):
     """Mixed second derivative re-expressed across the frame change."""
-    rng = np.random.Generator(np.random.Philox(cfg.seed + 1))
+    rng = np.random.Generator(np.random.Philox(_SEED + 1))
     rows = []
     for r, th in ((0.4, 0.0), (0.8, math.pi / 3), (1.1, math.pi / 2)):
         ch, sh = math.cosh(r), math.sinh(r)
@@ -1304,24 +1108,17 @@ def _canary_g2(cfg):
     # corrupt: flip the sign of the Gaussian quadratic form
     corrupt = cmath.exp(logpre) * cmath.exp(complex(0.0, sym)) \
         / cmath.exp(complex(gre, gim))
-    oracle, _ = fock_overlaps([(z2, u2, z1, u1)], 160)[0]
+    oracle, _ = oracles.fock_overlaps([(z2, u2, z1, u1)], 160)[0]
     return [_canary(cfg, "canary.g2_sign_flip", abs(corrupt - oracle))]
 
 
 @register("canary.thetabar_branch")
 def _canary_thetabar(cfg):
-    c = cfg.constants
     lab = Labels(u0=0, r=0.7, theta=1.1)
-    p = wavefn.WavefnParams.from_labels(lab, c)
-    vac = wavefn.WavefnParams.from_labels(Labels(), c)
-    spec = quadmod.QuadratureSpec(quadmod.QuadKind.GAUSS_HERMITE, 96,
-                                  scale=(3.0, 1.0), rel_tol=1e-8)
     # corrupt: the other half-angle branch flips the sign of the prefactor
-    rep = quadmod.integrate_line(
-        lambda q: np.conj(wavefn.psi(q, vac)) * (-wavefn.psi(q, p)),
-        spec, check=False)
+    corrupt = -oracles.quad_overlap(0, 0, lab.z, 0, cfg.constants).value
     expected = math.cosh(lab.r) ** -0.5
-    return [_canary(cfg, "canary.thetabar_branch", abs(rep.value - expected))]
+    return [_canary(cfg, "canary.thetabar_branch", abs(corrupt - expected))]
 
 
 @register("canary.missing_center_phase")
@@ -1332,7 +1129,8 @@ def _canary_center_phase(cfg):
     qs = np.linspace(-4, 5, 65)
     corrupt = wavefn.psi(qs, p) * cmath.exp(0.5j * p.moments.q0
                                             * p.moments.p0 / c.hbar)
-    synth = wavefn.synthesize(qs, _state_rows([lab], cfg.fock_dim)[0], c)
+    synth = wavefn.synthesize(qs, oracles._state_rows([lab], cfg.fock_dim)[0],
+                              c)
     return [_canary(cfg, "canary.missing_center_phase",
                     float(np.max(np.abs(corrupt - synth))))]
 
@@ -1359,7 +1157,7 @@ def _canary_dropped_prefactor(cfg):
     zeta2 = math.tanh(0.6)
     zeta1 = 1j * math.tanh(0.4)
     corrupt = good.value * cmath.sqrt(1 - np.conj(zeta2) * zeta1)
-    oracle, _ = fock_overlaps([(z2, u2, z1, u1)], 160)[0]
+    oracle, _ = oracles.fock_overlaps([(z2, u2, z1, u1)], 160)[0]
     return [_canary(cfg, "canary.dropped_prefactor", abs(corrupt - oracle))]
 
 
@@ -1371,10 +1169,9 @@ def _canary_unnormalized_vacuum(cfg):
     the amplitudes must show in the same projector sum.
     """
     z, dim = 0.8 * cmath.exp(1j * math.pi / 3), cfg.dim_check
-    _, tw, psi = _plane_states([z], dim, dim)
-    # corrupt: every amplitude scaled by (cosh r)^{1/2}
-    corrupt = _lab_block(_projector(psi * math.sqrt(math.cosh(abs(z))), tw),
-                         [z])[0]
+    # corrupt: every amplitude scaled by (cosh r)^{1/2}, the projector sum
+    # by cosh r
+    corrupt = math.cosh(abs(z)) * oracles._identity_sums([z], dim, dim)[0]
     return [_canary(cfg, "canary.unnormalized_vacuum",
                     float(np.max(np.abs(corrupt - np.eye(dim)))))]
 

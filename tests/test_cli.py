@@ -492,13 +492,6 @@ def test_verify_bad_bound_value(capsys):
     assert "bound" in err
 
 
-def test_kernel_degree_limit_exit(capsys):
-    code, _, err = run_cli(capsys, "kernel", "--op", "Q2", "--z", "0",
-                           "--max-degree", "1")
-    assert code == 2
-    assert "degree" in err
-
-
 def test_resolve_identity(capsys):
     code, out, _ = run_cli(capsys, "resolve-identity", "--z", "0",
                            "--dim-check", "4", "--order", "24")
@@ -578,10 +571,13 @@ def _subcommand_options():
 
 
 _OPTIONS = _subcommand_options()
+# options that no subcommand takes any more
+_DELETED = ("--seed", "--max-degree")
 # every pair of a subcommand and an option another subcommand takes and
-# this one does not
+# this one does not, or a deleted one
 _UNREAD = [(command, flag) for command, opts in _OPTIONS.items()
-           for flag in sorted(set().union(*_OPTIONS.values()) - opts)]
+           for flag in sorted(set().union(*_OPTIONS.values()) - opts)
+           + list(_DELETED)]
 
 
 def test_base_argv_covers_every_subcommand():
@@ -608,7 +604,7 @@ def test_subcommand_rejects_options_it_does_not_read(capsys, command, flag):
 def test_config_key_a_subcommand_does_not_read_is_usage_error(capsys,
                                                               tmp_path):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"seed": 3}))
+    cfgfile.write_text(json.dumps({"scan_dim": 48}))
     assert run_cli(capsys, "verify", "--only", "params.roundtrip",
                    "--config", str(cfgfile))[0] == 0
     with pytest.raises(SystemExit) as info:
@@ -648,6 +644,23 @@ def test_options_take_no_abbreviation(capsys, tmp_path, argv):
         cli.main([a.format(cfg=cfgfile) for a in argv])
     assert info.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--hbar", "2", "moments"],
+    ["--conf", "{cfg}", "moments"],
+])
+def test_option_before_the_subcommand_names_itself(capsys, tmp_path, argv):
+    # argparse took the option's value for the subcommand name and reported
+    # "invalid choice: '2'"
+    cfgfile = tmp_path / "h.json"
+    cfgfile.write_text(json.dumps({"hbar": 2.0}))
+    with pytest.raises(SystemExit) as info:
+        cli.main([a.format(cfg=cfgfile) for a in argv])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[0]}" in err
+    assert "invalid choice" not in err
 
 
 def test_config_key_takes_no_abbreviation(capsys, tmp_path):
@@ -755,7 +768,7 @@ def test_readme_commands_exit_0(capsys, tmp_path, monkeypatch, line):
 
 _NO_SCIPY_PROBE = textwrap.dedent("""
     import contextlib, io, sys
-    from srsqueeze import cli, verify
+    from srsqueeze import cli
 
     def scipy_loaded():
         return sorted(m for m in sys.modules
@@ -777,8 +790,15 @@ _NO_SCIPY_PROBE = textwrap.dedent("""
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
         assert code == 0, (argv, code)
+        if argv[0] == "overlap":
+            # the overlap oracles come without the check suite
+            assert "srsqueeze.oracles" in sys.modules, argv
+            assert "srsqueeze.verify" not in sys.modules, argv
     assert scipy_loaded() == [], scipy_loaded()
-    # positive control: the probe does see scipy once an oracle loads it
+    # positive controls: resolve-identity and verify load the check suite,
+    # and the probe sees scipy once an oracle loads it
+    assert "srsqueeze.verify" in sys.modules
+    from srsqueeze import verify
     results = verify.run_suite(
         only=["bch.f_matrix_log", "fock.squeeze_factored_vs_exp"])
     assert sorted(r.check_id for r in results) == [

@@ -706,7 +706,8 @@ def test_top_block_norm_takes_the_dense_path_off_pattern(opposite):
 
 
 def test_tail_mass_of_a_block_is_per_row():
-    from srsqueeze.verify import _state_rows, standard_labels
+    from srsqueeze.oracles import _state_rows
+    from srsqueeze.verify import standard_labels
 
     rows = _state_rows(standard_labels(), 48)
     tails = fock.tail_mass(rows)
@@ -717,7 +718,8 @@ def test_tail_mass_of_a_block_is_per_row():
 
 
 def test_sr_ur_on_a_row_block_matches_one_call_per_row():
-    from srsqueeze.verify import _state_rows, standard_labels
+    from srsqueeze.oracles import _state_rows
+    from srsqueeze.verify import standard_labels
 
     n = 96
     q, p = fock.position(n, C), fock.momentum(n, C)

@@ -341,11 +341,18 @@ def test_diagonal_kernel_identity_and_number():
     assert kern.coeffs[1, 1] == 1.0
 
 
-def test_diagonal_kernel_degree_limit():
+def test_diagonal_kernel_has_no_degree_limit():
+    # A^dag^5 A^5 has the degree-10 symbol (w wbar)^5, and e^{-d_w d_wbar}
+    # maps it to sum_m (-1)^m (5!/(5-m)!)^2/m! (w wbar)^{5-m}
     big = kernels.NormalOrderedOp(np.zeros((6, 6), dtype=complex))
     big.coeffs[5, 5] = 1.0
-    with pytest.raises(OutOfDomain):
-        kernels.diagonal_kernel(big, 0.0, max_degree=8)
+    kern = kernels.diagonal_kernel(big, 0.0)
+    want = np.zeros((6, 6), dtype=complex)
+    for m in range(6):
+        want[5 - m, 5 - m] = (-1) ** m * (math.factorial(5)
+                                          // math.factorial(5 - m)) ** 2 \
+            / math.factorial(m)
+    assert np.array_equal(kern.coeffs, want)
 
 
 def test_diagonal_kernel_reconstructs_matrix_elements():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srsqueeze import bch, fock, kernels, verify, wavefn
+from srsqueeze import bch, fock, kernels, oracles, verify, wavefn
 from srsqueeze import quadrature as quadmod
 from srsqueeze.params import (Constants, Labels, OutOfDomain, squeeze_axes,
                               squeezed_frame_label)
@@ -362,7 +363,7 @@ def _assert_fold_matches_full_sum(us, z, psi, w):
     # sum of the magnitudes of its terms
     ref, scale = _full_sum(us[0], z, psi.shape[1], w[0])
     eps = np.finfo(float).eps
-    assert np.all(np.abs(verify._projector(psi, w)[0] - ref)
+    assert np.all(np.abs(oracles._projector(psi, w)[0] - ref)
                   <= 16 * eps * scale)
 
 
@@ -370,7 +371,7 @@ def _assert_fold_matches_full_sum(us, z, psi, w):
 @pytest.mark.parametrize("dim", [1, 2, 16, 32])
 @pytest.mark.parametrize("z", [0.0, 0.4, 0.8 * cmath.exp(1j * math.pi / 3)])
 def test_projector_fold_matches_full_sum(order, dim, z):
-    us, tw, psi = verify._plane_states([z], order, dim)
+    us, tw, psi = oracles._plane_states([z], order, dim)
     assert psi.shape == (1, dim, (us.shape[1] + 1) // 2)
     _assert_fold_matches_full_sum(us, abs(z), psi, tw)
     # diagonal-kernel weights of Q are odd in u, so the opposite-parity
@@ -401,17 +402,17 @@ def _outer_nodes(order):
 def test_identity_sums_of_a_block_match_each_z_alone(dim):
     near = 3 * _MIXED_Z + _RADIUS_04
     zs = near + _outer_nodes(4) + _outer_nodes(8)
-    assert len({abs(complex(z)) for z in zs}) > verify._Z_BLOCK
+    assert len({abs(complex(z)) for z in zs}) > oracles._Z_BLOCK
     order = max(2, dim)
-    sums = verify._identity_sums(zs, order, dim)
+    sums = oracles._identity_sums(zs, order, dim)
     assert sums.shape == (len(zs), dim, dim)
     # z that share a radius share its frame sum, so each z's sum keeps the
     # bits of its own call
     for z, got in zip(zs, sums):
-        assert np.array_equal(got, verify._identity_sums([z], order, dim)[0])
+        assert np.array_equal(got, oracles._identity_sums([z], order, dim)[0])
     eps = np.finfo(float).eps
     for z, got in zip(near, sums):
-        us, tw, _ = verify._plane_states([z], order, dim)
+        us, tw, _ = oracles._plane_states([z], order, dim)
         ref, scale = _full_sum(us[0], abs(z), dim, tw[0])
         # the unfolded frame sum, rotated to the lab basis
         d = np.exp(0.5j * cmath.phase(z) * np.arange(dim))
@@ -422,7 +423,7 @@ def test_identity_sums_of_a_block_match_each_z_alone(dim):
 def test_plane_states_of_a_block_are_each_z_alone():
     # the nodes, weights and amplitudes of a block are those of its z alone,
     # bit for bit
-    us, tw, psi = verify._plane_states(_MIXED_Z, 5, 6)
+    us, tw, psi = oracles._plane_states(_MIXED_Z, 5, 6)
     for k, z in enumerate(_MIXED_Z):
         r = abs(z)
         _, omt, opt, _ = squeeze_axes(r)
@@ -452,28 +453,28 @@ def _count_calls(monkeypatch, module, name):
                                350 * cmath.exp(0.7j), -2.0])
 def test_frame_rule_is_exact_at_order_dim(z):
     for dim in (1, 4, 16):
-        assert np.max(np.abs(verify._identity_sums([z], dim, dim)[0]
+        assert np.max(np.abs(oracles._identity_sums([z], dim, dim)[0]
                              - np.eye(dim))) <= 1e-13
 
 
 def test_frame_rule_below_order_dim_is_not_exact():
     # order 3 integrates only the entries with m + n <= 5
-    s = verify._identity_sums([1.2], 3, 16)[0]
+    s = oracles._identity_sums([1.2], 3, 16)[0]
     assert np.max(np.abs(s[:3, :3] - np.eye(3))) <= 1e-13
     assert np.max(np.abs(s - np.eye(16))) > 0.1
 
 
 def test_frame_rule_refuses_widths_past_the_float_range(monkeypatch):
-    assert verify._FRAME_MAX_R == pytest.approx(354.5, abs=0.1)
-    verify._plane_states([verify._FRAME_MAX_R], 2, 2)
+    assert oracles._FRAME_MAX_R == pytest.approx(354.5, abs=0.1)
+    oracles._plane_states([oracles._FRAME_MAX_R], 2, 2)
     calls = _count_calls(monkeypatch, fock, "saturating_state_batch")
     # one z past the limit refuses its whole block before any amplitude
-    far = 1.001 * verify._FRAME_MAX_R * cmath.exp(0.3j)
-    for zs in ([1.001 * verify._FRAME_MAX_R], [0.4, far, 0.0]):
+    far = 1.001 * oracles._FRAME_MAX_R * cmath.exp(0.3j)
+    for zs in ([1.001 * oracles._FRAME_MAX_R], [0.4, far, 0.0]):
         with pytest.raises(OutOfDomain):
-            verify._plane_states(zs, 2, 2)
+            oracles._plane_states(zs, 2, 2)
         with pytest.raises(OutOfDomain):
-            verify._identity_sums(zs, 2, 2)
+            oracles._identity_sums(zs, 2, 2)
     assert calls == []
 
 
@@ -617,13 +618,34 @@ def test_unnormalized_vacuum_canary_is_flagged(cfg):
     assert res.params["detected_difference"] > 0.3
 
 
+def test_phase_anchor_reads_rounding(cfg):
+    # a hand-sized 96-node rule read 1.96e-11 here: its own error
+    res, = verify.run_suite(cfg, only=["wavefn.phase_anchor"])
+    assert res.measured <= 1e-14
+
+
+def test_oracles_import_neither_kernels_nor_verify():
+    # an oracle that reached kernels would share the closed form it checks
+    tree = ast.parse(pathlib.Path(oracles.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            modules |= {f"{base}.{alias.name}" for alias in node.names}
+    parts = {part for name in modules for part in name.split(".")}
+    assert "fock" in parts and "wavefn" in parts, modules
+    assert parts.isdisjoint({"kernels", "verify"}), modules
+
+
 def test_mu_weighted_identity_narrow_measure():
     # the double integral of mu_weighted_identity at sigma = 0.3
     dim = verify.VerifyConfig().dim_check
     spec = quadmod.QuadratureSpec(quadmod.QuadKind.TENSOR_GAUSS_HERMITE_2D, 8,
                                   scale=(0.3, 0.3), rel_tol=1e-2)
     report = quadmod.integrate_z(
-        lambda zs: verify._identity_sums(zs, dim, dim), spec, sigma=0.3,
+        lambda zs: oracles._identity_sums(zs, dim, dim), spec, sigma=0.3,
         check=False)
     measured = float(np.max(np.abs(report.value - np.eye(dim))))
     assert measured <= 1e-4
