@@ -371,6 +371,10 @@ def main(argv: list[str] | None = None) -> int:
         what = "" if isinstance(exc, OutOfDomain) else "outside the float range: "
         print(f"usage error: {what}{exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate
+        print(f"usage error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except NotSaturated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE

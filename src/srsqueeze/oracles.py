@@ -5,7 +5,8 @@ overlap <psi2|psi1> is taken two ways, neither through kernels, the closed
 form it checks: on truncated Fock states (fock_overlaps) and as the line
 integral of conj(psi2) psi1 (quad_overlap), the one line rule the checks
 use.  Plane sums over the labels of squeezed states use the exact frame
-rule (_plane_states, _projector, _identity_sums).  This module imports
+rule (_plane_states, _projector, _identity_sums), and the matrix
+exponentials of the small-matrix checks use _expm.  This module imports
 nothing from kernels or verify.
 """
 
@@ -61,7 +62,7 @@ def quad_overlap(z2, u2, z1, u1, c: Constants = Constants(),
     rule must resolve, and stays within the finite Gauss-Hermite orders.
     With check, an error estimate above 1e-6 |value| raises
     QuadratureNotConverged.  Raises OutOfDomain where a state's 1/dq^2
-    is not finite.
+    is not finite.  For two equal states psi is evaluated once.
     """
     p2 = wavefn.WavefnParams.from_labels(Labels.from_z(u2, z2), c)
     p1 = wavefn.WavefnParams.from_labels(Labels.from_z(u1, z1), c)
@@ -77,9 +78,34 @@ def quad_overlap(z2, u2, z1, u1, c: Constants = Constants(),
     spec = quadmod.QuadratureSpec(
         quadmod.QuadKind.GAUSS_HERMITE, order, center=(center, 0.0),
         scale=(math.sqrt(2.0) * width, 1.0), rel_tol=1e-6)
-    return quadmod.integrate_line(
-        lambda q: np.conj(wavefn.psi(q, p2)) * wavefn.psi(q, p1),
-        spec, check=check)
+
+    def integrand(q):
+        v1 = wavefn.psi(q, p1)
+        return np.conj(v1 if p2 == p1 else wavefn.psi(q, p2)) * v1
+
+    return quadmod.integrate_line(integrand, spec, check=check)
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """exp(m) by scaling and squaring of an 18-term Taylor sum (Higham, 2008, ch. 10).
+
+    m/2^s has 1-norm <= 1/2, so the terms past the 18th add under 1e-22;
+    the sum stops at its first exactly zero term, as for a nilpotent m.
+    """
+    m = np.asarray(m, dtype=complex)
+    norm, s = np.abs(m).sum(axis=0).max(initial=0.0), 0
+    while norm > 2.0 ** (s - 1):
+        s += 1
+    a = m / 2.0 ** s
+    term = out = np.eye(len(m), dtype=complex)
+    for k in range(1, 19):
+        term = term @ a / k
+        if not term.any():
+            break
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 # The frame rule scales its x nodes by (1 - tanh r)^{-1/2}; past this |z|

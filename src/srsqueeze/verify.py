@@ -336,9 +336,12 @@ def _check_f_symmetry(cfg):
 
 @register_grid("bch.f_matrix_log")
 def _check_f_matrix_log(cfg):
-    """log(e^A e^B) = A + B + f(u,v) [A,B] for small 2x2 / 3x3 pairs."""
-    from scipy.linalg import expm, logm
+    """e^A e^B = exp(A + B + f(u,v) [A,B]) for small 2x2 / 3x3 pairs.
 
+    This is log(e^A e^B) = A + B + f(u,v) [A,B] in exponential form: every
+    pair is small, and near I the exponential is one to one.
+    """
+    expm = oracles._expm
     k0 = np.diag([0.5, -0.5]).astype(complex)
     kp = np.array([[0, 1], [0, 0]], dtype=complex)
     km = np.array([[0, 0], [-1, 0]], dtype=complex)
@@ -361,9 +364,9 @@ def _check_f_matrix_log(cfg):
     e23 = np.zeros((3, 3), complex); e23[1, 2] = 1
     cases.append((0.4 * e12, 0.3 * e23, 0.0, 0.0))
     for amat, bmat, u, v in cases:
-        lhs = logm(expm(amat) @ expm(bmat))
+        lhs = expm(amat) @ expm(bmat)
         comm = amat @ bmat - bmat @ amat
-        rhs = amat + bmat + bch.f_uv(u, v) * comm
+        rhs = expm(amat + bmat + bch.f_uv(u, v) * comm)
         yield np.abs(lhs - rhs), (u, v)
 
 
@@ -386,8 +389,7 @@ def _check_gamma(cfg):
 @register_grid("bch.su11_defining_rep")
 def _check_su11_rep(cfg):
     """Both factor orders against exp(z K+ - conj(z) K-) in the 2x2 rep."""
-    from scipy.linalg import expm
-
+    expm = oracles._expm
     k0 = np.diag([0.5, -0.5]).astype(complex)
     kp = np.array([[0, 1], [0, 0]], dtype=complex)
     km = np.array([[0, 0], [-1, 0]], dtype=complex)
@@ -553,15 +555,13 @@ def _check_squeeze_dual(cfg):
 
 @register("fock.squeeze_truncation_decay")
 def _check_squeeze_decay(cfg):
-    """Same-dimension Pade exponential vs factored on a fixed block.
+    """Same-dimension Taylor exponential vs factored on a fixed block.
 
     The factored entries are truncation-exact, so this difference is the
     truncation error of exponentiating the cut generator; on a fixed
     24x24 block it must fall as N grows.  Being exact, the factored block
     is built once per r, at the block size.
     """
-    from scipy.linalg import expm
-
     block = 24
     errs = {}
     for r in (0.4, 0.6):
@@ -571,7 +571,7 @@ def _check_squeeze_decay(cfg):
         for n in (48, 96):
             a, adag = fock.ladder(n)
             gen = 0.5 * (z * adag @ adag - np.conj(z) * a @ a)
-            diff = exact - expm(gen)[:block, :block]
+            diff = exact - oracles._expm(gen)[:block, :block]
             errs[r].append(fock.top_block_norm(diff, block))
     return [_worst(cfg, "fock.squeeze_truncation_decay",
                    ((e96 - e48, r) for r, (e48, e96) in errs.items()),
@@ -818,11 +818,12 @@ def _check_wavefn_norm(cfg):
 
 @register_grid("wavefn.phase_anchor")
 def _check_phase_anchor(cfg):
-    for r in STANDARD_R:
-        for th in STANDARD_THETA:
-            z = Labels(r=r, theta=th).z
-            val = oracles.quad_overlap(0, 0, z, 0, cfg.constants).value
-            yield (abs(val - math.cosh(r) ** -0.5), abs(val.imag)), z
+    # r = 0 gives z = 0 at every theta: each distinct z is integrated once
+    radii = {Labels(r=r, theta=th).z: r
+             for r in STANDARD_R for th in STANDARD_THETA}
+    for z, r in radii.items():
+        val = oracles.quad_overlap(0, 0, z, 0, cfg.constants).value
+        yield (abs(val - math.cosh(r) ** -0.5), abs(val.imag)), z
 
 
 @register_grid("wavefn.three_forms")

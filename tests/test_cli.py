@@ -795,15 +795,20 @@ _NO_SCIPY_PROBE = textwrap.dedent("""
             assert "srsqueeze.oracles" in sys.modules, argv
             assert "srsqueeze.verify" not in sys.modules, argv
     assert scipy_loaded() == [], scipy_loaded()
-    # positive controls: resolve-identity and verify load the check suite,
-    # and the probe sees scipy once an oracle loads it
+    # resolve-identity and verify load the check suite; the checks that
+    # once called scipy (gammaln through fock.displacement, eigh_tridiagonal,
+    # expm and logm) run on numpy alone too
     assert "srsqueeze.verify" in sys.modules
     from srsqueeze import verify
-    results = verify.run_suite(
-        only=["bch.f_matrix_log", "fock.squeeze_factored_vs_exp"])
-    assert sorted(r.check_id for r in results) == [
-        "bch.f_matrix_log", "fock.squeeze_factored_vs_exp"], results
+    ids = ["bch.f_matrix_log", "bch.su11_defining_rep",
+           "fock.displacement_vs_exp", "fock.squeeze_factored_vs_exp",
+           "fock.squeeze_truncation_decay"]
+    results = verify.run_suite(only=ids)
+    assert sorted(r.check_id for r in results) == ids, results
     assert all(r.passed for r in results), results
+    assert scipy_loaded() == [], scipy_loaded()
+    # positive control: the probe sees scipy once it is imported
+    import scipy.linalg
     assert "scipy.linalg" in scipy_loaded(), scipy_loaded()
 """)
 
@@ -846,8 +851,31 @@ def test_moments_command_does_not_import_numpy():
 
 
 def test_oneshot_commands_do_not_import_scipy():
-    # scipy serves only the oracles; the closed forms and every one-shot
-    # command below run on numpy alone, so a process saves scipy's import
+    # numpy is the package's one dependency: every one-shot command and
+    # every check runs without scipy, which serves the tests as a reference
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_RLIMIT_PROBE = textwrap.dedent("""
+    import resource, sys
+    # 3 GB of address space: the sizes below ask for far more
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+    from srsqueeze import cli
+    sys.exit(cli.main(sys.argv[1:]))
+""")
+
+
+@pytest.mark.parametrize("argv,size", [
+    (["wavefn", "--samples", "2000000000"], "14.9 GiB"),
+    (["overlap", "--oracle", "fock", "--fock-dim", "2000000000"], "59.6 GiB"),
+])
+def test_allocation_failure_is_usage_error(argv, size):
+    # run only under the child's own address-space limit, so a failed
+    # allocation cannot load the machine
+    proc = subprocess.run([sys.executable, "-c", _RLIMIT_PROBE, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage error: out of memory:"), proc.stderr
+    assert size in proc.stderr and "Traceback" not in proc.stderr, proc.stderr

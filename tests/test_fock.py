@@ -88,7 +88,7 @@ def _diagonal_loop_displacement(u0, dim):
     for n in range(1, dim - 1):
         lag[:, n + 1] = ((2 * n + 1 + kvec - x) * lag[:, n]
                          - (n + kvec) * lag[:, n - 1]) / (n + 1)
-    lg = gammaln(np.arange(dim, dtype=float) + 1.0)
+    lg = fock._lgfact(dim - 1)
     phase = u0 / abs(u0)
     out = np.zeros((dim, dim), dtype=complex)
     for k in range(dim):
@@ -290,6 +290,46 @@ def test_exponential_oracles_match_dense_expm_block():
         a, adag = fock.ladder(fock._displacement_inner_dim(u0, dim))
         want = expm(u0 * adag - np.conj(u0) * a)[:dim, :dim]
         assert np.max(np.abs(fock.displacement_exp(u0, dim) - want)) < 1e-13
+
+
+@pytest.mark.parametrize("exp_tridiag", [fock._exp_neg_i_tridiag,
+                                         fock._exp_neg_i_chebyshev])
+@pytest.mark.parametrize("size", [2, 5, 6, 97, 128])
+def test_tridiagonal_exponential_matches_dense_expm(size, exp_tridiag):
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(size)
+    off = rng.normal(size=size - 1) + 1j * rng.normal(size=size - 1)
+    off[::3] = 0.0  # zero couplings split H into independent blocks
+    h = np.diag(off, -1)
+    want = expm(-1j * (h + h.conj().T))
+    for keep in (1, (size + 1) // 2, size):
+        got = exp_tridiag(off, keep)
+        assert np.max(np.abs(got - want[:keep, :keep])) < 1e-14
+    assert np.array_equal(exp_tridiag(0 * off, size), np.eye(size))
+
+
+def test_displacement_exp_makes_no_lapack_call(monkeypatch):
+    # its Chebyshev sum starts no BLAS thread, which at 2 threads on a busy
+    # 2-core machine could wait tens of ms per call of a dense eigh
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK call")
+
+    for name in ("eig", "eigh", "eigvalsh", "svd", "solve", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for u0 in (1 + 1j, 2j):
+        assert fock.displacement_exp(u0, 12).shape == (12, 12)
+
+
+def test_lgfact_matches_gammaln():
+    # each is a few ulp off the exact ln k!: math.lgamma 3.2 ulp at k = 2,
+    # gammaln 2.0 ulp at k = 127, against 40-digit mpmath.  So they differ
+    # by up to 3 ulp, and 1 ulp is out of reach of even a correctly rounded
+    # table
+    want = gammaln(np.arange(1025, dtype=float) + 1.0)
+    got = fock._lgfact(1024)
+    assert got[0] == got[1] == 0.0
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
 
 def test_saturating_state_trivials():

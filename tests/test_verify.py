@@ -1,10 +1,12 @@
 import ast
 import cmath
+import copy
 import dataclasses
 import json
 import math
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -624,9 +626,9 @@ def test_phase_anchor_reads_rounding(cfg):
     assert res.measured <= 1e-14
 
 
-def test_oracles_import_neither_kernels_nor_verify():
-    # an oracle that reached kernels would share the closed form it checks
-    tree = ast.parse(pathlib.Path(oracles.__file__).read_text(encoding="utf-8"))
+def _imported_names(path):
+    """Every name an import statement anywhere in the module at path binds."""
+    tree = ast.parse(pathlib.Path(path).read_text(encoding="utf-8"))
     modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -634,9 +636,48 @@ def test_oracles_import_neither_kernels_nor_verify():
         elif isinstance(node, ast.ImportFrom):
             base = "." * node.level + (node.module or "")
             modules |= {f"{base}.{alias.name}" for alias in node.names}
+    return modules
+
+
+def test_oracles_import_neither_kernels_nor_verify():
+    # an oracle that reached kernels would share the closed form it checks
+    modules = _imported_names(oracles.__file__)
     parts = {part for name in modules for part in name.split(".")}
     assert "fock" in parts and "wavefn" in parts, modules
     assert parts.isdisjoint({"kernels", "verify"}), modules
+
+
+def test_no_module_imports_scipy():
+    # numpy is the package's one dependency; scipy is a test reference
+    paths = sorted(pathlib.Path(verify.__file__).parent.glob("*.py"))
+    assert paths and "numpy" in _imported_names(fock.__file__)
+    for path in paths:
+        modules = _imported_names(path)
+        assert not any(name.split(".")[0] == "scipy" for name in modules), \
+            (path.name, modules)
+
+
+def _cut_squeeze_generator(r, dim):
+    z = r * cmath.exp(1j * math.pi / 3)
+    a, adag = fock.ladder(dim)
+    return 0.5 * (z * adag @ adag - np.conj(z) * a @ a)
+
+
+_KP = np.array([[0, 1], [0, 0]], dtype=complex)
+_E12, _E23 = np.diag([1.0, 0.0], 1), np.diag([0.0, 1.0], 1)
+
+
+@pytest.mark.parametrize("m,tol", [
+    (0.7 * _KP, 1e-15), (-0.6j * _KP.T, 1e-15), (0.4 * _E12, 1e-15),
+    (0.4 * _E12 + 0.3 * _E23 + 0.06 * np.eye(3, k=2), 1e-15),
+    (np.zeros((3, 3)), 0.0),
+    (_cut_squeeze_generator(0.4, 96), 1e-13),
+    (_cut_squeeze_generator(0.6, 96), 1e-13),
+])
+def test_taylor_expm_matches_scipy(m, tol):
+    from scipy.linalg import expm
+
+    assert np.max(np.abs(oracles._expm(m) - expm(m))) <= tol
 
 
 def test_mu_weighted_identity_narrow_measure():
@@ -681,6 +722,94 @@ def test_full_suite_reports_one_result_per_documented_bound(full_suite):
     results = full_suite
     assert sorted(r.check_id for r in results) == sorted(verify.DEFAULT_BOUNDS)
     assert all(r.passed for r in results)
+
+
+_REFERENCE = pathlib.Path(__file__).parent / "data" / "verify_reference.json"
+
+
+def _rounding_platform():
+    """What the last bits of a result depend on.
+
+    numpy's version, the architecture, and the SIMD features that numpy
+    and its BLAS choose their kernels by.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    features = sorted(k for k, on in __cpu_features__.items() if on)
+    return {"numpy": np.__version__, "machine": platform.machine(),
+            "cpu_features": " ".join(features)}
+
+
+def _reference_report(results):
+    """The header and one row per result that verify_reference.json holds."""
+    return {
+        "header": {
+            "config": dataclasses.asdict(verify.VerifyConfig()),
+            **_rounding_platform(),
+            "python": platform.python_version(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        },
+        "results": [{"id": r.check_id, "measured": float(r.measured).hex(),
+                     "bound": r.bound, "passed": r.passed,
+                     "worst_at": r.params.get("worst_at")} for r in results],
+    }
+
+
+def _reference_mismatches(reference, report, exact):
+    """One line per result that moved from reference to report.
+
+    exact compares every row to the bit; otherwise a row must keep its
+    bound and verdict and stay within that bound.
+    """
+    before = {row["id"]: row for row in reference["results"]}
+    after = {row["id"]: row for row in report["results"]}
+    lines = [f"{rid}: only in the {'reference' if rid in before else 'report'}"
+             for rid in sorted(before.keys() ^ after.keys())]
+    for rid in sorted(before.keys() & after.keys()):
+        old, new = before[rid], after[rid]
+        measured = float.fromhex(new["measured"])
+        same = old == new if exact else (
+            old["bound"] == new["bound"] and old["passed"] == new["passed"]
+            and measured <= new["bound"])
+        if not same:
+            ratio = (measured / new["bound"] if new["bound"]
+                     else 0.0 if measured == 0 else math.inf)
+            moved_at = ("" if old["worst_at"] == new["worst_at"] else
+                        f", worst_at {old['worst_at']} -> {new['worst_at']}")
+            lines.append(f"{rid}: {old['measured']} -> {new['measured']}, "
+                         f"measured/bound {ratio:.3g}{moved_at}")
+    return lines
+
+
+def test_full_suite_matches_the_reference_report(full_suite):
+    # "same numbers": a change that moves a check value updates
+    # tests/data/verify_reference.json, which running this module as a
+    # script rewrites.  The values are bit-identical at 1 and 2 BLAS
+    # threads, but may round differently under another numpy, on another
+    # architecture or with other SIMD kernels
+    reference = json.loads(_REFERENCE.read_text(encoding="utf-8"))
+    here = _rounding_platform()
+    differ = [f"{key} {here[key]!r} is not the reference's "
+              f"{reference['header'].get(key)!r}"
+              for key in here if here[key] != reference["header"].get(key)]
+    why = ("compared bit for bit" if not differ else
+           "compared within each bound: " + "; ".join(differ))
+    moved = _reference_mismatches(reference, _reference_report(full_suite),
+                                  exact=not differ)
+    assert not moved, "\n".join([f"results moved ({why}):", *moved])
+
+
+def test_a_one_ulp_change_fails_the_reference_comparison(full_suite):
+    # positive control: one ulp on any one result names that result
+    report = _reference_report(full_suite)
+    for k, row in enumerate(report["results"]):
+        changed = copy.deepcopy(report)
+        changed["results"][k]["measured"] = math.nextafter(
+            float.fromhex(row["measured"]), math.inf).hex()
+        moved = _reference_mismatches(report, changed, exact=True)
+        assert [line.split(":")[0] for line in moved] == [row["id"]], moved
 
 
 # results that evaluate one point, so have no worst point to report
@@ -732,3 +861,11 @@ def test_standard_grid_shape():
     assert len(labs) == 5 * (1 + 3 * 4)
     # the overlap oracle triangle compares at least 40 pairs
     assert len(verify._PAIR_GRID) >= 40
+
+
+if __name__ == "__main__":
+    # rewrite the reference report from a fresh run of the whole suite
+    _REFERENCE.parent.mkdir(exist_ok=True)
+    _REFERENCE.write_text(
+        json.dumps(_reference_report(verify.run_suite()), indent=1) + "\n",
+        encoding="utf-8")
