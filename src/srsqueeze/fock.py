@@ -11,7 +11,8 @@ plain complex amplitude arrays, one state per 1-D array or one per row of a
 states |state(u0, z)> = D(u0) S(z) |0> come from one two-photon recurrence,
 saturating_state_batch, in O(N) per state (the dense product D(u0) S(z)|0>
 is kept only as its oracle in verify), and sr_ur_check reads each state's
-second moments and Schrodinger-Robertson slack.
+second moments of Q and P, which act through their two bands, and its
+Schrodinger-Robertson slack.
 
 All identities on a truncated space hold only on an upper-left block; the
 callers assert on blocks whose columns have converged well inside the box,
@@ -22,7 +23,7 @@ Gaussian-type states used here.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -526,28 +527,44 @@ def saturating_state_batch(
     return out.reshape(dim, us.size)
 
 
-def defining_residual(
-    q: np.ndarray,
-    p: np.ndarray,
-    psi: np.ndarray,
-    m: Moments,
-    c: Constants = Constants(),
-) -> float:
-    """Norm of [(Q - q0) - lambda0 (P - p0)] |psi>.
+def _quadratures(psi: np.ndarray, c: Constants):
+    """Q psi and P psi through their two bands, in O(N) per state.
 
-    q and p are the Q and P matrices at psi.size for the constants c.
+    (a psi)[k] = sqrt(k+1) psi[k+1] and (a^dag psi)[k] = sqrt(k) psi[k-1]
+    on the N levels of the last axis: one state, or each row of a block.
+    Each band is rounded as in position and momentum; N < 2 raises.
+    """
+    n = np.shape(psi)[-1]
+    _check_dim(n)
+    root = np.sqrt(np.arange(1, n, dtype=float))
+    qband = c.ell0 * root / math.sqrt(2.0)
+    pband = c.hbar * root / (c.ell0 * math.sqrt(2.0))
+    qpsi = np.zeros(psi.shape, dtype=complex)
+    qpsi[..., :-1] = qband * psi[..., 1:]
+    qpsi[..., 1:] += qband * psi[..., :-1]
+    ppsi = np.zeros(psi.shape, dtype=complex)
+    ppsi[..., 1:] = pband * psi[..., :-1]
+    ppsi[..., :-1] -= pband * psi[..., 1:]
+    ppsi *= 1j
+    return qpsi, ppsi
+
+
+def defining_residual(psi: np.ndarray, m: Moments,
+                      c: Constants = Constants()) -> float:
+    """Norm of [(Q - q0) - lambda0 (P - p0)] |psi>, on psi's own levels.
+
     Zero (up to truncation) exactly when the state saturates the SR bound
     with the given moments.
     """
     lam = lambda0(m, c)
-    qpsi = q @ psi - m.q0 * psi
-    ppsi = p @ psi - m.p0 * psi
-    return float(np.linalg.norm(qpsi - lam * ppsi))
+    qpsi, ppsi = _quadratures(psi, c)
+    return float(np.linalg.norm((qpsi - m.q0 * psi)
+                                - lam * (ppsi - m.p0 * psi)))
 
 
 @dataclass(frozen=True)
 class SecondMoments:
-    """<A>, <B>, Var A, Var B and <Abar Bbar> (Abar = A - <A>) of one state."""
+    """<Q>, <P>, Var Q, Var P and <Qbar Pbar> (Qbar = Q - <Q>) of one state."""
 
     a0: float
     b0: float
@@ -557,52 +574,43 @@ class SecondMoments:
 
     @property
     def slack(self) -> float:
-        """Var A Var B - <(-i)[A,B]>^2/4 - <{Abar,Bbar}>^2/4, the SR slack.
+        """Var Q Var P - <(-i)[Q,P]>^2/4 - <{Qbar,Pbar}>^2/4, the SR slack.
 
-        <Abar Bbar> = (<{Abar,Bbar}> + i<(-i)[A,B]>)/2, so the slack is
-        Cauchy-Schwarz on Abar|psi> and Bbar|psi>: >= 0 for every state,
+        <Qbar Pbar> = (<{Qbar,Pbar}> + i<(-i)[Q,P]>)/2, so the slack is
+        Cauchy-Schwarz on Qbar|psi> and Pbar|psi>: >= 0 for every state,
         and zero exactly on the states that saturate the SR relation.
         """
         return self.var_a * self.var_b - 0.25 * (2.0 * self.cross.imag) ** 2 \
             - 0.25 * (2.0 * self.cross.real) ** 2
 
     def as_moments(self) -> Moments:
-        """The state's Moments, reading A as Q and B as P."""
+        """The state's Moments."""
         return Moments(q0=self.a0, p0=self.b0, dq=math.sqrt(self.var_a),
                        dp=math.sqrt(self.var_b), corr=2.0 * self.cross.real)
 
 
-def _second_moments(A: np.ndarray, B: np.ndarray,
-                    psi: np.ndarray) -> SecondMoments:
+def _second_moments(psi: np.ndarray, qpsi: np.ndarray,
+                    ppsi: np.ndarray) -> SecondMoments:
     nrm2 = float(np.vdot(psi, psi).real)
-    apsi = A @ psi
-    bpsi = B @ psi
-    a0 = float(np.vdot(psi, apsi).real) / nrm2
-    b0 = float(np.vdot(psi, bpsi).real) / nrm2
-    abar = apsi - a0 * psi
-    bbar = bpsi - b0 * psi
-    return SecondMoments(a0=a0, b0=b0,
-                         var_a=float(np.vdot(abar, abar).real) / nrm2,
-                         var_b=float(np.vdot(bbar, bbar).real) / nrm2,
-                         cross=complex(np.vdot(abar, bbar)) / nrm2)
+    q0 = float(np.vdot(psi, qpsi).real) / nrm2
+    p0 = float(np.vdot(psi, ppsi).real) / nrm2
+    qbar = qpsi - q0 * psi
+    pbar = ppsi - p0 * psi
+    return SecondMoments(a0=q0, b0=p0,
+                         var_a=float(np.vdot(qbar, qbar).real) / nrm2,
+                         var_b=float(np.vdot(pbar, pbar).real) / nrm2,
+                         cross=complex(np.vdot(qbar, pbar)) / nrm2)
 
 
-def sr_ur_check(
-    A: np.ndarray,
-    B: np.ndarray,
-    states: Iterable[np.ndarray],
-) -> list[SecondMoments]:
-    """Second moments of A and B, and with them the SR slack, per state.
+def sr_ur_check(states: Sequence[np.ndarray] | np.ndarray,
+                c: Constants = Constants()) -> list[SecondMoments]:
+    """Second moments of Q and P, and with them the SR slack, per state.
 
-    states are amplitude vectors: a sequence of them, or the rows of a 2-D
-    block.  Raises OutOfDomain unless A and B are Hermitian to 1e-12 times
-    max(1, largest entry); the test runs once for all states.
+    states are amplitude vectors of one length N >= 2: a sequence of them,
+    or the rows of a 2-D block.  Q and P act on all of them at once.
     """
-    for name, op in (("A", A), ("B", B)):
-        dev = np.max(np.abs(op - op.conj().T))
-        if dev > 1e-12 * max(1.0, float(np.max(np.abs(op)))):
-            raise OutOfDomain(f"operator {name} deviates from Hermitian by {dev:.3e}")
-    return [_second_moments(A, B, psi) for psi in states]
+    rows = np.asarray(states)
+    return [_second_moments(*r) for r in zip(rows, *_quadratures(rows, c))]
 
 
 def _parity_blocks(mat: np.ndarray, opposite: bool):

@@ -38,6 +38,7 @@ from .params import (
     labels_to_moments,
     lambda0,
     moments_to_labels,
+    squeezed_frame_label,
 )
 
 STANDARD_U0 = (0j, 1 + 0j, 1 + 1j, 2j, -1.5 + 0.5j)
@@ -590,8 +591,6 @@ def _check_annihilation(cfg):
 
 @register_grid("fock.displaced_coherence")
 def _check_displaced_coherence(cfg):
-    from .params import squeezed_frame_label
-
     n = cfg.fock_dim
     labs = standard_labels()
     azs = _built_once(fock.squeezed_annihilator, (lab.z for lab in labs), n)
@@ -640,8 +639,6 @@ def _check_operator_shift(cfg):
 
 @register_grid("fock.invariant_combination")
 def _check_invariant_combination(cfg):
-    from .params import squeezed_frame_label
-
     n = cfg.fock_dim
     a, adag = fock.ladder(n)
     labs = [lab for lab in standard_labels() if lab.u0 != 0]
@@ -663,21 +660,20 @@ def _check_invariant_combination(cfg):
 def _check_saturation_scan(cfg: VerifyConfig):
     """Residuals, SR slack, round-trips and moment agreement on the grid."""
     c, n = cfg.constants, cfg.scan_dim
-    q = fock.position(n, c)
-    p = fock.momentum(n, c)
     labs = standard_labels()
     states = oracles._state_rows(labs, n)
     one = fock.basis_state(n, 1)
-    *recs, rec1 = fock.sr_ur_check(q, p, [*states, one])
+    recs = fock.sr_ur_check(states, c)
+    rec1, = fock.sr_ur_check([one], c)
     ms = [labels_to_moments(lab, c) for lab in labs]
-    residuals = [fock.defining_residual(q, p, st, m, c)
+    residuals = [fock.defining_residual(st, m, c)
                  for st, m in zip(states, ms)]
     gaps = []
     for rec, m in zip(recs, ms):
         me = rec.as_moments()
         gaps.append((abs(me.q0 - m.q0), abs(me.p0 - m.p0), abs(me.dq - m.dq),
                      abs(me.dp - m.dp), abs(me.corr - m.corr)))
-    probe_res = fock.defining_residual(q, p, one, rec1.as_moments(), c)
+    probe_res = fock.defining_residual(one, rec1.as_moments(), c)
     return [
         _worst(cfg, "verify.defining_residual", zip(residuals, labs),
                {"fock_dim": n}),
@@ -696,15 +692,13 @@ def _check_saturation_scan(cfg: VerifyConfig):
           "verify.srur_fock_one")
 def _check_srur_positivity(cfg):
     c, n = cfg.constants, 48
-    q = fock.position(n, c)
-    p = fock.momentum(n, c)
     rng = np.random.Generator(np.random.Philox(_SEED))
     states = []
     for _ in range(100):
         amps = rng.normal(size=n) + 1j * rng.normal(size=n)
         amps /= np.linalg.norm(amps)
         states.append(amps)
-    *recs, rec1 = fock.sr_ur_check(q, p, states + [fock.basis_state(n, 1)])
+    *recs, rec1 = fock.sr_ur_check(states + [fock.basis_state(n, 1)], c)
     return [
         _worst(cfg, "verify.srur_positivity",
                ((-rec.slack, k) for k, rec in enumerate(recs))),
@@ -795,11 +789,10 @@ def _check_convergence(cfg):
     labs = [Labels(u0=1 + 1j, r=0.7, theta=math.pi / 3),
             Labels(u0=2j, r=1.2, theta=math.pi)]
     ms = [labels_to_moments(lab, c) for lab in labs]
-    res = []
-    for n in (64, 128):
-        q, p = fock.position(n, c), fock.momentum(n, c)
-        res.append([fock.defining_residual(q, p, row, m, c)
-                    for row, m in zip(oracles._state_rows(labs, n), ms)])
+    # an amplitude is the same at any N: N = 64 takes 64 levels of each row
+    rows = oracles._state_rows(labs, 128)
+    res = [[fock.defining_residual(row[:n], m, c)
+            for row, m in zip(rows, ms)] for n in (64, 128)]
     detail = {repr(lab): [r64, r128] for lab, r64, r128 in zip(labs, *res)}
     return [_worst(cfg, "verify.convergence_monotonic",
                    ((r128 - r64, lab) for lab, r64, r128 in zip(labs, *res)),
@@ -1004,8 +997,6 @@ def _check_diag_kernel(cfg):
     The kernels are polynomials of degree <= 2 in the label, so the frame
     rule of order block + 1 integrates the block exactly.
     """
-    from .params import squeezed_frame_label
-
     c = cfg.constants
     dim, block = 32, 8
     for z in (0.0, 0.4):

@@ -879,3 +879,14 @@ def test_allocation_failure_is_usage_error(argv, size):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("usage error: out of memory:"), proc.stderr
     assert size in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_saturation_scan_runs_where_dense_quadratures_cannot():
+    # Q and P act through their two bands, so the scan at N = 8192 needs
+    # a few MB; the dense Q and P it once built took 1 GiB each, and under
+    # the same 3 GB limit all four results read inf
+    argv = ["verify", "--scan-dim", "8192", "--only", "verify.saturation_scan"]
+    proc = subprocess.run([sys.executable, "-c", _RLIMIT_PROBE, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "4/4 checks passed" in proc.stdout, proc.stdout

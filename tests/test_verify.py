@@ -513,6 +513,23 @@ def test_fock_synthesis_builds_one_hermite_table(monkeypatch, cfg):
     assert len(calls) == 1
 
 
+def test_saturation_checks_build_no_dense_operator(monkeypatch, cfg):
+    # Q and P act on the states through their two bands: the three checks
+    # that read second moments and residuals pass with the dense builders
+    # refusing, as test_displacement_exp_makes_no_lapack_call refuses LAPACK
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense operator build")
+
+    for name in ("position", "momentum", "ladder"):
+        monkeypatch.setattr(fock, name, refuse)
+    results = verify.run_suite(cfg, only=["verify.saturation_scan",
+                                          "verify.srur_positivity",
+                                          "verify.convergence_monotonic"])
+    assert len(results) == 7
+    assert all(r.passed for r in results), [
+        (r.check_id, r.params.get("error")) for r in results]
+
+
 @pytest.mark.parametrize("check_id", ["fock.invariant_combination",
                                       "fock.displaced_coherence",
                                       "fock.bogoliubov_closure",
